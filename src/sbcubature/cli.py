@@ -198,15 +198,6 @@ def _grid_rows(loop, n):
     return np.column_stack([X.ravel(), Y.ravel()])
 
 
-def _interior_mask(loop, pts, n_t):
-    C, R, w = loop.samples(n_t)
-    diff = C[None, :, :] - pts[:, None, :]
-    num = np.einsum("nmi,mi->nm", diff, R)
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    W = (num / dist**3) @ w
-    return (W > 0.0) & (dist.min(axis=1) > 1e-6 * loop.scale())
-
-
 def _loop_from(args):
     region, _ = load_domain(args.domain)
     return tmvi.BoundaryLoop(region.curves, check_convex=False)
@@ -216,7 +207,7 @@ def cmd_tmvi(args):
     loop = _loop_from(args)
     g, _ = load_function(args.g)
     pts = _grid_rows(loop, args.grid)
-    mask = _interior_mask(loop, pts, args.n_t)
+    mask = tmvi.interior_mask(loop, pts, args.n_t, 3.0)
     vals = np.full(len(pts), np.nan)
     if np.any(mask):
         vals[mask] = tmvi.tmvi_eval_many(loop, g, pts[mask], args.n_t)
@@ -228,7 +219,7 @@ def cmd_tmvi(args):
 def cmd_distfield(args):
     loop = _loop_from(args)
     pts = _grid_rows(loop, args.grid)
-    mask = _interior_mask(loop, pts, args.n_t)
+    mask = tmvi.interior_mask(loop, pts, args.n_t, 2.0 + args.p)
     vals = np.full(len(pts), np.nan)
     if np.any(mask):
         vals[mask] = tmvi.lp_distance_many(loop, pts[mask], args.p, args.n_t)

@@ -1,6 +1,5 @@
 """Closed planar regions bounded by an ordered counterclockwise chain of curves."""
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,12 +129,3 @@ def is_star_convex(region, x0, samples_per_curve=256):
         if np.any(perp_product(c, ts, x0) < -tol):
             return False
     return True
-
-
-def warn_if_not_star_convex(region, x0):
-    if not is_star_convex(region, x0):
-        warnings.warn(
-            "scaling center is not star-visible from the whole boundary; "
-            "weights will be signed",
-            stacklevel=3,
-        )

@@ -144,10 +144,3 @@ def generate_rule(region, policy, n_xi, n_t):
 def integrate(region, policy, f, n_xi, n_t):
     """Integral of the scalar field f(x, y) over the region."""
     return generate_rule(region, policy, n_xi, n_t)(f)
-
-
-def area(region, n_t=32):
-    """Signed area; exact once n_t resolves the boundary curves."""
-    from .region import CenterPolicy
-
-    return integrate(region, CenterPolicy.VERTEX_AVERAGE, lambda x, y: np.ones_like(x), 1, n_t)

@@ -300,10 +300,18 @@ _XI_SIGNS = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
 
 
 class BilinearElement:
-    """Four-node quadrilateral with the standard bilinear isoparametric map."""
+    """Four-node quadrilateral with the standard bilinear isoparametric map.
+
+    The map is held in coefficient form x = a0 + a1*xi + a2*eta + a3*xi*eta,
+    so its value, Jacobian and inverse Jacobian are element-wise expressions.
+    """
 
     def __init__(self, nodes):
         self.nodes = np.asarray(nodes, dtype=float)
+        s, t = _XI_SIGNS[:, 0:1], _XI_SIGNS[:, 1:2]
+        self.a0, self.a1, self.a2, self.a3 = (
+            0.25 * (w * self.nodes).sum(axis=0) for w in (1.0, s, t, s * t)
+        )
 
     def shape(self, xi, eta):
         return 0.25 * (1.0 + np.multiply.outer(xi, _XI_SIGNS[:, 0])) * (
@@ -323,7 +331,24 @@ class BilinearElement:
         return out
 
     def to_physical(self, xi, eta):
-        return self.shape(xi, eta) @ self.nodes
+        return np.stack(self._map(xi, eta), axis=-1)
+
+    def _map(self, xi, eta):
+        a0, a1, a2, a3 = self.a0, self.a1, self.a2, self.a3
+        xe = xi * eta
+        return (
+            a0[0] + a1[0] * xi + a2[0] * eta + a3[0] * xe,
+            a0[1] + a1[1] * xi + a2[1] * eta + a3[1] * xe,
+        )
+
+    def _jacobian(self, xi, eta):
+        """(dx/dxi, dx/deta, dy/dxi, dy/deta) and the determinant."""
+        a1, a2, a3 = self.a1, self.a2, self.a3
+        x_xi = a1[0] + a3[0] * eta
+        x_eta = a2[0] + a3[0] * xi
+        y_xi = a1[1] + a3[1] * eta
+        y_eta = a2[1] + a3[1] * xi
+        return x_xi, x_eta, y_xi, y_eta, x_xi * y_eta - x_eta * y_xi
 
     def to_reference(self, x, y):
         """Inverse of the bilinear map by Newton iteration (vectorized)."""
@@ -331,13 +356,13 @@ class BilinearElement:
         y = np.asarray(y, dtype=float)
         xi = np.zeros(np.broadcast(x, y).shape)
         eta = np.zeros_like(xi)
-        target = np.stack([np.broadcast_to(x, xi.shape), np.broadcast_to(y, xi.shape)], -1)
         for _ in range(30):
-            res = self.to_physical(xi, eta) - target
-            J = np.einsum("...ki,kj->...ij", self.shape_grad_ref(xi, eta), self.nodes)
-            det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-            dxi = (J[..., 1, 1] * res[..., 0] - J[..., 1, 0] * res[..., 1]) / det
-            deta = (-J[..., 0, 1] * res[..., 0] + J[..., 0, 0] * res[..., 1]) / det
+            px, py = self._map(xi, eta)
+            rx = px - x
+            ry = py - y
+            x_xi, x_eta, y_xi, y_eta, det = self._jacobian(xi, eta)
+            dxi = (y_eta * rx - x_eta * ry) / det
+            deta = (x_xi * ry - y_xi * rx) / det
             xi -= dxi
             eta -= deta
             if max(np.abs(dxi).max(), np.abs(deta).max()) < 1e-14:
@@ -347,18 +372,15 @@ class BilinearElement:
     def shape_grad_physical(self, x, y):
         """N_I and physical gradients dN_I/dx, dN_I/dy at given points."""
         xi, eta = self.to_reference(x, y)
-        N = self.shape(xi, eta)
+        x_xi, x_eta, y_xi, y_eta, det = self._jacobian(xi, eta)
+        # rows of inv(J), J = d(x, y)/d(xi, eta): d(xi)/d(x, y), d(eta)/d(x, y)
+        xi_x, xi_y = y_eta / det, -x_eta / det
+        eta_x, eta_y = -y_xi / det, x_xi / det
         dref = self.shape_grad_ref(xi, eta)
-        J = np.einsum("...ki,kj->...ij", dref, self.nodes)  # d(x)/d(xi)
-        det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-        inv = np.empty_like(J)
-        inv[..., 0, 0] = J[..., 1, 1] / det
-        inv[..., 0, 1] = -J[..., 0, 1] / det
-        inv[..., 1, 0] = -J[..., 1, 0] / det
-        inv[..., 1, 1] = J[..., 0, 0] / det
-        # dN/dx_j = dN/dxi_i * dxi_i/dx_j; dxi/dx is inv(J) with our J = dx/dxi
-        grad = np.einsum("...ki,...ij->...kj", dref, inv)
-        return N, grad
+        grad = np.empty_like(dref)
+        grad[..., 0] = dref[..., 0] * xi_x[..., None] + dref[..., 1] * eta_x[..., None]
+        grad[..., 1] = dref[..., 0] * xi_y[..., None] + dref[..., 1] * eta_y[..., None]
+        return self.shape(xi, eta), grad
 
 
 def xfem_split_regions(element, dx):
@@ -373,6 +395,41 @@ def xfem_split_regions(element, dx):
     raise NotFoundError("unknown element %r" % (element,))
 
 
+# One process-wide entry (element, tip, x, y, geometry) for the last point set,
+# shared by the closures of every xfem_integrands call: one entry per closure
+# set would hold the geometry of every set alive at once.  x and y are private
+# copies, so a point array changed in place never gets a stale geometry; the
+# entry is replaced whole, so a reader always sees a consistent one.
+_last_geometry = None
+
+
+def _crack_geometry(elem, xc, x, y):
+    """N_I, grad N_I, -sin(theta/2)/2, cos(theta/2)/2 and r*sin(theta/2) at (x, y)."""
+    global _last_geometry
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    last = _last_geometry
+    if (
+        last is not None
+        and last[0] is elem
+        and last[1] == xc
+        and np.array_equal(last[2], x)
+        and np.array_equal(last[3], y)
+    ):
+        return last[4]
+    N, grad = elem.shape_grad_physical(x, y)
+    rx = x - xc[0]
+    ry = y - xc[1]
+    th = np.arctan2(ry, rx)
+    s = np.sin(0.5 * th)
+    # sqrt(r)*dF/dx = -s/2, sqrt(r)*dF/dy = c/2, sqrt(r)*F = r*s
+    geom = (N, grad, -0.5 * s, 0.5 * np.cos(0.5 * th), np.hypot(rx, ry) * s)
+    _last_geometry = (elem, xc, x.copy(), y.copy(), geom)
+    return geom
+
+
+_XFEM_ELEMENTS = {name: BilinearElement(nodes) for name, nodes in _XFEM_NODES.items()}
+
+
 def xfem_integrands(element, dx):
     """Sixteen enriched stiffness integrands for the crack-tip element test.
 
@@ -381,31 +438,27 @@ def xfem_integrands(element, dx):
     about the crack tip (dx, 0.5).  Returned as smooth numerators g with
     the 1/sqrt(r) factor split off, i.e. the full integrand is
     g(x, y) / ||x - xc||^(1/2), plus the split geometry and xc.
+
+    The sixteen fields share one evaluation of the per-point geometry (N_I,
+    grad N_I, r*sin(theta/2), sin(theta/2), cos(theta/2)): the first field
+    applied to a point set computes it, and the others reuse it while they
+    are applied to the same points.  So the fast order is all sixteen fields
+    on one rule before the next rule; interleaving rules recomputes the
+    geometry on every call.
     """
     if element not in _XFEM_NODES:
         raise NotFoundError("unknown element %r" % (element,))
-    xc = np.array([float(dx), 0.5])
-    elem = BilinearElement(_XFEM_NODES[element])
+    xc = (float(dx), 0.5)
+    elem = _XFEM_ELEMENTS[element]
 
     def numerator(i, j):
         def g(x, y):
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
-            N, grad = elem.shape_grad_physical(x, y)
-            rx = x - xc[0]
-            ry = y - xc[1]
-            r = np.hypot(rx, ry)
-            th = np.arctan2(ry, rx)
-            s = np.sin(0.5 * th)
-            c = np.cos(0.5 * th)
-            # sqrt(r)*dF/dx = -s/2, sqrt(r)*dF/dy = c/2, sqrt(r)*F = r*s
-            return N[..., i] * (-0.5 * s * grad[..., j, 0] + 0.5 * c * grad[..., j, 1]) + (
-                r * s
-            ) * (
+            N, grad, hs, hc, rs = _crack_geometry(elem, xc, x, y)
+            return N[..., i] * (hs * grad[..., j, 0] + hc * grad[..., j, 1]) + rs * (
                 grad[..., i, 0] * grad[..., j, 0] + grad[..., i, 1] * grad[..., j, 1]
             )
 
         return g
 
     fields = [numerator(i, j) for i in range(4) for j in range(4)]
-    return xfem_split_regions(element, dx), fields, 0.5, xc
+    return xfem_split_regions(element, dx), fields, 0.5, np.array(xc)

@@ -97,10 +97,19 @@ def _kernel_sums(loop, x, n_t, power):
     return num / dist**power @ w, dist.min(axis=1)
 
 
+def _outside(loop, W, min_dist):
+    return (min_dist <= 1e-9 * loop.scale()) | (W <= 0.0)
+
+
 def _check_interior(loop, W, min_dist):
-    standoff = 1e-9 * loop.scale()
-    if np.any(min_dist <= standoff) or np.any(W <= 0.0):
+    if np.any(_outside(loop, W, min_dist)):
         raise InvalidArgumentError("evaluation point is outside or on the boundary")
+
+
+def interior_mask(loop, x, n_t, power):
+    """Which points x (N,2) an evaluator with kernel power ``power`` accepts:
+    3 for ``tmvi_eval_many``, 2 + p for ``lp_distance_many``."""
+    return ~_outside(loop, *_kernel_sums(loop, x, n_t, power))
 
 
 def tmvi_eval_many(loop, g, x, n_t=256):

@@ -149,6 +149,29 @@ def test_distfield_marks_exterior_cells_empty(capsys):
     assert sum(1 for s in lines if s.split(",")[2] != "") == 12
 
 
+@pytest.mark.parametrize("p", ["10", "100"])
+def test_distfield_high_p_masks_with_its_own_kernel(capsys, p):
+    # the mask must use the evaluator's kernel power 2+p: with power 3 it
+    # admitted exterior cells that the Lp kernel then rejected (exit 2)
+    code, out = run(
+        capsys, ["distfield", "builtin:egg", "--p", p, "--grid", "64", "--n-t", "732"]
+    )
+    assert code == 0
+    rows = np.array(
+        [[float(v) if v else np.nan for v in line.split(",")]
+         for line in out.strip().splitlines()[1:]]
+    )
+    assert len(rows) == 64 * 64
+    x, y, v = rows.T
+    # egg boundary: x = cos(th), y = 4 sin(th) / (5 + cos(th))
+    th = np.arccos(np.clip(x, -1.0, 1.0))
+    inside = (np.abs(x) < 1.0) & (np.abs(y) < 4.0 * np.sin(th) / (5.0 + x))
+    filled = ~np.isnan(v)
+    assert not np.any(filled & ~inside)
+    assert filled.sum() >= 0.99 * inside.sum()
+    assert np.all(v[filled] >= 0.0)
+
+
 def test_tmvi_linear_field(capsys):
     code, out = run(
         capsys, ["tmvi", "builtin:circle", "expr:1+x-2*y", "--grid", "3"]

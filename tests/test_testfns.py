@@ -8,6 +8,7 @@ from sbcubature.region import Region
 from sbcubature.singular import GAUSS_JACOBI, SingularSpec, generate_singular_rule
 from sbcubature.testfns import (
     POLYGON_NAMES,
+    _XFEM_NODES,
     BilinearElement,
     NamedFunction,
     NamedGeometry,
@@ -104,14 +105,64 @@ def test_bilinear_partition_of_unity():
     np.testing.assert_allclose(elem.shape(xi, eta).sum(axis=-1), 1.0, atol=1e-15)
 
 
+def _element_points(element, dx=1e-3):
+    """Reference grid over the element, plus physical points near the tip."""
+    elem = BilinearElement(_XFEM_NODES[element])
+    xi, eta = (a.ravel() for a in np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9)))
+    rho, phi = np.meshgrid([1e-3, 1e-5, 1e-9], np.linspace(0.0, 2 * np.pi, 8, endpoint=False))
+    near = np.column_stack([dx + (rho * np.cos(phi)).ravel(), 0.5 + (rho * np.sin(phi)).ravel()])
+    return elem, xi, eta, near
+
+
 def test_bilinear_inverse_round_trip():
-    elem = BilinearElement([(0, 0), (0.9, 0.1), (1.1, 0.9), (0, 1)])
-    xi = np.linspace(-0.9, 0.9, 5)
-    eta = np.linspace(-0.8, 0.8, 5)
+    for element in ("Omega1", "Omega2"):
+        elem, xi, eta, near = _element_points(element)
+        p = elem.to_physical(xi, eta)
+        xi2, eta2 = elem.to_reference(p[:, 0], p[:, 1])
+        np.testing.assert_allclose(xi2, xi, atol=1e-13)
+        np.testing.assert_allclose(eta2, eta, atol=1e-13)
+        back = elem.to_physical(*elem.to_reference(near[:, 0], near[:, 1]))
+        np.testing.assert_allclose(back, near, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("element", ["Omega1", "Omega2"])
+def test_shape_grad_physical_matches_inverse_jacobian(element):
+    elem, xi, eta, _ = _element_points(element)
     p = elem.to_physical(xi, eta)
-    xi2, eta2 = elem.to_reference(p[:, 0], p[:, 1])
-    np.testing.assert_allclose(xi2, xi, atol=1e-12)
-    np.testing.assert_allclose(eta2, eta, atol=1e-12)
+    N, grad = elem.shape_grad_physical(p[:, 0], p[:, 1])
+    dref = elem.shape_grad_ref(xi, eta)
+    jac = np.einsum("kj,nki->nji", elem.nodes, dref)  # d(x, y)/d(xi, eta)
+    np.testing.assert_allclose(grad, dref @ np.linalg.inv(jac), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(N, elem.shape(xi, eta), rtol=0, atol=1e-15)
+    # x = sum_k N_k x_k, so sum_k x_k grad(N_k) is the identity
+    eye = np.einsum("ka,nkb->nab", elem.nodes, grad)
+    np.testing.assert_allclose(eye, np.broadcast_to(np.eye(2), eye.shape), atol=1e-13)
+
+
+@pytest.mark.filterwarnings("ignore:edge through the singularity")
+def test_crack_fields_bit_identical_in_any_order():
+    regions, fields, beta, xc = xfem_integrands("Omega1", 1e-3)
+    spec = SingularSpec(xc=tuple(xc), radial=GAUSS_JACOBI, t_transform="r1")
+    rules = [generate_singular_rule(reg, spec, beta, 12, 12) for reg in regions]
+    region_major = np.array([[rule(g) for g in fields] for rule in rules])
+    # alternating the two sub-regions recomputes the geometry on every call
+    field_major = np.array([[rule(g) for rule in rules] for g in fields]).T
+    assert np.array_equal(region_major, field_major)
+    fresh = xfem_integrands("Omega1", 1e-3)[1]
+    assert np.array_equal(region_major, [[rule(g) for g in fresh] for rule in rules])
+
+    # change the points of the rule just evaluated in place: no stale geometry
+    rules[0](fields[0])
+    pts = rules[0].points
+    saved = pts.copy()
+    pts[:, 0] += 1e-3
+    changed = rules[0](fields[5])
+    moved = pts.copy()
+    rules[1](fields[5])
+    assert changed == np.dot(rules[0].weights, fields[5](moved[:, 0], moved[:, 1]))
+    assert changed != region_major[0, 5]
+    pts[:] = saved
+    assert np.array_equal(region_major, [[rule(g) for g in fields] for rule in rules])
 
 
 def test_crack_integrand_suite_shape_and_self_consistency():
