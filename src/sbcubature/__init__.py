@@ -1,29 +1,25 @@
 """Tensor-product cubature over planar regions bounded by segments and curves."""
 
-from .curves import Bezier, Curve, ParametricCurve, RationalBezier, Segment, perp_product
+from .curves import Bezier, Curve, ParametricCurve, RationalBezier, Segment, boundary_samples
 from .errors import EvaluationError, InvalidArgumentError, NotFoundError
-from .hni import HomogeneousField, hni_integrate, polygon_hni
+from .hni import HomogeneousField, hni_integrate
 from .region import CenterPolicy, CurvedTriangle, Region, decompose, is_star_convex, polygon, resolve_center
-from .rules import Rule1D, Rule2D, gauss_jacobi_unit, gauss_legendre, tensor, tensor_points
+from .rules import Rule1D, gauss_jacobi_unit, gauss_legendre
 from .sbc import (
     CubatureRule,
-    PolygonEdgeData,
-    edge_data,
     generate_rule,
     integrate,
     min_orders_curved,
     min_orders_polygon,
-    sb_jacobian,
-    sb_map,
 )
 from .singular import (
     GAUSS_JACOBI,
     GeneralizedSB,
+    PolygonEdgeData,
     SingularSpec,
     SplitIntegrand,
+    edge_data,
     generate_singular_rule,
-    gsb_jacobian,
-    gsb_map,
     integrate_singular,
     radial_exponent,
     select_alpha,

@@ -66,10 +66,8 @@ def load_domain(path):
         if extra:
             raise InvalidArgumentError("unknown x0 keys %s" % sorted(extra))
         strat = x0.get("strategy")
-        if strat == "origin":
-            policy = CenterPolicy.ORIGIN
-        elif strat == "vertex_average":
-            policy = CenterPolicy.VERTEX_AVERAGE
+        if strat in ("origin", "vertex_average"):
+            policy = CenterPolicy(strat)
         elif strat == "vertex":
             policy = CenterPolicy.vertex(int(x0["index"]))
         elif strat == "custom":
@@ -91,14 +89,14 @@ def load_function(spec):
     raise InvalidArgumentError("function spec must start with 'expr:' or 'builtin:'")
 
 
-def _parse_radial(arg):
+def _parse_radial(arg, beta):
     if arg == "none":
         return None
     if arg == "jacobi":
         return singular.GAUSS_JACOBI
     if arg.startswith("gsb"):
-        alpha = float(arg.split(":", 1)[1]) if ":" in arg else None
-        return ("gsb", alpha)
+        alpha = float(arg.split(":", 1)[1]) if ":" in arg else singular.select_alpha(beta)
+        return singular.GeneralizedSB(alpha)
     raise InvalidArgumentError("unknown radial strategy %r" % (arg,))
 
 
@@ -141,10 +139,7 @@ def cmd_integrate(args):
             r2 = (np.asarray(x) - xc[0]) ** 2 + (np.asarray(y) - xc[1]) ** 2
             return f(x, y) * r2 ** (0.5 * beta)
 
-        radial = _parse_radial(args.radial)
-        if isinstance(radial, tuple):
-            alpha = radial[1] if radial[1] is not None else singular.select_alpha(beta)
-            radial = singular.GeneralizedSB(alpha)
+        radial = _parse_radial(args.radial, beta)
         tt = None if args.t_transform == "none" else args.t_transform
         spec = singular.SingularSpec(xc=tuple(xc), radial=radial, t_transform=tt)
         value = singular.integrate_singular(
@@ -203,29 +198,29 @@ def _loop_from(args):
     return tmvi.BoundaryLoop(region.curves, check_convex=False)
 
 
-def cmd_tmvi(args):
-    loop = _loop_from(args)
-    g, _ = load_function(args.g)
-    pts = _grid_rows(loop, args.grid)
-    mask = tmvi.interior_mask(loop, pts, args.n_t, 3.0)
+def _print_grid(loop, n, n_t, power, evaluate):
+    """CSV of evaluate(points) over the grid cells the kernel accepts; others empty."""
+    pts = _grid_rows(loop, n)
+    mask = tmvi.interior_mask(loop, pts, n_t, power)
     vals = np.full(len(pts), np.nan)
     if np.any(mask):
-        vals[mask] = tmvi.tmvi_eval_many(loop, g, pts[mask], args.n_t)
+        vals[mask] = evaluate(pts[mask])
     print("x,y,value")
     for (x, y), v, ok in zip(pts, vals, mask):
         print("%s,%s,%s" % (fmt(x), fmt(y), fmt(v) if ok else ""))
+
+
+def cmd_tmvi(args):
+    loop = _loop_from(args)
+    g, _ = load_function(args.g)
+    _print_grid(loop, args.grid, args.n_t, 3.0,
+                lambda pts: tmvi.tmvi_eval_many(loop, g, pts, args.n_t))
 
 
 def cmd_distfield(args):
     loop = _loop_from(args)
-    pts = _grid_rows(loop, args.grid)
-    mask = tmvi.interior_mask(loop, pts, args.n_t, 2.0 + args.p)
-    vals = np.full(len(pts), np.nan)
-    if np.any(mask):
-        vals[mask] = tmvi.lp_distance_many(loop, pts[mask], args.p, args.n_t)
-    print("x,y,value")
-    for (x, y), v, ok in zip(pts, vals, mask):
-        print("%s,%s,%s" % (fmt(x), fmt(y), fmt(v) if ok else ""))
+    _print_grid(loop, args.grid, args.n_t, 2.0 + args.p,
+                lambda pts: tmvi.lp_distance_many(loop, pts, args.p, args.n_t))
 
 
 def build_parser():

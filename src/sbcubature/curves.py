@@ -55,13 +55,13 @@ class Segment(Curve):
 
 
 def _de_casteljau(points, t):
-    # points: (n+1, 2); t: array.  Returns (..., 2).
-    t = np.asarray(t, dtype=float)[..., None]
-    layers = [np.broadcast_to(p, t.shape[:-1] + (2,)) for p in points]
-    work = np.stack(layers, axis=-2)  # (..., n+1, 2)
+    # points: (n+1, d) in any dimension d; t: array.  Returns a new array of
+    # shape t.shape + (d,).
+    t = np.asarray(t, dtype=float)[..., None, None]
+    work = np.broadcast_to(points, t.shape[:-2] + points.shape)  # (..., n+1, d)
     while work.shape[-2] > 1:
-        work = (1.0 - t[..., None, :]) * work[..., :-1, :] + t[..., None, :] * work[..., 1:, :]
-    return work[..., 0, :]
+        work = (1.0 - t) * work[..., :-1, :] + t * work[..., 1:, :]
+    return np.array(work[..., 0, :])
 
 
 class Bezier(Curve):
@@ -77,14 +77,10 @@ class Bezier(Curve):
         self._dcp = self.degree * np.diff(cp, axis=0)
 
     def position(self, t):
-        t = _check_t(t)
-        return _de_casteljau(self.control_points, t)
+        return _de_casteljau(self.control_points, _check_t(t))
 
     def velocity(self, t):
-        t = _check_t(t)
-        if self.degree == 1:
-            return np.broadcast_to(self._dcp[0], np.shape(t) + (2,)).copy()
-        return _de_casteljau(self._dcp, t)
+        return _de_casteljau(self._dcp, _check_t(t))
 
 
 class RationalBezier(Curve):
@@ -103,38 +99,22 @@ class RationalBezier(Curve):
         self.weights = w
         self.degree = cp.shape[0] - 1
         self._hcp = np.column_stack([cp * w[:, None], w])  # homogeneous (wx, wy, w)
-
-    def _homogeneous(self, t):
-        t = np.asarray(t, dtype=float)[..., None]
-        layers = [np.broadcast_to(p, t.shape[:-1] + (3,)) for p in self._hcp]
-        work = np.stack(layers, axis=-2)
-        while work.shape[-2] > 1:
-            work = (1.0 - t[..., None, :]) * work[..., :-1, :] + t[..., None, :] * work[..., 1:, :]
-        return work[..., 0, :]
+        self._dhcp = self.degree * np.diff(self._hcp, axis=0)
 
     def position(self, t):
         t = _check_t(t)
-        h = self._homogeneous(t)
+        h = _de_casteljau(self._hcp, t)
         return h[..., :2] / h[..., 2:3]
 
     def velocity(self, t):
         # quotient rule on the homogeneous polynomial curve:
         # c = p/w  =>  c' = (p' w - p w') / w^2, all degree-(n-1) evaluations
         t = _check_t(t)
-        h = self._homogeneous(t)
-        dh = self._homogeneous_deriv(t)
+        h = _de_casteljau(self._hcp, t)
+        dh = _de_casteljau(self._dhcp, t)
         w = h[..., 2:3]
         dw = dh[..., 2:3]
         return (dh[..., :2] * w - h[..., :2] * dw) / (w * w)
-
-    def _homogeneous_deriv(self, t):
-        dcp = self.degree * np.diff(self._hcp, axis=0)
-        t = np.asarray(t, dtype=float)[..., None]
-        layers = [np.broadcast_to(p, t.shape[:-1] + (3,)) for p in dcp]
-        work = np.stack(layers, axis=-2)
-        while work.shape[-2] > 1:
-            work = (1.0 - t[..., None, :]) * work[..., :-1, :] + t[..., None, :] * work[..., 1:, :]
-        return work[..., 0, :]
 
 
 class ParametricCurve(Curve):
@@ -160,13 +140,7 @@ class ParametricCurve(Curve):
                 )
 
     def position(self, t):
-        t = _check_t(t)
-        x = exprlang.evaluate(self._x_ast, {"t": t})
-        y = exprlang.evaluate(self._y_ast, {"t": t})
-        out = np.empty(np.shape(t) + (2,))
-        out[..., 0] = x
-        out[..., 1] = y
-        return out
+        return self._raw(_check_t(t))
 
     def _raw(self, t):
         x = exprlang.evaluate(self._x_ast, {"t": t})
@@ -203,22 +177,15 @@ class ParametricCurve(Curve):
         return out
 
 
-def rotate_minus_90(v):
-    """(v1, v2) -> (v2, -v1), mapping a CCW tangent to the outward normal."""
-    out = np.empty_like(v)
-    out[..., 0] = v[..., 1]
-    out[..., 1] = -v[..., 0]
-    return out
+def boundary_samples(curve, t, x0):
+    """The boundary part of every scaled boundary rule, at the t-nodes of one curve.
 
-
-def perp_product(curve, t, x0):
-    """(c(t) - x0) . (c2'(t), -c1'(t)).
-
-    Positive when x0 sees the counterclockwise-oriented curve from its
-    interior side; this is the t-independent part of the scaled boundary
-    Jacobian.
+    Returns C = c(t), the rotated velocity c'_perp = (c2', -c1') (the outward
+    normal times |c'| on a counterclockwise curve) and (C - x0).c'_perp.  The
+    last is the t-part of the scaled boundary Jacobian xi * (C - x0).c'_perp;
+    it is positive where x0 sees the curve from its interior side.
     """
-    x0 = np.asarray(x0, dtype=float)
-    c = curve.position(t)
-    v = curve.velocity(t)
-    return np.einsum("...i,...i->...", c - x0, rotate_minus_90(v))
+    C = curve.position(t)
+    V = curve.velocity(t)
+    N = np.stack([V[..., 1], -V[..., 0]], axis=-1)
+    return C, N, np.einsum("...i,...i->...", C - x0, N)

@@ -6,16 +6,16 @@ origin:
 
     int_Omega h dx = 1/(2+q) * sum_i int_0^1 h(c_i(t)) (c_i . c_i'_perp) dt
 
-which needs only t-direction quadrature.  Used as an independent oracle for
-the full cubature.
+which needs only t-direction quadrature.  This is the scaled boundary kernel
+with a one-node radial rule: s = 1 (the points are the boundary samples
+themselves) with weight 1/(2+q), the closed form of int_0^1 s^(1+q) ds.
 """
 
 import numpy as np
 
 from . import rules
-from .curves import Segment, rotate_minus_90
 from .errors import InvalidArgumentError
-from .sbc import edge_data
+from .sbc import assemble_rule, curve_samples
 
 
 class HomogeneousField:
@@ -48,31 +48,8 @@ def hni_integrate(region, hf, n_t):
     """Boundary-only integral of hf over the region (center fixed at origin)."""
     if n_t < 1:
         raise InvalidArgumentError("rule size must be >= 1")
-    t_rule = rules.gauss_legendre(n_t)
-    total = 0.0
-    for c in region.curves:
-        C = c.position(t_rule.nodes)
-        V = c.velocity(t_rule.nodes)
-        perp = np.einsum("ij,ij->i", C, rotate_minus_90(V))
-        vals = np.asarray(hf.h(C[:, 0], C[:, 1]), dtype=float)
-        total += float(np.dot(t_rule.weights, vals * perp))
-    return total / (2.0 + hf.q)
-
-
-def polygon_hni(region, hf, n_t):
-    """Polygon specialization: 1/(2+q) * sum_i ell_i * int_edge h ds."""
-    if n_t < 1:
-        raise InvalidArgumentError("rule size must be >= 1")
-    t_rule = rules.gauss_legendre(n_t)
-    origin = np.zeros(2)
-    total = 0.0
-    for c in region.curves:
-        if not isinstance(c, Segment):
-            raise InvalidArgumentError("polygon_hni requires segment edges")
-        ed = edge_data(c, origin)
-        if ed.ell == 0.0:
-            continue
-        C = c.position(t_rule.nodes)
-        vals = np.asarray(hf.h(C[:, 0], C[:, 1]), dtype=float)
-        total += ed.ell * ed.delta_tau * float(np.dot(t_rule.weights, vals))
-    return total / (2.0 + hf.q)
+    t = rules.gauss_legendre(n_t)
+    x0 = np.zeros(2)
+    pieces = ((i, C, t.weights * perp) for i, C, perp in curve_samples(region, x0, t.nodes))
+    rule = assemble_rule(pieces, x0, np.ones(1), np.array([1.0 / (2.0 + hf.q)]))
+    return rule(hf.h)

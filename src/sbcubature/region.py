@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, Segment, perp_product
+from .curves import Curve, Segment, boundary_samples
 from .errors import InvalidArgumentError
 
 
@@ -43,25 +43,31 @@ class CurvedTriangle:
 class Region:
     """Counterclockwise chain of curves; end of each curve meets the next start.
 
-    Chain closure is validated to ``closure_tolerance`` (absolute, per
-    coordinate); gaps are a hard error.  Orientation is not checked at
+    The bounding box (from 64 samples per curve) and its diagonal are
+    computed once.  Chain closure is validated to 1e-12 times that diagonal
+    (per coordinate); gaps are a hard error.  Orientation is not checked at
     construction (signed area needs an integration rule), but downstream
     results are signed, so a clockwise chain yields negative area.
     """
 
-    def __init__(self, curves, closure_tolerance=1e-12):
+    def __init__(self, curves):
         curves = list(curves)
         if not curves:
             raise InvalidArgumentError("region needs at least one curve")
         self.curves = curves
-        self.closure_tolerance = closure_tolerance
+        pts = np.concatenate([c.position(np.linspace(0.0, 1.0, 64)) for c in curves])
+        self._bbox = (pts.min(axis=0), pts.max(axis=0))
+        for a in self._bbox:
+            a.setflags(write=False)
+        self._scale = float(np.hypot(*(self._bbox[1] - self._bbox[0])))
         starts = np.array([c.start() for c in curves])
         ends = np.array([c.end() for c in curves])
         gap = np.abs(ends - np.roll(starts, -1, axis=0)).max()
-        if gap > closure_tolerance:
+        tol = 1e-12 * self._scale
+        if gap > tol:
             raise InvalidArgumentError(
                 "boundary chain is not closed: max endpoint gap %.3e exceeds %.3e"
-                % (gap, closure_tolerance)
+                % (gap, tol)
             )
         for c in curves:
             if isinstance(c, Segment) and np.hypot(*(c.b - c.a)) == 0.0:
@@ -74,21 +80,18 @@ class Region:
         return self._starts.copy()
 
     def bbox(self):
-        ts = np.linspace(0.0, 1.0, 64)
-        pts = np.concatenate([c.position(ts) for c in self.curves])
-        return pts.min(axis=0), pts.max(axis=0)
+        """(lo, hi) corners of the sampled bounding box, read-only."""
+        return self._bbox
 
     def scale(self):
         """Bounding-box diagonal, used for relative tolerances."""
-        lo, hi = self.bbox()
-        return float(np.hypot(*(hi - lo)))
+        return self._scale
 
 
-def polygon(vertices, **kw):
+def polygon(vertices):
     """Region whose boundary is the closed polyline through the given vertices."""
     v = np.asarray(vertices, dtype=float)
-    segs = [Segment(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
-    return Region(segs, **kw)
+    return Region([Segment(v[i], v[(i + 1) % len(v)]) for i in range(len(v))])
 
 
 def resolve_center(region, policy):
@@ -126,6 +129,6 @@ def is_star_convex(region, x0, samples_per_curve=256):
     tol = 1e-12 * region.scale() ** 2
     ts = np.linspace(0.0, 1.0, samples_per_curve)
     for c in region.curves:
-        if np.any(perp_product(c, ts, x0) < -tol):
+        if np.any(boundary_samples(c, ts, x0)[2] < -tol):
             return False
     return True

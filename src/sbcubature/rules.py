@@ -1,4 +1,4 @@
-"""Gaussian rules on [0,1] and their tensor products on the unit square.
+"""Gaussian rules on [0,1].
 
 All 1-D rules integrate against the weight function ``xi**eta`` on [0,1]
 (``eta = 0`` gives plain Gauss-Legendre).  The weight is absorbed into
@@ -21,19 +21,9 @@ class Rule1D:
 
     nodes: np.ndarray
     weights: np.ndarray
-    weight_exponent: float = 0.0
 
     def __len__(self):
         return len(self.nodes)
-
-
-@dataclass(frozen=True)
-class Rule2D:
-    xi_rule: Rule1D
-    t_rule: Rule1D
-
-    def __len__(self):
-        return len(self.xi_rule) * len(self.t_rule)
 
 
 def _jacobi_recurrence(n, b):
@@ -69,7 +59,7 @@ def _gauss_unit(n, eta):
     weights = w * 2.0 ** (-(eta + 1.0))
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return Rule1D(nodes=nodes, weights=weights, weight_exponent=eta)
+    return Rule1D(nodes=nodes, weights=weights)
 
 
 def gauss_legendre(n):
@@ -88,18 +78,3 @@ def gauss_jacobi_unit(n, eta):
             "weight exponent must exceed -1 for an integrable weight, got %r" % (eta,)
         )
     return _gauss_unit(int(n), float(eta))
-
-
-def tensor(xi_rule, t_rule):
-    """Tensor product over the unit square; ordering is t-major, xi-minor."""
-    return Rule2D(xi_rule=xi_rule, t_rule=t_rule)
-
-
-def tensor_points(rule2d):
-    """Flattened (xi, t, w) arrays of a tensor rule, t-major ordering."""
-    xi = rule2d.xi_rule
-    t = rule2d.t_rule
-    tt = np.repeat(t.nodes, len(xi))
-    xx = np.tile(xi.nodes, len(t))
-    ww = np.repeat(t.weights, len(xi)) * np.tile(xi.weights, len(t))
-    return xx, tt, ww

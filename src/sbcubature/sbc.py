@@ -1,11 +1,23 @@
-"""Scaled boundary cubature core.
+"""Scaled boundary cubature: one kernel, boundary samples times a radial rule.
 
 Each boundary curve c(t) and the scaling center x0 span a curved triangle;
 the unit square maps onto it via
 
-    phi(xi, t) = x0 + xi * (c(t) - x0),      J(xi, t) = xi * (c(t)-x0).c'_perp(t)
+    phi(s, t) = x0 + s * (c(t) - x0),      J(s, t) = s * (c(t)-x0).c'_perp(t)
 
-and summing the per-triangle tensor-rule integrals gives the region integral.
+and summing the per-triangle tensor-rule integrals gives the region
+integral.  Every rule family is built the same way: ``boundary_samples``
+gives C = c(t) and (C - x0).c'_perp at the t-nodes of each curve, the family
+turns these into t-weights, and ``assemble_rule`` takes the tensor product
+with a radial rule (nodes s in [0, 1], weights w_s).  The families differ
+only in their radial rule:
+
+* regular (``generate_rule``): Gauss-Legendre nodes xi, weights w_xi * xi;
+* singular (``singular.generate_singular_rule``): the three radial
+  strategies for g / ||x - x0||^beta, optionally on reparametrized t;
+* homogeneous (``hni.hni_integrate``): the single node s = 1 with weight
+  1/(2+q), which is how the scheme reduces to HNI for a degree-q field.
+
 Weights are signed, so nonconvex regions and exterior centers still sum to
 the correct value.
 """
@@ -16,7 +28,7 @@ from math import ceil
 import numpy as np
 
 from . import rules
-from .curves import Segment, rotate_minus_90
+from .curves import boundary_samples
 from .errors import EvaluationError, InvalidArgumentError
 from .region import decompose, resolve_center
 
@@ -46,41 +58,39 @@ class CubatureRule:
         return float(np.dot(self.weights, vals))
 
 
-@dataclass(frozen=True)
-class PolygonEdgeData:
-    """Edge geometry relative to x0: outward normal, foot distance, tangent span."""
+def curve_samples(region, x0, t):
+    """(curve index, C, (C - x0).c'_perp) at nodes t, for every curve that counts.
 
-    n: np.ndarray      # unit outward normal
-    ell: float         # signed distance from x0 to the edge line
-    tau1: float        # signed tangential coordinate of the edge start
-    tau2: float        # ... and of the edge end
-    delta_tau: float   # tau2 - tau1 = edge length for CCW edges
-
-
-def edge_data(seg, x0):
-    d = seg.d
-    length = float(np.hypot(*d))
-    tau_hat = d / length
-    n = np.array([d[1], -d[0]]) / length
-    x0 = np.asarray(x0, dtype=float)
-    ell = float(np.dot(seg.a - x0, n))
-    tau1 = float(np.dot(seg.a - x0, tau_hat))
-    tau2 = float(np.dot(seg.b - x0, tau_hat))
-    return PolygonEdgeData(n=n, ell=ell, tau1=tau1, tau2=tau2, delta_tau=tau2 - tau1)
+    A curve is skipped when max|(c - x0).c'_perp| <= 1e-14 * scale * max|c'|:
+    x0 lies on it (or on its supporting line), so its triangle has no area.
+    """
+    tol = 1e-14 * region.scale()
+    for i, tri in enumerate(decompose(region, x0)):
+        C, N, perp = boundary_samples(tri.curve, t, x0)
+        if np.max(np.abs(perp)) > tol * np.max(np.hypot(N[:, 0], N[:, 1])):
+            yield i, C, perp
 
 
-def sb_map(tri, xi, t):
-    """x0 + xi*(c(t) - x0); broadcasts over matching xi/t arrays."""
-    c = tri.curve.position(t)
-    return tri.x0 + np.asarray(xi)[..., None] * (c - tri.x0)
+def assemble_rule(pieces, x0, s, w_s):
+    """Tensor rule from (curve index, C, t-weights) pieces and a radial rule.
 
-
-def sb_jacobian(tri, xi, t):
-    """xi * (c(t)-x0).(c2'(t), -c1'(t))."""
-    c = tri.curve.position(t)
-    v = tri.curve.velocity(t)
-    perp = np.einsum("...i,...i->...", c - tri.x0, rotate_minus_90(v))
-    return np.asarray(xi) * perp
+    The points are x0 + s * (C - x0) and the weights the outer product of
+    t-weights and w_s, ordered (curve, t-node, radial node).
+    """
+    pts, wts, idx = [], [], []
+    for i, C, tw in pieces:
+        pts.append((x0 + s[None, :, None] * (C[:, None, :] - x0)).reshape(-1, 2))
+        wts.append((tw[:, None] * w_s[None, :]).ravel())
+        idx.append(np.full(len(tw) * len(s), i))
+    if not pts:
+        return CubatureRule(
+            points=np.empty((0, 2)), weights=np.empty(0), curve_index=np.empty(0, int)
+        )
+    return CubatureRule(
+        points=np.concatenate(pts),
+        weights=np.concatenate(wts),
+        curve_index=np.concatenate(idx),
+    )
 
 
 def min_orders_polygon(p):
@@ -103,42 +113,16 @@ def min_orders_curved(m, p):
 def generate_rule(region, policy, n_xi, n_t):
     """Physical cubature rule over the region, n_xi x n_t points per curve.
 
-    Point ordering is (curve, t-node, xi-node).  Segments whose supporting
-    line passes through x0 contribute nothing and emit no points.
+    Point ordering is (curve, t-node, xi-node).  Curves that x0 sees edge-on
+    (see ``curve_samples``) contribute nothing and emit no points.
     """
     if n_xi < 1 or n_t < 1:
         raise InvalidArgumentError("rule sizes must be >= 1")
     x0 = resolve_center(region, policy)
-    xi_rule = rules.gauss_legendre(n_xi)
-    t_rule = rules.gauss_legendre(n_t)
-    xx, tt, ww = rules.tensor_points(rules.tensor(xi_rule, t_rule))
-    skip_tol = 1e-14 * region.scale()
-
-    pts, wts, idx = [], [], []
-    for i, tri in enumerate(decompose(region, x0)):
-        c = tri.curve
-        if isinstance(c, Segment):
-            ed = edge_data(c, x0)
-            if abs(ed.ell) <= skip_tol:
-                continue
-            jac = xx * (ed.ell * ed.delta_tau)
-        else:
-            jac = sb_jacobian(tri, xx, tt)
-            if np.max(np.abs(jac)) <= skip_tol:
-                continue
-        pts.append(sb_map(tri, xx, tt))
-        wts.append(ww * jac)
-        idx.append(np.full(len(ww), i))
-
-    if not pts:
-        return CubatureRule(
-            points=np.empty((0, 2)), weights=np.empty(0), curve_index=np.empty(0, int)
-        )
-    return CubatureRule(
-        points=np.concatenate(pts),
-        weights=np.concatenate(wts),
-        curve_index=np.concatenate(idx),
-    )
+    xi = rules.gauss_legendre(n_xi)
+    t = rules.gauss_legendre(n_t)
+    pieces = ((i, C, t.weights * perp) for i, C, perp in curve_samples(region, x0, t.nodes))
+    return assemble_rule(pieces, x0, xi.nodes, xi.weights * xi.nodes)
 
 
 def integrate(region, policy, f, n_xi, n_t):

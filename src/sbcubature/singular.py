@@ -23,10 +23,10 @@ from math import gcd
 import numpy as np
 
 from . import rules
-from .curves import Segment, rotate_minus_90
+from .curves import Segment
 from .errors import InvalidArgumentError
 from .region import decompose
-from .sbc import CubatureRule, edge_data
+from .sbc import assemble_rule, curve_samples
 
 
 @dataclass(frozen=True)
@@ -80,18 +80,27 @@ def radial_exponent(beta, alpha=1.0):
     return eta
 
 
-def gsb_map(tri, alpha, xi, t):
-    """x0 + xi^alpha * (c(t) - x0)."""
-    c = tri.curve.position(t)
-    return tri.x0 + (np.asarray(xi) ** alpha)[..., None] * (c - tri.x0)
+@dataclass(frozen=True)
+class PolygonEdgeData:
+    """Edge geometry relative to x0: outward normal, foot distance, tangent span."""
+
+    n: np.ndarray      # unit outward normal
+    ell: float         # signed distance from x0 to the edge line
+    tau1: float        # signed tangential coordinate of the edge start
+    tau2: float        # ... and of the edge end
+    delta_tau: float   # tau2 - tau1 = edge length for CCW edges
 
 
-def gsb_jacobian(tri, alpha, xi, t):
-    """alpha * xi^(2*alpha - 1) * (c(t)-x0).c'_perp(t)."""
-    c = tri.curve.position(t)
-    v = tri.curve.velocity(t)
-    perp = np.einsum("...i,...i->...", c - tri.x0, rotate_minus_90(v))
-    return alpha * np.asarray(xi) ** (2.0 * alpha - 1.0) * perp
+def edge_data(seg, x0):
+    d = seg.d
+    length = float(np.hypot(*d))
+    tau_hat = d / length
+    n = np.array([d[1], -d[0]]) / length
+    x0 = np.asarray(x0, dtype=float)
+    ell = float(np.dot(seg.a - x0, n))
+    tau1 = float(np.dot(seg.a - x0, tau_hat))
+    tau2 = float(np.dot(seg.b - x0, tau_hat))
+    return PolygonEdgeData(n=n, ell=ell, tau1=tau1, tau2=tau2, delta_tau=tau2 - tau1)
 
 
 def t_transform_bounds(edge, which):
@@ -140,7 +149,7 @@ def t_transform_bounds(edge, which):
 
 
 def _radial_rule(radial, beta, n_xi):
-    """Radial nodes s (the scaled coordinate), combined weights, and alpha."""
+    """Radial rule (nodes s, weights) of one strategy, singular power folded in."""
     if radial is None:
         r1 = rules.gauss_legendre(n_xi)
         w = r1.weights * r1.nodes ** (1.0 - beta)
@@ -177,51 +186,37 @@ def generate_singular_rule(region, spec, beta, n_xi, n_t):
     x0 = np.asarray(spec.xc, dtype=float)
     s_nodes, s_weights = _radial_rule(spec.radial, beta, n_xi)
     t_rule = rules.gauss_legendre(n_t)
+    if spec.t_transform is None:
+        pieces = (
+            (i, C, t_rule.weights * (perp * np.hypot(*(C - x0).T) ** (-beta)))
+            for i, C, perp in curve_samples(region, x0, t_rule.nodes)
+        )
+    else:
+        pieces = _transformed_pieces(region, x0, spec.t_transform, beta, t_rule)
+    return assemble_rule(pieces, x0, s_nodes, s_weights)
 
-    pts, wts, idx = [], [], []
+
+def _transformed_pieces(region, x0, which, beta, t_rule):
+    """(edge index, C, t-weights) with the tangential coordinate reparametrized.
+
+    Gauss nodes are placed in the transformed coordinate; each edge's t-weight
+    carries dtau/dtau~ and the boundary factor ell * (ell^2 + tau^2)^(-beta/2).
+    """
     for i, tri in enumerate(decompose(region, x0)):
         c = tri.curve
-        if spec.t_transform is not None:
-            if not isinstance(c, Segment):
-                raise InvalidArgumentError("t-transforms require segment edges")
-            ed = edge_data(c, x0)
-            if abs(ed.ell) <= 1e-14 * region.scale():
-                # zero-contribution edge through (or numerically through) xc
-                warnings.warn("edge through the singularity skipped", stacklevel=2)
-                continue
-            lo, hi, tau_of, dtau_of = t_transform_bounds(ed, spec.t_transform)
-            tt = lo + (hi - lo) * t_rule.nodes
-            tau = tau_of(tt)
-            tau_hat = c.d / np.hypot(*c.d)
-            foot = x0 + ed.ell * ed.n
-            C = foot + tau[:, None] * tau_hat
-            bfac = ed.ell * (ed.ell**2 + tau * tau) ** (-0.5 * beta)
-            tw = t_rule.weights * (hi - lo) * dtau_of(tt) * bfac
-        else:
-            C = c.position(t_rule.nodes)
-            V = c.velocity(t_rule.nodes)
-            perp = np.einsum("ij,ij->i", C - x0, rotate_minus_90(V))
-            if np.max(np.abs(perp)) <= 1e-14 * region.scale():
-                continue
-            r = np.hypot(*(C - x0).T)
-            bfac = perp * r ** (-beta)
-            tw = t_rule.weights * bfac
-        # tensor with the radial rule, t-major ordering
-        p = x0 + s_nodes[None, :, None] * (C[:, None, :] - x0)
-        w = tw[:, None] * s_weights[None, :]
-        pts.append(p.reshape(-1, 2))
-        wts.append(w.ravel())
-        idx.append(np.full(w.size, i))
-
-    if not pts:
-        return CubatureRule(
-            points=np.empty((0, 2)), weights=np.empty(0), curve_index=np.empty(0, int)
-        )
-    return CubatureRule(
-        points=np.concatenate(pts),
-        weights=np.concatenate(wts),
-        curve_index=np.concatenate(idx),
-    )
+        if not isinstance(c, Segment):
+            raise InvalidArgumentError("t-transforms require segment edges")
+        ed = edge_data(c, x0)
+        if abs(ed.ell) <= 1e-14 * region.scale():
+            # zero-contribution edge through (or numerically through) xc
+            warnings.warn("edge through the singularity skipped", stacklevel=4)
+            continue
+        lo, hi, tau_of, dtau_of = t_transform_bounds(ed, which)
+        tt = lo + (hi - lo) * t_rule.nodes
+        tau = tau_of(tt)
+        C = x0 + ed.ell * ed.n + tau[:, None] * (c.d / np.hypot(*c.d))
+        bfac = ed.ell * (ed.ell**2 + tau * tau) ** (-0.5 * beta)
+        yield i, C, t_rule.weights * (hi - lo) * dtau_of(tt) * bfac
 
 
 def integrate_singular(region, f, spec, n_xi, n_t):

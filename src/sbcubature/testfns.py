@@ -221,7 +221,7 @@ def _deltoid_region():
         x = "(1+2*cos(2*pi/3*%s))^2/12" % arg
         y = "(1+2*sin(2*pi/3*%s)-4*sin(4*pi/3*%s))/6" % (arg, arg)
         curves.append(ParametricCurve(x, y))
-    return Region(curves, closure_tolerance=1e-9)
+    return Region(curves)
 
 
 def _circle_region():

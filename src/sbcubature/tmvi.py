@@ -15,9 +15,9 @@ import warnings
 import numpy as np
 
 from . import rules, sbc
-from .curves import Curve, rotate_minus_90
+from .curves import Curve, boundary_samples
 from .errors import InvalidArgumentError
-from .region import CenterPolicy, Region
+from .region import CenterPolicy, Region, is_star_convex
 
 
 class BoundaryLoop(Region):
@@ -27,20 +27,14 @@ class BoundaryLoop(Region):
     loops merely degrade kernel positivity near the boundary.
     """
 
-    def __init__(self, curves, closure_tolerance=1e-12, check_convex=True):
-        super().__init__(curves, closure_tolerance=closure_tolerance)
+    def __init__(self, curves, check_convex=True):
+        super().__init__(curves)
         self._sample_cache = {}
         if check_convex:
             ts = np.linspace(0.0, 1.0, 128)
-            pts = np.concatenate([c.position(ts) for c in self.curves])
-            centroid = pts.mean(axis=0)
-            for c in self.curves:
-                C = c.position(ts)
-                V = c.velocity(ts)
-                perp = np.einsum("ij,ij->i", C - centroid, rotate_minus_90(V))
-                if np.any(perp < -1e-10 * self.scale() ** 2):
-                    warnings.warn("boundary loop does not look convex", stacklevel=2)
-                    break
+            centroid = np.concatenate([c.position(ts) for c in self.curves]).mean(axis=0)
+            if not is_star_convex(self, centroid, samples_per_curve=len(ts)):
+                warnings.warn("boundary loop does not look convex", stacklevel=2)
 
     def samples(self, n_t):
         """Per-loop cached (points, rotated velocities, weights) at n_t per curve."""
@@ -48,10 +42,9 @@ class BoundaryLoop(Region):
         if cached is not None:
             return cached
         t_rule = rules.gauss_legendre(n_t)
-        C = np.concatenate([c.position(t_rule.nodes) for c in self.curves])
-        R = np.concatenate(
-            [rotate_minus_90(c.velocity(t_rule.nodes)) for c in self.curves]
-        )
+        parts = [boundary_samples(c, t_rule.nodes, np.zeros(2)) for c in self.curves]
+        C = np.concatenate([p[0] for p in parts])
+        R = np.concatenate([p[1] for p in parts])
         w = np.tile(t_rule.weights, len(self.curves))
         self._sample_cache[n_t] = (C, R, w)
         return C, R, w
@@ -88,13 +81,22 @@ def egg_domain(a=4.0, b=5.0, r=1.0):
     return BoundaryLoop([EggCurve(a, b, r)])
 
 
-def _kernel_sums(loop, x, n_t, power):
-    """Sum of w * (c-x).c'_perp / ||c-x||^power for a batch of points x (N,2)."""
+def _scaled_kernel(loop, x, n_t, power):
+    """Kernel K = (c-x).c'_perp * (d / ||c-x||)^power for points x (N,2), with
+    the boundary samples' weights w and each point's nearest-sample distance d.
+
+    The kernel sum is W = d^-power * (K @ w): factoring d out keeps every
+    power at most 1, so nothing overflows for large powers, and K @ w has
+    the sign of W.
+    """
     C, R, w = loop.samples(n_t)
     diff = C[None, :, :] - x[:, None, :]          # (N, M, 2)
-    num = np.einsum("nmi,mi->nm", diff, R)
     dist = np.hypot(diff[..., 0], diff[..., 1])
-    return num / dist**power @ w, dist.min(axis=1)
+    d = dist.min(axis=1)
+    K = np.divide(d[:, None], dist, out=dist)
+    K **= power
+    K *= np.einsum("nmi,mi->nm", diff, R)
+    return K, w, d
 
 
 def _outside(loop, W, min_dist):
@@ -109,20 +111,18 @@ def _check_interior(loop, W, min_dist):
 def interior_mask(loop, x, n_t, power):
     """Which points x (N,2) an evaluator with kernel power ``power`` accepts:
     3 for ``tmvi_eval_many``, 2 + p for ``lp_distance_many``."""
-    return ~_outside(loop, *_kernel_sums(loop, x, n_t, power))
+    K, w, d = _scaled_kernel(loop, x, n_t, power)
+    return ~_outside(loop, K @ w, d)
 
 
 def tmvi_eval_many(loop, g, x, n_t=256):
     """Mean value interpolant of boundary data g at interior points x (N,2)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    C, R, w = loop.samples(n_t)
+    C = loop.samples(n_t)[0]
     gC = np.asarray(g(C[:, 0], C[:, 1]), dtype=float)
-    diff = C[None, :, :] - x[:, None, :]
-    num = np.einsum("nmi,mi->nm", diff, R)
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    K = num / dist**3
+    K, w, d = _scaled_kernel(loop, x, n_t, 3.0)
     W = K @ w
-    _check_interior(loop, W, dist.min(axis=1))
+    _check_interior(loop, W, d)
     return (K * gC) @ w / W
 
 
@@ -135,9 +135,11 @@ def lp_distance_many(loop, x, p, n_t=256):
     if p < 1:
         raise InvalidArgumentError("p must be >= 1")
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    Wp, min_dist = _kernel_sums(loop, x, n_t, 2.0 + p)
-    _check_interior(loop, Wp, min_dist)
-    return Wp ** (-1.0 / p)
+    K, w, d = _scaled_kernel(loop, x, n_t, 2.0 + p)
+    S = K @ w
+    _check_interior(loop, S, d)
+    # W_p^(-1/p) with W_p = d^-(2+p) * S, in a form that cannot overflow
+    return d ** ((2.0 + p) / p) * S ** (-1.0 / p)
 
 
 def lp_distance(loop, x, p, n_t=256):

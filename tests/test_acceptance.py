@@ -20,11 +20,11 @@ from sbcubature.singular import (
     GeneralizedSB,
     SingularSpec,
     SplitIntegrand,
+    edge_data,
     generate_singular_rule,
     integrate_singular,
     t_transform_bounds,
 )
-from sbcubature.sbc import edge_data
 from sbcubature.curves import Segment
 from sbcubature.testfns import (
     POLYGON_NAMES,

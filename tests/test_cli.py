@@ -172,6 +172,18 @@ def test_distfield_high_p_masks_with_its_own_kernel(capsys, p):
     assert np.all(v[filled] >= 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_distfield_high_p_fills_interior_without_overflow(capsys):
+    code, out = run(
+        capsys, ["distfield", "builtin:egg", "--p", "100", "--grid", "64", "--n-t", "732"]
+    )
+    assert code == 0
+    vals = [line.split(",")[2] for line in out.strip().splitlines()[1:]]
+    filled = np.array([float(v) for v in vals if v])
+    assert len(filled) > 0.5 * len(vals)
+    assert np.all(filled > 0.0)
+
+
 def test_tmvi_linear_field(capsys):
     code, out = run(
         capsys, ["tmvi", "builtin:circle", "expr:1+x-2*y", "--grid", "3"]

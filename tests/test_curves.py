@@ -6,7 +6,7 @@ from sbcubature.curves import (
     ParametricCurve,
     RationalBezier,
     Segment,
-    perp_product,
+    boundary_samples,
 )
 from sbcubature.errors import InvalidArgumentError
 
@@ -98,6 +98,10 @@ def test_parametric_rejects_xy():
         ParametricCurve("x + t", "t")
 
 
+def perp_product(curve, t, x0):
+    return boundary_samples(curve, t, np.asarray(x0, dtype=float))[2]
+
+
 def test_perp_product_segment():
     s = Segment((1, 0), (1, 1))
     for t in (0.0, 0.3, 1.0):
@@ -109,3 +113,28 @@ def test_perp_product_circle():
     c = ParametricCurve("cos(2*pi*t)", "sin(2*pi*t)")
     for t in np.linspace(0.0, 1.0, 9):
         assert perp_product(c, t, (0.0, 0.0)) == pytest.approx(2.0 * np.pi, rel=1e-9)
+
+
+@pytest.mark.parametrize("curve", [Segment((0.2, -0.3), (1.5, 0.8)), CUBIC])
+def test_boundary_samples_position_and_rotated_velocity(curve):
+    t = np.linspace(0.0, 1.0, 5)
+    C, N, perp = boundary_samples(curve, t, np.array([0.1, 0.2]))
+    np.testing.assert_array_equal(C, curve.position(t))
+    v = curve.velocity(t)
+    np.testing.assert_array_equal(N, np.column_stack([v[:, 1], -v[:, 0]]))
+    np.testing.assert_allclose(perp, np.sum((C - [0.1, 0.2]) * N, axis=1), rtol=1e-15)
+
+
+def test_rational_homogeneous_evaluation_matches_quotient():
+    # one de Casteljau routine serves 2-D and homogeneous 3-D control points
+    cp = np.array([(0.0, 0.0), (0.5, 1.0), (1.5, 1.2), (2.0, 0.0)])
+    w = np.array([1.0, 0.5, 2.0, 1.0])
+    r = RationalBezier(cp, w)
+    t = np.linspace(0.0, 1.0, 7)
+    B = np.array([[1, 0, 0, 0], [-3, 3, 0, 0], [3, -6, 3, 0], [-1, 3, -3, 1]], dtype=float)
+    basis = np.vander(t, 4, increasing=True) @ B
+    num = basis @ (cp * w[:, None])
+    den = basis @ w
+    np.testing.assert_allclose(r.position(t), num / den[:, None], atol=1e-14)
+    ti = t[1:-1]
+    np.testing.assert_allclose(r.velocity(ti), central_diff(r, ti), atol=1e-7)

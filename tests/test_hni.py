@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import greens_monomial
-from sbcubature.errors import InvalidArgumentError
-from sbcubature.hni import HomogeneousField, hni_integrate, polygon_hni
+from sbcubature.errors import EvaluationError, InvalidArgumentError
+from sbcubature.hni import HomogeneousField, hni_integrate
 from sbcubature.region import CenterPolicy, polygon
 from sbcubature.sbc import integrate, min_orders_polygon
 from sbcubature.testfns import lookup
@@ -15,7 +15,7 @@ def const(x, y):
 
 def test_area_of_unit_square(unit_square):
     assert hni_integrate(unit_square, HomogeneousField(const, 0), 2) == pytest.approx(1.0)
-    assert polygon_hni(unit_square, HomogeneousField(const, 0), 2) == pytest.approx(1.0)
+    assert hni_integrate(unit_square, HomogeneousField(const, 0), 1) == pytest.approx(1.0)
 
 
 def test_quadratic_over_centered_square():
@@ -26,15 +26,18 @@ def test_quadratic_over_centered_square():
 
 def test_linear_over_unit_square(unit_square):
     hf = HomogeneousField(lambda x, y: x + 0.0 * np.asarray(y), 1)
-    assert polygon_hni(unit_square, hf, 4) == pytest.approx(0.5)
+    assert hni_integrate(unit_square, hf, 4) == pytest.approx(0.5)
 
 
 def test_polygon_hni_matches_boundary_oracle():
     hexagon = lookup("convex_hexagon").make()
     hf = HomogeneousField(lambda x, y: x**3 * np.asarray(y) ** 2, 5)
     exact = greens_monomial(hexagon.vertices, 3, 2)
-    assert polygon_hni(hexagon, hf, 6) == pytest.approx(exact, rel=1e-12)
     assert hni_integrate(hexagon, hf, 6) == pytest.approx(exact, rel=1e-12)
+    # the edges through the origin drop out; the others are ell * int_edge h ds
+    shifted = polygon(hexagon.vertices - hexagon.vertices[0])
+    exact = greens_monomial(shifted.vertices, 3, 2)
+    assert hni_integrate(shifted, hf, 6) == pytest.approx(exact, rel=1e-12)
 
 
 def test_homogeneity_spot_check_rejects_impostor():
@@ -47,10 +50,26 @@ def test_degree_bound():
         HomogeneousField(const, -2.0)
 
 
-def test_polygon_hni_rejects_curves():
+def test_hni_is_the_one_node_radial_rule():
+    # the kernel rule at s = 1: the points are the boundary samples themselves
+    from sbcubature.sbc import generate_rule
+
     reg = lookup("bezier").make()
-    with pytest.raises(InvalidArgumentError):
-        polygon_hni(reg, HomogeneousField(const, 0), 4)
+    hf = HomogeneousField(lambda x, y: x**2 * np.asarray(y) ** 3, 5)
+    rule = generate_rule(reg, CenterPolicy.ORIGIN, 1, 18)
+    # the regular rule's one radial node is xi = 1/2, weight w_xi * xi = 1/2
+    x = 2.0 * rule.points
+    w = rule.weights / 0.5 / (2.0 + hf.q)
+    assert hni_integrate(reg, hf, 18) == pytest.approx(float(w @ hf.h(x[:, 0], x[:, 1])), rel=1e-14)
+
+
+def test_nonfinite_homogeneous_field_raises():
+    # the node t = 1/2 of the bottom and top edges lands on x = 0
+    sq = polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+    hf = HomogeneousField(lambda x, y: 1.0 / np.asarray(x, dtype=float), -1)
+    with pytest.raises(EvaluationError) as e, np.errstate(divide="ignore"):
+        hni_integrate(sq, hf, 3)
+    assert e.value.point[0] == 0.0
 
 
 def test_matches_cubature_over_curved_region():

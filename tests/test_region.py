@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sbcubature.curves import Segment
+from sbcubature.curves import ParametricCurve, Segment
 from sbcubature.errors import InvalidArgumentError
 from sbcubature.region import (
     CenterPolicy,
@@ -51,6 +51,24 @@ def test_decompose_counts(unit_square):
 def test_open_chain_rejected():
     with pytest.raises(InvalidArgumentError):
         Region([Segment((0, 0), (1, 0)), Segment((1, 0.1), (0, 0))])
+
+
+def test_closure_tolerance_is_relative_to_scale():
+    # the closing gap of a big circle, sin(2 pi) * 1e6 = -2.4e-10, is round-off
+    big = Region([ParametricCurve("1e6*cos(2*pi*t)", "1e6*sin(2*pi*t)")])
+    assert big.scale() == pytest.approx(2e6 * np.sqrt(2.0), rel=1e-3)
+    # a 1e-13 gap is 5e-8 of a small circle's size
+    with pytest.raises(InvalidArgumentError):
+        Region([ParametricCurve("1e-6*cos(2*pi*t) + 1e-13*t", "1e-6*sin(2*pi*t)")])
+
+
+def test_bbox_and_scale_are_computed_once():
+    reg = lookup("bezier").make()
+    lo, hi = reg.bbox()
+    assert reg.bbox()[0] is lo
+    assert reg.scale() == float(np.hypot(*(hi - lo)))
+    with pytest.raises(ValueError):
+        lo[0] = 0.0
 
 
 def test_zero_length_segment_rejected():

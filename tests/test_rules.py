@@ -3,7 +3,9 @@ import pytest
 from scipy.special import roots_jacobi
 
 from sbcubature.errors import InvalidArgumentError
-from sbcubature.rules import gauss_jacobi_unit, gauss_legendre, tensor, tensor_points
+from sbcubature.region import CenterPolicy
+from sbcubature.rules import gauss_jacobi_unit, gauss_legendre
+from sbcubature.sbc import generate_rule
 
 
 def test_midpoint_rule():
@@ -80,18 +82,24 @@ def test_invalid_args():
         gauss_jacobi_unit(0, 0.5)
 
 
-def test_tensor_counts_and_separable_monomial():
-    r = tensor(gauss_legendre(1), gauss_legendre(1))
-    xx, tt, ww = tensor_points(r)
-    assert (xx, tt, ww) == (pytest.approx([0.5]), pytest.approx([0.5]), pytest.approx([1.0]))
-    assert len(tensor_points(tensor(gauss_legendre(2), gauss_legendre(1)))[0]) == 2
-    xx, tt, ww = tensor_points(tensor(gauss_legendre(3), gauss_legendre(2)))
-    assert np.sum(ww * xx**2 * tt) == pytest.approx(1.0 / 6.0, abs=1e-15)
+# The tensor product of a radial and a t-rule is built by the scaled
+# boundary kernel; these check it on the unit square (center (0.5, 0.5)).
+
+def test_tensor_counts_and_separable_monomial(unit_square):
+    rule = generate_rule(unit_square, CenterPolicy.VERTEX_AVERAGE, 1, 1)
+    np.testing.assert_allclose(rule.points, [[0.5, 0.25], [0.75, 0.5], [0.5, 0.75], [0.25, 0.5]])
+    np.testing.assert_allclose(rule.weights, 0.25)
+    assert len(generate_rule(unit_square, CenterPolicy.VERTEX_AVERAGE, 2, 1)) == 4 * 2
+    rule = generate_rule(unit_square, CenterPolicy.VERTEX_AVERAGE, 3, 2)
+    assert len(rule) == 4 * 6
+    assert rule(lambda x, y: x**2 * y) == pytest.approx(1.0 / 6.0, abs=1e-15)
 
 
-def test_tensor_ordering_t_major():
-    xx, tt, ww = tensor_points(tensor(gauss_legendre(3), gauss_legendre(2)))
-    # xi index cycles fastest
-    np.testing.assert_allclose(xx[:3], xx[3:])
-    assert tt[0] == tt[1] == tt[2]
-    assert tt[0] < tt[3]
+def test_tensor_ordering_t_major(unit_square):
+    rule = generate_rule(unit_square, CenterPolicy.VERTEX_AVERAGE, 3, 2)
+    # ordered (curve, t-node, radial node): the radial index cycles fastest
+    np.testing.assert_array_equal(rule.curve_index, np.repeat(np.arange(4), 6))
+    s = np.linalg.norm(rule.points - 0.5, axis=1).reshape(4, 2, 3)
+    assert np.all(np.diff(s, axis=2) > 0.0)
+    first_edge = rule.points[:6].reshape(2, 3, 2)
+    assert np.all(first_edge[0, :, 0] < first_edge[1, :, 0])

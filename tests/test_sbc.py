@@ -2,52 +2,42 @@ import numpy as np
 import pytest
 
 from conftest import greens_poly
-from sbcubature.curves import Bezier, Segment
+from sbcubature.curves import Bezier, Curve, Segment, boundary_samples
 from sbcubature.errors import EvaluationError
-from sbcubature.region import CenterPolicy, CurvedTriangle, Region, polygon
+from sbcubature.hni import HomogeneousField, hni_integrate
+from sbcubature.region import CenterPolicy, Region, polygon
 from sbcubature.sbc import (
-    edge_data,
+    assemble_rule,
     generate_rule,
     integrate,
     min_orders_curved,
     min_orders_polygon,
-    sb_jacobian,
-    sb_map,
 )
+from sbcubature.singular import GAUSS_JACOBI, SingularSpec, generate_singular_rule
 from sbcubature.testfns import _POLY_MONOMIALS, POLYGON_NAMES, lookup
 
 
-def tri(curve, x0):
-    return CurvedTriangle(curve=curve, x0=np.asarray(x0, dtype=float))
+def segment_triangle_rule(t, s, w_s):
+    """Kernel rule on the triangle spanned by x0 = 0 and the edge x = 1, 0 <= y <= 1."""
+    x0 = np.zeros(2)
+    C, _, perp = boundary_samples(Segment((1, 0), (1, 1)), np.asarray(t, dtype=float), x0)
+    return assemble_rule([(0, C, perp)], x0, np.asarray(s, dtype=float), np.asarray(w_s, dtype=float))
 
 
 def test_sb_map_endpoints():
-    t = tri(Segment((1, 0), (1, 1)), (0, 0))
-    np.testing.assert_allclose(sb_map(t, 0.0, 0.3), [0.0, 0.0])
-    np.testing.assert_allclose(sb_map(t, 1.0, 0.5), [1.0, 0.5])
-    np.testing.assert_allclose(sb_map(t, 0.5, 0.5), [0.5, 0.25])
+    # the scaled boundary map x0 + s*(c(t) - x0), ordered (t-node, radial node)
+    rule = segment_triangle_rule([0.3, 0.5], [0.0, 0.5, 1.0], [1.0, 1.0, 1.0])
+    np.testing.assert_allclose(
+        rule.points, [[0, 0], [0.5, 0.15], [1, 0.3], [0, 0], [0.5, 0.25], [1, 0.5]]
+    )
+    np.testing.assert_array_equal(rule.curve_index, 0)
 
 
 def test_sb_jacobian():
-    t = tri(Segment((1, 0), (1, 1)), (0, 0))
-    assert sb_jacobian(t, 0.0, 0.5) == 0.0
-    assert sb_jacobian(t, 1.0, 0.2) == pytest.approx(1.0)
-
-
-def test_edge_data_geometry():
-    ed = edge_data(Segment((1.0, -0.5), (1.0, 0.5)), np.zeros(2))
-    assert ed.ell == pytest.approx(1.0)
-    assert ed.tau1 == pytest.approx(-0.5)
-    assert ed.tau2 == pytest.approx(0.5)
-    assert ed.delta_tau == pytest.approx(1.0)
-    np.testing.assert_allclose(ed.n, [1.0, 0.0])
-
-
-def test_edge_data_signed_projection_straddles_foot():
-    # x0's perpendicular foot falls inside the edge: tau1 < 0 < tau2
-    ed = edge_data(Segment((-2.0, 1.0), (3.0, 1.0)), np.zeros(2))
-    assert ed.tau1 < 0.0 < ed.tau2
-    assert ed.delta_tau == pytest.approx(5.0)
+    # radial weights s give the weights s * (c - x0).c'_perp of the regular rule
+    rule = segment_triangle_rule([0.5, 0.2], [0.0, 1.0], [0.0, 1.0])
+    assert rule.weights[0] == 0.0
+    assert rule.weights[3] == pytest.approx(1.0)
 
 
 def test_unit_square_centroid_rule(unit_square):
@@ -111,6 +101,7 @@ def test_signed_partitions_still_positive_area():
 
 
 def test_affine_bezier_edges_match_segment_fast_path():
+    # segments and degree-1 Bezier edges go through the same kernel
     v = [(0.0, 0.0), (2.0, 0.5), (1.0, 2.0)]
     seg_region = polygon(v)
     bez_region = Region(
@@ -118,11 +109,58 @@ def test_affine_bezier_edges_match_segment_fast_path():
     )
     a = generate_rule(seg_region, CenterPolicy.ORIGIN, 3, 3)
     b = generate_rule(bez_region, CenterPolicy.ORIGIN, 3, 3)
-    # vertex 0 is the origin, so its two incident edges are dropped from the
-    # segment rule but kept (with ~0 weights) in the curve path
-    keep = np.abs(b.weights) > 1e-13
-    np.testing.assert_allclose(a.points, b.points[keep], atol=1e-13)
-    np.testing.assert_allclose(a.weights, b.weights[keep], atol=1e-13)
+    # vertex 0 is the origin, so both rules drop its two incident edges
+    np.testing.assert_array_equal(a.curve_index, [1] * 9)
+    np.testing.assert_array_equal(b.curve_index, a.curve_index)
+    np.testing.assert_allclose(a.points, b.points, atol=1e-13)
+    np.testing.assert_allclose(a.weights, b.weights, atol=1e-13)
+
+
+def test_skip_rule_is_relative_to_curve_speed():
+    # x0 lies 1e-16 * size off the bottom edge's line: numerically on it.
+    # Segments and curves skip that edge alike at any size, because the rule
+    # compares (c - x0).c'_perp, an area rate, with scale * |c'|.
+    for size in (1e-6, 1.0, 1e6):
+        v = size * np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+        x0 = CenterPolicy.custom(size * np.array([0.5, 1e-16]))
+        for reg in (polygon(v), Region([Bezier([v[i], v[(i + 1) % 4]]) for i in range(4)])):
+            rule = generate_rule(reg, x0, 2, 2)
+            assert set(rule.curve_index) == {1, 2, 3}
+            assert np.sum(rule.weights) == pytest.approx(size**2, rel=1e-14)
+
+
+class SpyCurve(Curve):
+    """Delegates to a curve and records the size of every evaluation."""
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.calls = []
+
+    def position(self, t):
+        self.calls.append(("position", np.size(t)))
+        return self.curve.position(t)
+
+    def velocity(self, t):
+        self.calls.append(("velocity", np.size(t)))
+        return self.curve.velocity(t)
+
+
+@pytest.mark.parametrize("family", ["regular", "singular", "hni"])
+def test_each_curve_is_sampled_once_on_the_t_nodes(family):
+    spies = [SpyCurve(c) for c in lookup("bezier").make().curves]
+    reg = Region(spies)
+    for s in spies:
+        s.calls.clear()
+    n_t = 7
+    if family == "regular":
+        generate_rule(reg, CenterPolicy.VERTEX_AVERAGE, 5, n_t)
+    elif family == "singular":
+        spec = SingularSpec(xc=tuple(reg.vertices.mean(axis=0)), radial=GAUSS_JACOBI)
+        generate_singular_rule(reg, spec, 0.5, 5, n_t)
+    else:
+        hni_integrate(reg, HomogeneousField(lambda x, y: x * y, 2), n_t)
+    for s in spies:
+        assert sorted(s.calls) == [("position", n_t), ("velocity", n_t)]
 
 
 def test_nonfinite_integrand_reports_point(unit_square):
@@ -139,8 +177,6 @@ def test_rule_weight_sum_matches_area_for_curved_region():
 
 
 def test_hni_equivalence_sample():
-    from sbcubature.hni import HomogeneousField, hni_integrate
-
     reg = lookup("convex_quad").make()
     f = lambda x, y: x**2 * np.asarray(y)
     a = integrate(reg, CenterPolicy.ORIGIN, f, 3, 2)

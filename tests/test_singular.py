@@ -5,15 +5,16 @@ from hypothesis import strategies as st
 
 from sbcubature.curves import Segment
 from sbcubature.errors import InvalidArgumentError
-from sbcubature.region import CenterPolicy, CurvedTriangle, polygon
-from sbcubature.sbc import edge_data, integrate
+from sbcubature.region import CenterPolicy, polygon
+from sbcubature.rules import gauss_legendre
+from sbcubature.sbc import generate_rule, integrate
 from sbcubature.singular import (
     GAUSS_JACOBI,
     GeneralizedSB,
     SingularSpec,
     SplitIntegrand,
-    gsb_jacobian,
-    gsb_map,
+    edge_data,
+    generate_singular_rule,
     integrate_singular,
     radial_exponent,
     select_alpha,
@@ -48,15 +49,45 @@ def test_radial_exponent():
 
 
 def test_gsb_map_and_jacobian():
-    t = CurvedTriangle(curve=Segment((1, 0), (1, 1)), x0=np.zeros(2))
-    np.testing.assert_allclose(gsb_map(t, 2.0, 0.5, 0.0), [0.25, 0.0])
-    np.testing.assert_allclose(gsb_map(t, 3.0, 1.0, 0.4), [1.0, 0.4])
-    assert gsb_jacobian(t, 2.0, 0.5, 0.0) == pytest.approx(2.0 * 0.5**3)
-    # alpha=1 reduces to the plain map
-    from sbcubature.sbc import sb_jacobian, sb_map
+    # right triangle seen from its vertex at the origin: only the edge x = 1,
+    # c(t) = (1, t), counts, and the rule places x0 + xi^alpha * (c(t) - x0)
+    tri = polygon([(0, 0), (1, 0), (1, 1)])
+    xi, t = gauss_legendre(3), gauss_legendre(2)
+    C = np.column_stack([np.ones(2), t.nodes])
+    beta = 0.5
+    for alpha in (1.0, 2.0, 3.0):
+        spec = SingularSpec(xc=(0.0, 0.0), radial=GeneralizedSB(alpha))
+        rule = generate_singular_rule(tri, spec, beta, 3, 2)
+        np.testing.assert_array_equal(rule.curve_index, 1)
+        s = xi.nodes**alpha
+        np.testing.assert_allclose(rule.points, (s[None, :, None] * C[:, None, :]).reshape(-1, 2))
+        # Jacobian alpha * xi^(2 alpha - 1) * (c - x0).c'_perp times r^-beta
+        r = s[None, :] * np.hypot(*C.T)[:, None]
+        jac = alpha * xi.nodes ** (2.0 * alpha - 1.0) * 1.0
+        expected = t.weights[:, None] * xi.weights[None, :] * jac[None, :] * r**-beta
+        np.testing.assert_allclose(rule.weights, expected.ravel(), rtol=1e-13)
+        # applied to g = r^beta the rule gives the area
+        assert rule(lambda x, y: np.hypot(x, y) ** beta) == pytest.approx(0.5, rel=1e-14)
+    # alpha = 1 reduces to the plain map
+    plain = generate_rule(tri, CenterPolicy.ORIGIN, 3, 2)
+    rule = generate_singular_rule(tri, SingularSpec(xc=(0.0, 0.0), radial=GeneralizedSB(1.0)), beta, 3, 2)
+    np.testing.assert_array_equal(rule.points, plain.points)
 
-    np.testing.assert_allclose(gsb_map(t, 1.0, 0.3, 0.7), sb_map(t, 0.3, 0.7))
-    assert gsb_jacobian(t, 1.0, 0.3, 0.7) == pytest.approx(sb_jacobian(t, 0.3, 0.7))
+
+def test_edge_data_geometry():
+    ed = edge_data(Segment((1.0, -0.5), (1.0, 0.5)), np.zeros(2))
+    assert ed.ell == pytest.approx(1.0)
+    assert ed.tau1 == pytest.approx(-0.5)
+    assert ed.tau2 == pytest.approx(0.5)
+    assert ed.delta_tau == pytest.approx(1.0)
+    np.testing.assert_allclose(ed.n, [1.0, 0.0])
+
+
+def test_edge_data_signed_projection_straddles_foot():
+    # x0's perpendicular foot falls inside the edge: tau1 < 0 < tau2
+    ed = edge_data(Segment((-2.0, 1.0), (3.0, 1.0)), np.zeros(2))
+    assert ed.tau1 < 0.0 < ed.tau2
+    assert ed.delta_tau == pytest.approx(5.0)
 
 
 def test_radial_reparam_preserves_measure():

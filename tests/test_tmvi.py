@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from sbcubature.tmvi import (
     egg_domain,
     exact_distance,
     lp_distance,
+    lp_distance_many,
     relative_l2_error,
     tmvi_eval,
     tmvi_eval_many,
@@ -24,6 +27,16 @@ def square_loop():
 
     v = [(0, 0), (1, 0), (1, 1), (0, 1)]
     return BoundaryLoop([Segment(v[i], v[(i + 1) % 4]) for i in range(4)])
+
+
+def test_nonconvex_loop_warns():
+    from sbcubature.testfns import lookup
+
+    with pytest.warns(UserWarning, match="does not look convex"):
+        BoundaryLoop(lookup("nonconvex_quad").make().curves)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        BoundaryLoop(lookup("convex_hexagon").make().curves)
 
 
 def test_partition_of_unity_on_circle():
@@ -80,6 +93,20 @@ def test_lp_distance_circle_center():
         assert lp_distance(loop, (0.0, 0.0), p) == pytest.approx(
             (2.0 * np.pi) ** (-1.0 / p), rel=1e-10
         )
+
+
+@pytest.mark.parametrize("p", [1.0, 10.0])
+def test_scaled_lp_kernel_keeps_moderate_p_values(p):
+    # against the unscaled sum W_p = sum w (c-x).c'_perp / ||c-x||^(2+p)
+    loop = egg_domain()
+    X, Y = np.meshgrid(np.linspace(-0.9, 0.9, 12), np.linspace(-0.6, 0.6, 9))
+    pts = np.column_stack([X.ravel(), Y.ravel()])
+    pts = pts[np.abs(pts[:, 1]) < 0.8 * 4.0 * np.sqrt(1.0 - pts[:, 0] ** 2) / (5.0 + pts[:, 0])]
+    C, R, w = loop.samples(256)
+    diff = C[None, :, :] - pts[:, None, :]
+    num = np.einsum("nmi,mi->nm", diff, R)
+    Wp = num / np.hypot(diff[..., 0], diff[..., 1]) ** (2.0 + p) @ w
+    np.testing.assert_allclose(lp_distance_many(loop, pts, p), Wp ** (-1.0 / p), rtol=1e-12)
 
 
 def test_exact_distance_circle_and_square():
