@@ -198,29 +198,23 @@ def _loop_from(args):
     return tmvi.BoundaryLoop(region.curves, check_convex=False)
 
 
-def _print_grid(loop, n, n_t, power, evaluate):
-    """CSV of evaluate(points) over the grid cells the kernel accepts; others empty."""
+def _print_grid(loop, n, n_t, **field):
+    """CSV of a tmvi field (g=... or p=...) over the grid; cells it rejects empty."""
     pts = _grid_rows(loop, n)
-    mask = tmvi.interior_mask(loop, pts, n_t, power)
-    vals = np.full(len(pts), np.nan)
-    if np.any(mask):
-        vals[mask] = evaluate(pts[mask])
+    vals, inside = tmvi.evaluate_masked(loop, pts, n_t, **field)
     print("x,y,value")
-    for (x, y), v, ok in zip(pts, vals, mask):
+    for (x, y), v, ok in zip(pts, vals, inside):
         print("%s,%s,%s" % (fmt(x), fmt(y), fmt(v) if ok else ""))
 
 
 def cmd_tmvi(args):
     loop = _loop_from(args)
     g, _ = load_function(args.g)
-    _print_grid(loop, args.grid, args.n_t, 3.0,
-                lambda pts: tmvi.tmvi_eval_many(loop, g, pts, args.n_t))
+    _print_grid(loop, args.grid, args.n_t, g=g)
 
 
 def cmd_distfield(args):
-    loop = _loop_from(args)
-    _print_grid(loop, args.grid, args.n_t, 2.0 + args.p,
-                lambda pts: tmvi.lp_distance_many(loop, pts, args.p, args.n_t))
+    _print_grid(_loop_from(args), args.grid, args.n_t, p=args.p)
 
 
 def build_parser():

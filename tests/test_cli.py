@@ -195,3 +195,27 @@ def test_tmvi_linear_field(capsys):
             assert float(v) == pytest.approx(
                 1 + float(x) - 2 * float(y), abs=1e-9
             )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tmvi", "builtin:egg", "expr:1+x-2*y"], ["distfield", "builtin:egg", "--p", "10"]],
+    ids=["tmvi", "distfield"],
+)
+def test_grid_commands_run_one_kernel_pass(capsys, monkeypatch, argv):
+    # the inside mask comes from the same kernel pass as the values
+    from sbcubature import tmvi
+
+    calls = []
+    kernel = tmvi._scaled_kernel
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[1]))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(tmvi, "_scaled_kernel", spy)
+    code, out = run(capsys, argv + ["--grid", "8"])
+    assert code == 0
+    assert calls == [64]
+    vals = [line.split(",")[2] for line in out.strip().splitlines()[1:]]
+    assert 0 < sum(1 for v in vals if v) < 64

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from scipy.special import roots_jacobi
+from scipy.special import roots_jacobi, roots_legendre
 
+from sbcubature import rules
 from sbcubature.errors import InvalidArgumentError
 from sbcubature.region import CenterPolicy
-from sbcubature.rules import gauss_jacobi_unit, gauss_legendre
+from sbcubature.rules import N0, gauss_jacobi_unit, gauss_legendre
 from sbcubature.sbc import generate_rule
 
 
@@ -71,6 +72,57 @@ def test_deterministic():
     b = gauss_jacobi_unit(12, -0.8)
     assert a.nodes.tobytes() == b.nodes.tobytes()
     assert a.weights.tobytes() == b.weights.tobytes()
+
+
+# Legendre rules with more than N0 nodes come from Newton on the recurrence;
+# Golub-Welsch (the path of every smaller or Jacobi rule) is the reference.
+
+@pytest.mark.parametrize("n", [N0 + 1, 256, 300, 512, 1024])
+def test_newton_legendre_matches_golub_welsch(n):
+    r = gauss_legendre(n)
+    nodes, weights = rules._golub_welsch(n, 0.0)
+    np.testing.assert_allclose(r.nodes, nodes, rtol=0.0, atol=5e-16)
+    np.testing.assert_allclose(r.weights, weights, rtol=5e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [N0 + 1, 1024, 2048, 4096])
+def test_newton_legendre_moments(n):
+    r = gauss_legendre(n)
+    assert abs(np.sum(r.weights) - 1.0) <= 1e-15
+    for k in range(65):
+        got = float(np.sum(r.weights * r.nodes**k))
+        assert got == pytest.approx(1.0 / (k + 1.0), rel=2e-14)
+
+
+@pytest.mark.parametrize("n", [N0 + 1, N0 + 2, 1024, 1025])
+def test_newton_legendre_is_mirror_symmetric(n):
+    r = gauss_legendre(n)
+    np.testing.assert_array_equal(r.nodes[::-1], 1.0 - r.nodes)
+    np.testing.assert_array_equal(r.weights[::-1], r.weights)
+    assert r.nodes[0] > 0.0 and np.all(np.diff(r.nodes) > 0.0)
+
+
+@pytest.mark.parametrize("n", [1000, 3000])
+def test_newton_legendre_nodes_match_scipy(n):
+    # scipy's weights are themselves off by about 2e-8, so only nodes compare
+    x, _ = roots_legendre(n)
+    np.testing.assert_allclose(gauss_legendre(n).nodes, 0.5 * (x + 1.0), rtol=0.0, atol=5e-16)
+
+
+def test_large_legendre_rules_need_no_eigensolver(monkeypatch):
+    class EighCalled(Exception):
+        pass
+
+    def eigh(*args, **kwargs):
+        raise EighCalled
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    rules._gauss_unit.cache_clear()
+    assert len(gauss_legendre(1000)) == 1000
+    with pytest.raises(EighCalled):
+        gauss_legendre(N0)
+    with pytest.raises(EighCalled):
+        gauss_jacobi_unit(300, -0.5)
 
 
 def test_invalid_args():

@@ -9,6 +9,7 @@ from sbcubature.tmvi import (
     BoundaryLoop,
     EggCurve,
     egg_domain,
+    evaluate_masked,
     exact_distance,
     lp_distance,
     lp_distance_many,
@@ -32,11 +33,15 @@ def square_loop():
 def test_nonconvex_loop_warns():
     from sbcubature.testfns import lookup
 
-    with pytest.warns(UserWarning, match="does not look convex"):
-        BoundaryLoop(lookup("nonconvex_quad").make().curves)
+    # nonconvex_star is star-shaped about its centroid: a star test misses it
+    for name in ("nonconvex_quad", "nonconvex_star"):
+        with pytest.warns(UserWarning, match="does not look convex"):
+            BoundaryLoop(lookup(name).make().curves)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         BoundaryLoop(lookup("convex_hexagon").make().curves)
+        egg_domain()
+        circle_loop()
 
 
 def test_partition_of_unity_on_circle():
@@ -85,6 +90,23 @@ def test_outside_point_rejected():
         tmvi_eval(loop, lambda x, y: x, (2.0, 0.0))
     with pytest.raises(InvalidArgumentError):
         lp_distance(loop, (1.5, 0.0), 2.0)
+
+
+def test_evaluate_masked_leaves_outside_points_empty():
+    loop = circle_loop()
+    x = np.array([[0.0, 0.0], [2.0, 0.0], [0.5, 0.1], [0.0, -1.5]])
+    g = lambda x, y: 1.0 + np.asarray(x)
+    for field, inside_values in (
+        ({"g": g}, tmvi_eval_many(loop, g, x[[0, 2]])),
+        ({"p": 10.0}, lp_distance_many(loop, x[[0, 2]], 10.0)),
+    ):
+        values, inside = evaluate_masked(loop, x, **field)
+        np.testing.assert_array_equal(inside, [True, False, True, False])
+        np.testing.assert_allclose(values[inside], inside_values, rtol=1e-15)
+        assert np.all(np.isnan(values[~inside]))
+    for field in ({}, {"g": g, "p": 10.0}, {"p": 0.5}):
+        with pytest.raises(InvalidArgumentError):
+            evaluate_masked(loop, x, **field)
 
 
 def test_lp_distance_circle_center():
