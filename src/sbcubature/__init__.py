@@ -15,10 +15,8 @@ from .sbc import (
 from .singular import (
     GAUSS_JACOBI,
     GeneralizedSB,
-    PolygonEdgeData,
     SingularSpec,
     SplitIntegrand,
-    edge_data,
     generate_singular_rule,
     integrate_singular,
     radial_exponent,
@@ -30,9 +28,6 @@ from .tmvi import (
     EggCurve,
     egg_domain,
     exact_distance,
-    lp_distance,
-    relative_l2_error,
-    tmvi_eval,
     tmvi_eval_many,
 )
 

@@ -22,26 +22,50 @@ def fmt(v):
     )
 
 
+_CURVES = {
+    "segment": (Segment, ("from", "to")),
+    "bezier": (Bezier, ("control_points",)),
+    "rational_bezier": (RationalBezier, ("control_points", "weights")),
+    "parametric": (ParametricCurve, ("x", "y")),
+}
+
+
+def _check_keys(obj, what, required, optional=frozenset()):
+    """Accept a JSON object with every required key and no unknown one."""
+    if not isinstance(obj, dict):
+        raise InvalidArgumentError("%s must be a JSON object, got %r" % (what, obj))
+    if not required <= set(obj) <= required | optional:
+        keys = sorted(required) + ["[%s]" % k for k in sorted(optional)]
+        raise InvalidArgumentError("%s needs keys %s, got %s" % (what, keys, sorted(obj)))
+
+
+def _number(kind, value, what):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError("%s must be a number, got %r" % (what, value)) from None
+
+
 def _build_curve(spec):
-    kind = spec.get("type")
-    known = {
-        "segment": {"type", "from", "to"},
-        "bezier": {"type", "control_points"},
-        "rational_bezier": {"type", "control_points", "weights"},
-        "parametric": {"type", "x", "y"},
-    }
-    if kind not in known:
-        raise InvalidArgumentError("unknown curve type %r" % (kind,))
-    extra = set(spec) - known[kind]
-    if extra:
-        raise InvalidArgumentError("unknown curve keys %s" % sorted(extra))
-    if kind == "segment":
-        return Segment(spec["from"], spec["to"])
-    if kind == "bezier":
-        return Bezier(spec["control_points"])
-    if kind == "rational_bezier":
-        return RationalBezier(spec["control_points"], spec["weights"])
-    return ParametricCurve(spec["x"], spec["y"])
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    if kind not in _CURVES:
+        raise InvalidArgumentError("curve needs a known type, got %r" % (spec,))
+    cls, keys = _CURVES[kind]
+    _check_keys(spec, kind, {"type", *keys})
+    return cls(*(spec[k] for k in keys))
+
+
+def _center(strategy, index=None, point=None):
+    """CenterPolicy of a domain file's "x0" object or of the --center flag."""
+    if strategy in ("origin", "vertex_average"):
+        return CenterPolicy(strategy)
+    if strategy == "vertex":
+        return CenterPolicy.vertex(_number(int, index, "vertex index"))
+    if strategy == "custom":
+        if not isinstance(point, (list, tuple)) or len(point) != 2:
+            raise InvalidArgumentError("center strategy 'custom' needs a point x, y")
+        return CenterPolicy.custom([_number(float, v, "center coordinate") for v in point])
+    raise InvalidArgumentError("unknown center strategy %r" % (strategy,))
 
 
 def load_domain(path):
@@ -53,28 +77,13 @@ def load_domain(path):
         return geom.make(), CenterPolicy.VERTEX_AVERAGE
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    extra = set(doc) - {"curves", "x0"}
-    if extra:
-        raise InvalidArgumentError("unknown domain keys %s" % sorted(extra))
-    if "curves" not in doc:
-        raise InvalidArgumentError("domain file needs a 'curves' list")
+    _check_keys(doc, "domain", {"curves"}, {"x0"})
+    if not isinstance(doc["curves"], list):
+        raise InvalidArgumentError("domain 'curves' must be a list")
     region = Region([_build_curve(c) for c in doc["curves"]])
-    policy = CenterPolicy.VERTEX_AVERAGE
-    if "x0" in doc:
-        x0 = doc["x0"]
-        extra = set(x0) - {"strategy", "index", "point"}
-        if extra:
-            raise InvalidArgumentError("unknown x0 keys %s" % sorted(extra))
-        strat = x0.get("strategy")
-        if strat in ("origin", "vertex_average"):
-            policy = CenterPolicy(strat)
-        elif strat == "vertex":
-            policy = CenterPolicy.vertex(int(x0["index"]))
-        elif strat == "custom":
-            policy = CenterPolicy.custom(x0["point"])
-        else:
-            raise InvalidArgumentError("unknown x0 strategy %r" % (strat,))
-    return region, policy
+    x0 = doc.get("x0", {"strategy": "vertex_average"})
+    _check_keys(x0, "x0", {"strategy"}, {"index", "point"})
+    return region, _center(x0["strategy"], x0.get("index"), x0.get("point"))
 
 
 def load_function(spec):
@@ -94,8 +103,9 @@ def _parse_radial(arg, beta):
         return None
     if arg == "jacobi":
         return singular.GAUSS_JACOBI
-    if arg.startswith("gsb"):
-        alpha = float(arg.split(":", 1)[1]) if ":" in arg else singular.select_alpha(beta)
+    name, sep, alpha = arg.partition(":")
+    if name == "gsb":
+        alpha = _number(float, alpha, "gsb alpha") if sep else singular.select_alpha(beta)
         return singular.GeneralizedSB(alpha)
     raise InvalidArgumentError("unknown radial strategy %r" % (arg,))
 
@@ -112,16 +122,12 @@ def _add_center_flag(p):
 def _center_policy(arg, default):
     if arg is None:
         return default
-    if arg == "origin":
-        return CenterPolicy.ORIGIN
-    if arg == "vertex_average":
-        return CenterPolicy.VERTEX_AVERAGE
-    if arg.startswith("vertex:"):
-        return CenterPolicy.vertex(int(arg.split(":", 1)[1]))
-    if arg.startswith("custom:"):
-        x, y = arg.split(":", 1)[1].split(",")
-        return CenterPolicy.custom((float(x), float(y)))
-    raise InvalidArgumentError("unknown center %r" % (arg,))
+    strategy, _, rest = arg.partition(":")
+    if strategy == "vertex":
+        return _center(strategy, index=rest)
+    if strategy == "custom":
+        return _center(strategy, point=rest.split(","))
+    return _center(arg)
 
 
 def cmd_integrate(args):
@@ -171,7 +177,7 @@ def cmd_convergence(args):
     if args.reference == "auto":
         ref = run(args.n_max + 8, args.n_max + 8)
     else:
-        ref = float(args.reference)
+        ref = _number(float, args.reference, "reference")
     print("n,abs_err,rel_err")
     for n in range(args.n_min, args.n_max + 1):
         if args.sweep == "xi":

@@ -247,20 +247,6 @@ def _eval(e, b):
     return fn(*(_eval(a, b) for a in e[2]))
 
 
-def pretty(expr):
-    """Render an AST back to source; parse(pretty(parse(s))) is a fixed point."""
-    kind = expr[0]
-    if kind == "num":
-        return repr(expr[1])
-    if kind in ("var", "const"):
-        return expr[1]
-    if kind == "neg":
-        return "-(%s)" % pretty(expr[1])
-    if kind == "bin":
-        return "(%s %s %s)" % (pretty(expr[2]), expr[1], pretty(expr[3]))
-    return "%s(%s)" % (expr[1], ", ".join(pretty(a) for a in expr[2]))
-
-
 def compile_field(src):
     """Parse a two-variable expression into a callable f(x, y)."""
     ast = parse(src)

@@ -25,23 +25,22 @@ class HomogeneousField:
     be proven for a black-box callable.
     """
 
-    def __init__(self, h, q, check=True, rng=None):
+    def __init__(self, h, q):
         if not q > -2.0:
             raise InvalidArgumentError("homogeneity degree must exceed -2")
         self.h = h
         self.q = float(q)
-        if check:
-            rng = np.random.default_rng(0) if rng is None else rng
-            x = rng.uniform(0.2, 1.5, 16)
-            y = rng.uniform(0.2, 1.5, 16)
-            lam = rng.uniform(0.5, 2.0, 16)
-            lhs = np.asarray(self.h(lam * x, lam * y), dtype=float)
-            rhs = lam**self.q * np.asarray(self.h(x, y), dtype=float)
-            scale = np.abs(rhs).max() + 1e-30
-            if np.abs(lhs - rhs).max() > 1e-10 * scale:
-                raise InvalidArgumentError(
-                    "field is not homogeneous of degree %g on random samples" % q
-                )
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.2, 1.5, 16)
+        y = rng.uniform(0.2, 1.5, 16)
+        lam = rng.uniform(0.5, 2.0, 16)
+        lhs = np.asarray(self.h(lam * x, lam * y), dtype=float)
+        rhs = lam**self.q * np.asarray(self.h(x, y), dtype=float)
+        scale = np.abs(rhs).max() + 1e-30
+        if np.abs(lhs - rhs).max() > 1e-10 * scale:
+            raise InvalidArgumentError(
+                "field is not homogeneous of degree %g on random samples" % q
+            )
 
 
 def hni_integrate(region, hf, n_t):

@@ -117,17 +117,16 @@ def decompose(region, x0):
     return [CurvedTriangle(curve=c, x0=x0) for c in region.curves]
 
 
-def is_star_convex(region, x0, samples_per_curve=256):
+def is_star_convex(region, x0):
     """Sampled sufficient check that every boundary point sees x0 from inside.
 
-    Advisory only: the cubature stays correct for non-star-convex choices of
-    x0, the partition just acquires signed (partially cancelling) pieces.
+    256 samples per curve, endpoints included.  Advisory only: the cubature
+    stays correct for non-star-convex choices of x0, the partition just
+    acquires signed (partially cancelling) pieces.
     """
-    if samples_per_curve < 2:
-        raise InvalidArgumentError("need at least 2 samples per curve")
     x0 = np.asarray(x0, dtype=float)
     tol = 1e-12 * region.scale() ** 2
-    ts = np.linspace(0.0, 1.0, samples_per_curve)
+    ts = np.linspace(0.0, 1.0, 256)
     for c in region.curves:
         if np.any(boundary_samples(c, ts, x0)[2] < -tol):
             return False

@@ -80,38 +80,16 @@ def radial_exponent(beta, alpha=1.0):
     return eta
 
 
-@dataclass(frozen=True)
-class PolygonEdgeData:
-    """Edge geometry relative to x0: outward normal, foot distance, tangent span."""
-
-    n: np.ndarray      # unit outward normal
-    ell: float         # signed distance from x0 to the edge line
-    tau1: float        # signed tangential coordinate of the edge start
-    tau2: float        # ... and of the edge end
-    delta_tau: float   # tau2 - tau1 = edge length for CCW edges
-
-
-def edge_data(seg, x0):
-    d = seg.d
-    length = float(np.hypot(*d))
-    tau_hat = d / length
-    n = np.array([d[1], -d[0]]) / length
-    x0 = np.asarray(x0, dtype=float)
-    ell = float(np.dot(seg.a - x0, n))
-    tau1 = float(np.dot(seg.a - x0, tau_hat))
-    tau2 = float(np.dot(seg.b - x0, tau_hat))
-    return PolygonEdgeData(n=n, ell=ell, tau1=tau1, tau2=tau2, delta_tau=tau2 - tau1)
-
-
-def t_transform_bounds(edge, which):
+def t_transform_bounds(ell, tau1, tau2, which):
     """Bounds and inverse map of the tangential reparametrization tau(tau~).
 
-    Returns (lo, hi, tau_of, dtau_of): the transformed endpoints and two
-    callables giving tau and dtau/dtau~ at transformed coordinates.  All
-    three maps are strictly increasing for ell != 0; L = |ell| keeps that
-    true when x0 is on the outward side of the edge line.
+    For an edge at signed distance ell from x0, with ends at tangential
+    coordinates tau1 and tau2, returns (lo, hi, tau_of, dtau_of): the
+    transformed endpoints and two callables giving tau and dtau/dtau~ at
+    transformed coordinates.  All three maps are strictly increasing for
+    ell != 0; L = |ell| keeps that true when x0 is on the outward side of
+    the edge line.
     """
-    ell = edge.ell
     if ell == 0.0:
         raise InvalidArgumentError("edge line passes through the singularity")
     L = abs(ell)
@@ -145,7 +123,7 @@ def t_transform_bounds(edge, which):
             return L / (1.0 - tt * tt) ** 1.5
     else:
         raise InvalidArgumentError("unknown t-transform %r" % (which,))
-    return fwd(edge.tau1), fwd(edge.tau2), tau_of, dtau_of
+    return fwd(tau1), fwd(tau2), tau_of, dtau_of
 
 
 def _radial_rule(radial, beta, n_xi):
@@ -206,16 +184,21 @@ def _transformed_pieces(region, x0, which, beta, t_rule):
         c = tri.curve
         if not isinstance(c, Segment):
             raise InvalidArgumentError("t-transforms require segment edges")
-        ed = edge_data(c, x0)
-        if abs(ed.ell) <= 1e-14 * region.scale():
+        # unit tangent, outward normal and x0's signed distance to the edge line
+        tau_hat = c.d / float(np.hypot(*c.d))
+        n = np.array([tau_hat[1], -tau_hat[0]])
+        ell = float(np.dot(c.a - x0, n))
+        if abs(ell) <= 1e-14 * region.scale():
             # zero-contribution edge through (or numerically through) xc
             warnings.warn("edge through the singularity skipped", stacklevel=4)
             continue
-        lo, hi, tau_of, dtau_of = t_transform_bounds(ed, which)
+        tau1 = float(np.dot(c.a - x0, tau_hat))
+        tau2 = float(np.dot(c.b - x0, tau_hat))
+        lo, hi, tau_of, dtau_of = t_transform_bounds(ell, tau1, tau2, which)
         tt = lo + (hi - lo) * t_rule.nodes
         tau = tau_of(tt)
-        C = x0 + ed.ell * ed.n + tau[:, None] * (c.d / np.hypot(*c.d))
-        bfac = ed.ell * (ed.ell**2 + tau * tau) ** (-0.5 * beta)
+        C = x0 + ell * n + tau[:, None] * tau_hat
+        bfac = ell * (ell**2 + tau * tau) ** (-0.5 * beta)
         yield i, C, t_rule.weights * (hi - lo) * dtau_of(tt) * bfac
 
 

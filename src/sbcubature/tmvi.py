@@ -14,10 +14,10 @@ import warnings
 
 import numpy as np
 
-from . import rules, sbc
+from . import rules
 from .curves import Curve, boundary_samples
 from .errors import InvalidArgumentError
-from .region import CenterPolicy, Region
+from .region import Region
 
 
 class BoundaryLoop(Region):
@@ -146,17 +146,9 @@ def tmvi_eval_many(loop, g, x, n_t=256):
     return _all_inside(*evaluate_masked(loop, x, n_t, g=g))
 
 
-def tmvi_eval(loop, g, x, n_t=256):
-    return float(tmvi_eval_many(loop, g, np.asarray(x, dtype=float)[None, :], n_t)[0])
-
-
 def lp_distance_many(loop, x, p, n_t=256):
     """Lp-distance field psi = (1/W_p)^(1/p) at interior points x (N,2)."""
     return _all_inside(*evaluate_masked(loop, x, n_t, p=p))
-
-
-def lp_distance(loop, x, p, n_t=256):
-    return float(lp_distance_many(loop, np.asarray(x, dtype=float)[None, :], p, n_t)[0])
 
 
 def exact_distance(loop, x):
@@ -195,22 +187,3 @@ def exact_distance(loop, x):
         best = min(best, float(dists.min()))
     return best
 
-
-def relative_l2_error(loop, field_u, field_g, region_orders=(8, 64)):
-    """||u - g||_2 / ||u||_2 over the loop interior, via the cubature core.
-
-    Both fields are evaluated at the interior rule points; the scaling
-    center is the mean of sampled boundary points (interior for convex
-    loops), keeping every rule point strictly inside.
-    """
-    C, _, _ = loop.samples(64)
-    x0 = C.mean(axis=0)
-    n_xi, n_t = region_orders
-    rule = sbc.generate_rule(loop, CenterPolicy.custom(x0), n_xi, n_t)
-    u = np.asarray(field_u(rule.points[:, 0], rule.points[:, 1]), dtype=float)
-    g = np.asarray(field_g(rule.points[:, 0], rule.points[:, 1]), dtype=float)
-    num = float(np.dot(rule.weights, (u - g) ** 2))
-    den = float(np.dot(rule.weights, u * u))
-    if den <= 0.0:
-        raise InvalidArgumentError("reference field has zero L2 norm")
-    return np.sqrt(max(num, 0.0) / den)

@@ -20,12 +20,10 @@ from sbcubature.singular import (
     GeneralizedSB,
     SingularSpec,
     SplitIntegrand,
-    edge_data,
     generate_singular_rule,
     integrate_singular,
     t_transform_bounds,
 )
-from sbcubature.curves import Segment
 from sbcubature.testfns import (
     POLYGON_NAMES,
     lookup,
@@ -233,7 +231,7 @@ def test_criterion_7_hni_equivalence():
                 x = np.asarray(x, dtype=float)
                 return sum(c * x**i * np.asarray(y) ** j for (i, j), c in coeffs.items())
 
-            hf = HomogeneousField(h, q, check=False)
+            hf = HomogeneousField(h, q)
             for reg in regions:
                 a = hni_integrate(reg, hf, q + 6)
                 b = integrate(reg, CenterPolicy.ORIGIN, h, q + 2, 3 * (q + 2))
@@ -348,9 +346,9 @@ def test_criterion_10_property_suite():
     ok = ok and rule.weights.min() < 0.0
     ok = ok and abs(rule.weights.sum() - area) <= 1e-12 * area
     # t-transform round trips
-    ed = edge_data(Segment((1.0, -1.0), (1.0, 1.0)), np.zeros(2))
+    # the edge (1, -1) -> (1, 1) seen from the origin: ell = 1, tau from -1 to 1
     for which in ("r1", "r2", "r3"):
-        lo, hi, tau_of, dtau_of = t_transform_bounds(ed, which)
+        lo, hi, tau_of, dtau_of = t_transform_bounds(1.0, -1.0, 1.0, which)
         ok = ok and abs(tau_of(lo) + 1.0) <= 1e-12 and abs(tau_of(hi) - 1.0) <= 1e-12
         ok = ok and np.all(dtau_of(np.linspace(lo, hi, 9)) > 0.0)
     # rule determinism

@@ -219,3 +219,49 @@ def test_grid_commands_run_one_kernel_pass(capsys, monkeypatch, argv):
     assert calls == [64]
     vals = [line.split(",")[2] for line in out.strip().splitlines()[1:]]
     assert 0 < sum(1 for v in vals if v) < 64
+
+
+def _domain_file(tmp_path, **changes):
+    p = tmp_path / "domain.json"
+    p.write_text(json.dumps(dict(SQUARE, **changes)))
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "doc, args",
+    [
+        ({"x0": {"strategy": "vertex"}}, []),
+        ({"curves": [{"type": "segment", "from": [0, 0]}] + SQUARE["curves"][1:]}, []),
+        ({"curves": [["segment", [0, 0], [1, 0]]] + SQUARE["curves"][1:]}, []),
+        ({"x0": {"strategy": "custom", "point": [1.0]}}, []),
+        ({}, ["--center", "custom:1"]),
+        ({}, ["--center", "vertex:abc"]),
+    ],
+    ids=["x0-vertex-without-index", "segment-without-to", "curve-as-list",
+         "x0-custom-one-coordinate", "center-custom-one-coordinate", "center-vertex-abc"],
+)
+def test_bad_domain_or_center_exits_2(tmp_path, capsys, doc, args):
+    assert main(["rule", _domain_file(tmp_path, **doc), "2", "2"] + args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "builtin:T3", "builtin:fS1", "2", "8", "--beta", "0.5", "--radial", "gsb:x"],
+    ["convergence", "builtin:T1", "expr:1", "1", "2", "--reference", "abc"],
+], ids=["radial-gsb-x", "reference-abc"])
+def test_bad_number_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("center, x0", [
+    ("origin", {"strategy": "origin"}),
+    ("vertex_average", {"strategy": "vertex_average"}),
+    ("vertex:2", {"strategy": "vertex", "index": 2}),
+    ("custom:0.3,-0.25", {"strategy": "custom", "point": [0.3, -0.25]}),
+])
+def test_center_flag_and_domain_x0_give_the_same_rule(tmp_path, capsys, square_file, center, x0):
+    _, by_flag = run(capsys, ["rule", square_file, "3", "4", "--center", center])
+    _, by_file = run(capsys, ["rule", _domain_file(tmp_path, x0=x0), "3", "4"])
+    assert by_flag == by_file
+    assert len(by_flag.splitlines()) > 1

@@ -85,8 +85,6 @@ def test_star_convexity(unit_square):
     L = polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
     assert is_star_convex(L, (1.0, 1.0))
     assert not is_star_convex(L, (1.9, 1.9))
-    with pytest.raises(InvalidArgumentError):
-        is_star_convex(unit_square, (0.5, 0.5), samples_per_curve=1)
 
 
 def test_area_independent_of_center():

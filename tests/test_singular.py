@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbcubature.curves import Segment
 from sbcubature.errors import InvalidArgumentError
 from sbcubature.region import CenterPolicy, polygon
 from sbcubature.rules import gauss_legendre
@@ -13,7 +12,6 @@ from sbcubature.singular import (
     GeneralizedSB,
     SingularSpec,
     SplitIntegrand,
-    edge_data,
     generate_singular_rule,
     integrate_singular,
     radial_exponent,
@@ -74,42 +72,66 @@ def test_gsb_map_and_jacobian():
     np.testing.assert_array_equal(rule.points, plain.points)
 
 
-def test_edge_data_geometry():
-    ed = edge_data(Segment((1.0, -0.5), (1.0, 0.5)), np.zeros(2))
-    assert ed.ell == pytest.approx(1.0)
-    assert ed.tau1 == pytest.approx(-0.5)
-    assert ed.tau2 == pytest.approx(0.5)
-    assert ed.delta_tau == pytest.approx(1.0)
-    np.testing.assert_allclose(ed.n, [1.0, 0.0])
-
-
-def test_edge_data_signed_projection_straddles_foot():
-    # x0's perpendicular foot falls inside the edge: tau1 < 0 < tau2
-    ed = edge_data(Segment((-2.0, 1.0), (3.0, 1.0)), np.zeros(2))
-    assert ed.tau1 < 0.0 < ed.tau2
-    assert ed.delta_tau == pytest.approx(5.0)
-
-
 def test_radial_reparam_preserves_measure():
-    xi = np.linspace(0.0, 1.0, 100001)
+    # alpha * xi^(2 alpha - 1) is a polynomial of degree <= 9: 5 Gauss nodes are exact
+    xi = gauss_legendre(5)
     for alpha in (1.0, 2.0, 5.0):
-        vals = alpha * xi ** (2.0 * alpha - 1.0)
-        assert np.trapezoid(vals, xi) == pytest.approx(0.5, abs=1e-6)
+        vals = alpha * xi.nodes ** (2.0 * alpha - 1.0)
+        assert np.dot(xi.weights, vals) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_t_transform_bounds_examples():
-    ed = edge_data(Segment((1.0, -1.0), (1.0, 1.0)), np.zeros(2))
-    lo, hi, _, _ = t_transform_bounds(ed, "r1")
+    # the edge (1, -1) -> (1, 1) seen from the origin: ell = 1, tau from -1 to 1
+    lo, hi, _, _ = t_transform_bounds(1.0, -1.0, 1.0, "r1")
     assert (lo, hi) == (
         pytest.approx(np.log(np.sqrt(2.0) - 1.0)),
         pytest.approx(np.log(np.sqrt(2.0) + 1.0)),
     )
-    lo, hi, _, _ = t_transform_bounds(ed, "r2")
+    lo, hi, _, _ = t_transform_bounds(1.0, -1.0, 1.0, "r2")
     assert (lo, hi) == (pytest.approx(-np.pi / 4), pytest.approx(np.pi / 4))
     with pytest.raises(InvalidArgumentError):
-        t_transform_bounds(edge_data(Segment((1, 0), (-1, 0)), np.zeros(2)), "r1")
+        t_transform_bounds(0.0, -1.0, 1.0, "r1")
     with pytest.raises(InvalidArgumentError):
-        t_transform_bounds(ed, "r9")
+        t_transform_bounds(1.0, -1.0, 1.0, "r9")
+
+
+@pytest.mark.parametrize("which", ["r1", "r2", "r3"])
+def test_t_transformed_points_lie_on_their_edges(which):
+    # xc below the square's bottom edge, its foot inside that edge (tau1 < 0 < tau2):
+    # every t-sample C = xc + (x - xc) / s lies on its edge, in increasing order
+    sq = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    xc = np.array([0.3, -0.5])
+    n = 6
+    rule = generate_singular_rule(sq, SingularSpec(xc=tuple(xc), t_transform=which), 0.5, n, n)
+    s = gauss_legendre(n).nodes
+    C = xc + (rule.points.reshape(-1, n, n, 2) - xc) / s[:, None]
+    np.testing.assert_allclose(C, C[:, :, :1, :].repeat(n, axis=2), atol=1e-14)
+    for i, edge in zip(np.unique(rule.curve_index), C[:, :, 0, :]):
+        a, b = sq.vertices[i], sq.vertices[(i + 1) % 4]
+        u = (edge - a) @ (b - a)  # position along the edge, times its length^2
+        d = edge - a
+        np.testing.assert_allclose(d[:, 0] * (b - a)[1] - d[:, 1] * (b - a)[0], 0.0, atol=1e-14)
+        assert np.all(np.diff(u) > 0.0) and 0.0 < u[0] and u[-1] < 1.0
+    assert list(np.unique(rule.curve_index)) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("which", ["r1", "r2", "r3"])
+def test_t_transform_skips_the_edge_through_the_singularity(which):
+    # xc on the bottom edge's line: that edge has no area seen from xc, so the
+    # transformed rule drops it with a warning and keeps the other three
+    sq = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    xc = (0.5, 0.0)
+
+    def g(x, y):
+        return 1.0 + np.asarray(x) + np.asarray(y) ** 2
+
+    with pytest.warns(UserWarning, match="edge through the singularity skipped"):
+        rule = generate_singular_rule(
+            sq, SingularSpec(xc=xc, radial=GAUSS_JACOBI, t_transform=which), 1.0, 12, 24
+        )
+    assert set(rule.curve_index) == {1, 2, 3}
+    plain = generate_singular_rule(sq, SingularSpec(xc=xc, radial=GAUSS_JACOBI), 1.0, 12, 24)
+    assert rule(g) == pytest.approx(plain(g), rel=1e-12)
 
 
 @settings(deadline=None, max_examples=100)
@@ -121,10 +143,7 @@ def test_t_transform_bounds_examples():
 )
 def test_t_transform_round_trip_and_monotone(ell, tau, which, sign):
     ell = sign * ell
-    seg = Segment((1.0, -1.0), (1.0, 1.0))
-    ed = edge_data(seg, np.zeros(2))
-    ed = type(ed)(n=ed.n, ell=ell, tau1=-1.0, tau2=1.0, delta_tau=2.0)
-    lo, hi, tau_of, dtau_of = t_transform_bounds(ed, which)
+    lo, hi, tau_of, dtau_of = t_transform_bounds(ell, -1.0, 1.0, which)
     assert lo < hi  # strictly increasing maps
     # round trip through the forward map
     l2 = ell * ell

@@ -11,10 +11,7 @@ from sbcubature.tmvi import (
     egg_domain,
     evaluate_masked,
     exact_distance,
-    lp_distance,
     lp_distance_many,
-    relative_l2_error,
-    tmvi_eval,
     tmvi_eval_many,
 )
 
@@ -47,8 +44,8 @@ def test_nonconvex_loop_warns():
 def test_partition_of_unity_on_circle():
     loop = circle_loop()
     one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
-    for x in [(0.0, 0.0), (0.5, 0.1), (-0.3, 0.6)]:
-        assert tmvi_eval(loop, one, x) == pytest.approx(1.0, abs=1e-12)
+    x = np.array([(0.0, 0.0), (0.5, 0.1), (-0.3, 0.6)])
+    np.testing.assert_allclose(tmvi_eval_many(loop, one, x), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_egg_curve_derivative_is_exact():
@@ -87,9 +84,12 @@ def test_kernel_weight_positive_inside():
 def test_outside_point_rejected():
     loop = circle_loop()
     with pytest.raises(InvalidArgumentError):
-        tmvi_eval(loop, lambda x, y: x, (2.0, 0.0))
+        tmvi_eval_many(loop, lambda x, y: x, [(2.0, 0.0)])
     with pytest.raises(InvalidArgumentError):
-        lp_distance(loop, (1.5, 0.0), 2.0)
+        lp_distance_many(loop, [(1.5, 0.0)], 2.0)
+    # one point outside rejects the whole batch
+    with pytest.raises(InvalidArgumentError):
+        lp_distance_many(loop, [(0.0, 0.0), (1.5, 0.0)], 2.0)
 
 
 def test_evaluate_masked_leaves_outside_points_empty():
@@ -112,7 +112,7 @@ def test_evaluate_masked_leaves_outside_points_empty():
 def test_lp_distance_circle_center():
     loop = circle_loop()
     for p in (1.0, 4.0, 50.0):
-        assert lp_distance(loop, (0.0, 0.0), p) == pytest.approx(
+        assert lp_distance_many(loop, [(0.0, 0.0)], p)[0] == pytest.approx(
             (2.0 * np.pi) ** (-1.0 / p), rel=1e-10
         )
 
@@ -152,10 +152,5 @@ def test_lp_distance_vanishes_near_boundary():
     v = c.velocity(t0)
     inward = np.array([-v[1], v[0]]) / np.hypot(*v)
     x = p0 + 1e-3 * inward
-    assert lp_distance(loop, x, 10.0, n_t=4096) <= 5e-3
+    assert lp_distance_many(loop, x[None, :], 10.0, n_t=4096)[0] <= 5e-3
 
-
-def test_relative_l2_error_of_identical_fields():
-    loop = egg_domain()
-    f = lambda x, y: 1.0 + np.asarray(x) - np.asarray(y)
-    assert relative_l2_error(loop, f, f, (4, 24)) <= 1e-14
