@@ -18,6 +18,14 @@ def _check_t(t):
     return np.clip(t, 0.0, 1.0)
 
 
+def _floats(value, what):
+    """value as a float array, or InvalidArgumentError when it is not numeric."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError("%s must be numbers, got %r" % (what, value)) from None
+
+
 class Curve:
     """Common interface: position(t) and velocity(t) over t in [0,1]."""
 
@@ -36,8 +44,8 @@ class Curve:
 
 class Segment(Curve):
     def __init__(self, a, b):
-        self.a = np.asarray(a, dtype=float)
-        self.b = np.asarray(b, dtype=float)
+        self.a = _floats(a, "segment endpoints")
+        self.b = _floats(b, "segment endpoints")
         if self.a.shape != (2,) or self.b.shape != (2,):
             raise InvalidArgumentError("segment endpoints must be 2-D points")
         self.d = self.b - self.a
@@ -68,7 +76,7 @@ class Bezier(Curve):
     """Polynomial Bezier curve, evaluated by de Casteljau's algorithm."""
 
     def __init__(self, control_points):
-        cp = np.asarray(control_points, dtype=float)
+        cp = _floats(control_points, "control points")
         if cp.ndim != 2 or cp.shape[1] != 2 or cp.shape[0] < 2:
             raise InvalidArgumentError("need at least two 2-D control points")
         self.control_points = cp
@@ -87,8 +95,8 @@ class RationalBezier(Curve):
     """Rational Bezier: projective de Casteljau plus a perspective divide."""
 
     def __init__(self, control_points, weights):
-        cp = np.asarray(control_points, dtype=float)
-        w = np.asarray(weights, dtype=float)
+        cp = _floats(control_points, "control points")
+        w = _floats(weights, "rational weights")
         if cp.ndim != 2 or cp.shape[1] != 2 or cp.shape[0] < 2:
             raise InvalidArgumentError("need at least two 2-D control points")
         if w.shape != (cp.shape[0],):

@@ -187,6 +187,8 @@ class _Parser:
 
 def parse(src):
     """Parse an expression source string into an AST."""
+    if not isinstance(src, str):
+        raise InvalidArgumentError("expression must be a string, got %r" % (src,))
     return _Parser(src).parse()
 
 

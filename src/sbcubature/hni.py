@@ -49,6 +49,6 @@ def hni_integrate(region, hf, n_t):
         raise InvalidArgumentError("rule size must be >= 1")
     t = rules.gauss_legendre(n_t)
     x0 = np.zeros(2)
-    pieces = ((i, C, t.weights * perp) for i, C, perp in curve_samples(region, x0, t.nodes))
-    rule = assemble_rule(pieces, x0, np.ones(1), np.array([1.0 / (2.0 + hf.q)]))
+    idx, C, perp = curve_samples(region, x0, t.nodes)
+    rule = assemble_rule(idx, C, t.weights * perp, x0, np.ones(1), np.array([1.0 / (2.0 + hf.q)]))
     return rule(hf.h)

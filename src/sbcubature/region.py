@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, Segment, boundary_samples
+from .curves import Segment, boundary_samples
 from .errors import InvalidArgumentError
 
 
@@ -30,14 +30,6 @@ class CenterPolicy:
 
 CenterPolicy.ORIGIN = CenterPolicy("origin")
 CenterPolicy.VERTEX_AVERAGE = CenterPolicy("vertex_average")
-
-
-@dataclass(frozen=True)
-class CurvedTriangle:
-    """One boundary curve plus the shared apex x0."""
-
-    curve: Curve
-    x0: np.ndarray
 
 
 class Region:
@@ -111,10 +103,16 @@ def resolve_center(region, policy):
     raise InvalidArgumentError("unknown center strategy %r" % (policy.strategy,))
 
 
-def decompose(region, x0):
-    """One curved triangle per boundary curve, all sharing the apex x0."""
+def decompose(region, x0, t):
+    """The curved triangles spanned by x0 and each boundary curve, sampled at t.
+
+    Every curve is sampled once at the nodes t (see ``boundary_samples``);
+    the result is C = c_i(t), c_i'_perp and (C - x0).c_i'_perp stacked over
+    the m curves, with shapes (m, n, 2), (m, n, 2) and (m, n).
+    """
     x0 = np.asarray(x0, dtype=float)
-    return [CurvedTriangle(curve=c, x0=x0) for c in region.curves]
+    parts = [boundary_samples(c, t, x0) for c in region.curves]
+    return tuple(np.stack(a) for a in zip(*parts))
 
 
 def is_star_convex(region, x0):
@@ -124,10 +122,5 @@ def is_star_convex(region, x0):
     stays correct for non-star-convex choices of x0, the partition just
     acquires signed (partially cancelling) pieces.
     """
-    x0 = np.asarray(x0, dtype=float)
     tol = 1e-12 * region.scale() ** 2
-    ts = np.linspace(0.0, 1.0, 256)
-    for c in region.curves:
-        if np.any(boundary_samples(c, ts, x0)[2] < -tol):
-            return False
-    return True
+    return not np.any(decompose(region, x0, np.linspace(0.0, 1.0, 256))[2] < -tol)

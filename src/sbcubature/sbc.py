@@ -6,11 +6,12 @@ the unit square maps onto it via
     phi(s, t) = x0 + s * (c(t) - x0),      J(s, t) = s * (c(t)-x0).c'_perp(t)
 
 and summing the per-triangle tensor-rule integrals gives the region
-integral.  Every rule family is built the same way: ``boundary_samples``
-gives C = c(t) and (C - x0).c'_perp at the t-nodes of each curve, the family
-turns these into t-weights, and ``assemble_rule`` takes the tensor product
-with a radial rule (nodes s in [0, 1], weights w_s).  The families differ
-only in their radial rule:
+integral.  Every rule family is built the same way: ``region.decompose``
+gives C = c(t) and (C - x0).c'_perp at the t-nodes of every curve as
+(curve, node) arrays, the family turns these into t-weights, and
+``assemble_rule`` takes the tensor product with a radial rule (nodes s in
+[0, 1], weights w_s) in one broadcast.  The families differ only in their
+radial rule:
 
 * regular (``generate_rule``): Gauss-Legendre nodes xi, weights w_xi * xi;
 * singular (``singular.generate_singular_rule``): the three radial
@@ -28,7 +29,6 @@ from math import ceil
 import numpy as np
 
 from . import rules
-from .curves import boundary_samples
 from .errors import EvaluationError, InvalidArgumentError
 from .region import decompose, resolve_center
 
@@ -59,37 +59,29 @@ class CubatureRule:
 
 
 def curve_samples(region, x0, t):
-    """(curve index, C, (C - x0).c'_perp) at nodes t, for every curve that counts.
+    """Curve indices, C and (C - x0).c'_perp at nodes t, for the curves that count.
 
     A curve is skipped when max|(c - x0).c'_perp| <= 1e-14 * scale * max|c'|:
     x0 lies on it (or on its supporting line), so its triangle has no area.
+    C and perp are ``decompose``'s arrays with the skipped rows masked out.
     """
+    C, N, perp = decompose(region, x0, t)
     tol = 1e-14 * region.scale()
-    for i, tri in enumerate(decompose(region, x0)):
-        C, N, perp = boundary_samples(tri.curve, t, x0)
-        if np.max(np.abs(perp)) > tol * np.max(np.hypot(N[:, 0], N[:, 1])):
-            yield i, C, perp
+    keep = np.max(np.abs(perp), axis=1) > tol * np.max(np.hypot(N[..., 0], N[..., 1]), axis=1)
+    return np.flatnonzero(keep), C[keep], perp[keep]
 
 
-def assemble_rule(pieces, x0, s, w_s):
-    """Tensor rule from (curve index, C, t-weights) pieces and a radial rule.
+def assemble_rule(idx, C, tw, x0, s, w_s):
+    """Tensor rule from boundary samples C (m, n, 2), t-weights tw (m, n) and a radial rule.
 
-    The points are x0 + s * (C - x0) and the weights the outer product of
-    t-weights and w_s, ordered (curve, t-node, radial node).
+    idx holds the source curve of each of the m rows.  The points are
+    x0 + s * (C - x0) and the weights the outer product of t-weights and
+    w_s, ordered (curve, t-node, radial node).
     """
-    pts, wts, idx = [], [], []
-    for i, C, tw in pieces:
-        pts.append((x0 + s[None, :, None] * (C[:, None, :] - x0)).reshape(-1, 2))
-        wts.append((tw[:, None] * w_s[None, :]).ravel())
-        idx.append(np.full(len(tw) * len(s), i))
-    if not pts:
-        return CubatureRule(
-            points=np.empty((0, 2)), weights=np.empty(0), curve_index=np.empty(0, int)
-        )
     return CubatureRule(
-        points=np.concatenate(pts),
-        weights=np.concatenate(wts),
-        curve_index=np.concatenate(idx),
+        points=(x0 + s[:, None] * (C[:, :, None, :] - x0)).reshape(-1, 2),
+        weights=(tw[:, :, None] * w_s).ravel(),
+        curve_index=np.repeat(idx, tw.shape[1] * len(s)),
     )
 
 
@@ -121,8 +113,8 @@ def generate_rule(region, policy, n_xi, n_t):
     x0 = resolve_center(region, policy)
     xi = rules.gauss_legendre(n_xi)
     t = rules.gauss_legendre(n_t)
-    pieces = ((i, C, t.weights * perp) for i, C, perp in curve_samples(region, x0, t.nodes))
-    return assemble_rule(pieces, x0, xi.nodes, xi.weights * xi.nodes)
+    idx, C, perp = curve_samples(region, x0, t.nodes)
+    return assemble_rule(idx, C, t.weights * perp, x0, xi.nodes, xi.weights * xi.nodes)
 
 
 def integrate(region, policy, f, n_xi, n_t):

@@ -15,6 +15,7 @@ For polygon edges, three reparametrizations of the tangential coordinate
 cancel the (ell^2 + tau^2)^(-beta/2) near-singularity for beta = 1, 2, 3.
 """
 
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,6 @@ import numpy as np
 from . import rules
 from .curves import Segment
 from .errors import InvalidArgumentError
-from .region import decompose
 from .sbc import assemble_rule, curve_samples
 
 
@@ -165,23 +165,32 @@ def generate_singular_rule(region, spec, beta, n_xi, n_t):
     s_nodes, s_weights = _radial_rule(spec.radial, beta, n_xi)
     t_rule = rules.gauss_legendre(n_t)
     if spec.t_transform is None:
-        pieces = (
-            (i, C, t_rule.weights * (perp * np.hypot(*(C - x0).T) ** (-beta)))
-            for i, C, perp in curve_samples(region, x0, t_rule.nodes)
-        )
+        idx, C, perp = curve_samples(region, x0, t_rule.nodes)
+        D = C - x0
+        tw = t_rule.weights * (perp * np.hypot(D[..., 0], D[..., 1]) ** (-beta))
     else:
-        pieces = _transformed_pieces(region, x0, spec.t_transform, beta, t_rule)
-    return assemble_rule(pieces, x0, s_nodes, s_weights)
+        idx, C, tw = _transformed_samples(region, x0, spec.t_transform, beta, t_rule)
+    return assemble_rule(idx, C, tw, x0, s_nodes, s_weights)
 
 
-def _transformed_pieces(region, x0, which, beta, t_rule):
-    """(edge index, C, t-weights) with the tangential coordinate reparametrized.
+def _warn_caller(message):
+    """Warn at the first frame outside the library; the CLI counts as a caller."""
+    level, frame = 2, sys._getframe(1)
+    name = frame.f_globals.get("__name__", "")
+    while name.startswith("sbcubature.") and name != "sbcubature.cli":
+        level, frame = level + 1, frame.f_back
+        name = frame.f_globals.get("__name__", "")
+    warnings.warn(message, stacklevel=level)
+
+
+def _transformed_samples(region, x0, which, beta, t_rule):
+    """Edge indices, C and t-weights with the tangential coordinate reparametrized.
 
     Gauss nodes are placed in the transformed coordinate; each edge's t-weight
     carries dtau/dtau~ and the boundary factor ell * (ell^2 + tau^2)^(-beta/2).
     """
-    for i, tri in enumerate(decompose(region, x0)):
-        c = tri.curve
+    idx, Cs, tws = [], [], []
+    for i, c in enumerate(region.curves):
         if not isinstance(c, Segment):
             raise InvalidArgumentError("t-transforms require segment edges")
         # unit tangent, outward normal and x0's signed distance to the edge line
@@ -190,16 +199,19 @@ def _transformed_pieces(region, x0, which, beta, t_rule):
         ell = float(np.dot(c.a - x0, n))
         if abs(ell) <= 1e-14 * region.scale():
             # zero-contribution edge through (or numerically through) xc
-            warnings.warn("edge through the singularity skipped", stacklevel=4)
+            _warn_caller("edge through the singularity skipped")
             continue
         tau1 = float(np.dot(c.a - x0, tau_hat))
         tau2 = float(np.dot(c.b - x0, tau_hat))
         lo, hi, tau_of, dtau_of = t_transform_bounds(ell, tau1, tau2, which)
         tt = lo + (hi - lo) * t_rule.nodes
         tau = tau_of(tt)
-        C = x0 + ell * n + tau[:, None] * tau_hat
         bfac = ell * (ell**2 + tau * tau) ** (-0.5 * beta)
-        yield i, C, t_rule.weights * (hi - lo) * dtau_of(tt) * bfac
+        idx.append(i)
+        Cs.append(x0 + ell * n + tau[:, None] * tau_hat)
+        tws.append(t_rule.weights * (hi - lo) * dtau_of(tt) * bfac)
+    n_t = len(t_rule.nodes)
+    return np.array(idx, dtype=int), np.reshape(Cs, (-1, n_t, 2)), np.reshape(tws, (-1, n_t))
 
 
 def integrate_singular(region, f, spec, n_xi, n_t):

@@ -15,9 +15,9 @@ import warnings
 import numpy as np
 
 from . import rules
-from .curves import Curve, boundary_samples
+from .curves import Curve
 from .errors import InvalidArgumentError
-from .region import Region
+from .region import Region, decompose
 
 
 class BoundaryLoop(Region):
@@ -31,15 +31,14 @@ class BoundaryLoop(Region):
         super().__init__(curves)
         self._sample_cache = {}
         if check_convex:
-            ts = np.linspace(0.0, 1.0, 128)
-            parts = [boundary_samples(c, ts, np.zeros(2)) for c in self.curves]
-            C = np.concatenate([q[0] for q in parts])
+            C, N, CN = decompose(self, np.zeros(2), np.linspace(0.0, 1.0, 128))
+            C = C.reshape(-1, 2)
             # convex: no sample C_j lies outside the tangent line at a sample
             # C_i, (C_j - C_i).n_i <= 0; one curve's tangent lines at a time
             # keeps memory linear in the number of curves
-            for _, N, CN in parts:
-                norm = np.hypot(N[:, 0], N[:, 1])
-                if np.max(C @ (N / norm[:, None]).T - CN / norm) > 1e-12 * self.scale():
+            for N_i, CN_i in zip(N, CN):
+                norm = np.hypot(N_i[:, 0], N_i[:, 1])
+                if np.max(C @ (N_i / norm[:, None]).T - CN_i / norm) > 1e-12 * self.scale():
                     warnings.warn("boundary loop does not look convex", stacklevel=2)
                     break
 
@@ -49,12 +48,10 @@ class BoundaryLoop(Region):
         if cached is not None:
             return cached
         t_rule = rules.gauss_legendre(n_t)
-        parts = [boundary_samples(c, t_rule.nodes, np.zeros(2)) for c in self.curves]
-        C = np.concatenate([p[0] for p in parts])
-        R = np.concatenate([p[1] for p in parts])
+        C, R, _ = decompose(self, np.zeros(2), t_rule.nodes)
         w = np.tile(t_rule.weights, len(self.curves))
-        self._sample_cache[n_t] = (C, R, w)
-        return C, R, w
+        self._sample_cache[n_t] = (C.reshape(-1, 2), R.reshape(-1, 2), w)
+        return self._sample_cache[n_t]
 
 
 class EggCurve(Curve):

@@ -236,9 +236,17 @@ def _domain_file(tmp_path, **changes):
         ({"x0": {"strategy": "custom", "point": [1.0]}}, []),
         ({}, ["--center", "custom:1"]),
         ({}, ["--center", "vertex:abc"]),
+        ({"curves": [{"type": "segment", "from": "ab", "to": [1, 0]}] + SQUARE["curves"][1:]}, []),
+        ({"curves": [{"type": "bezier", "control_points": [[0, 0], [1, "x"], [1, 0]]}]
+          + SQUARE["curves"][1:]}, []),
+        ({"curves": [{"type": "rational_bezier", "control_points": [[0, 0], [0.5, 0], [1, 0]],
+                      "weights": [1, "w", 1]}] + SQUARE["curves"][1:]}, []),
+        ({"curves": [{"type": "parametric", "x": 5, "y": "0"}] + SQUARE["curves"][1:]}, []),
     ],
     ids=["x0-vertex-without-index", "segment-without-to", "curve-as-list",
-         "x0-custom-one-coordinate", "center-custom-one-coordinate", "center-vertex-abc"],
+         "x0-custom-one-coordinate", "center-custom-one-coordinate", "center-vertex-abc",
+         "segment-from-string", "bezier-non-number", "rational-weight-non-number",
+         "parametric-x-number"],
 )
 def test_bad_domain_or_center_exits_2(tmp_path, capsys, doc, args):
     assert main(["rule", _domain_file(tmp_path, **doc), "2", "2"] + args) == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sbcubature.curves import ParametricCurve, Segment
+from sbcubature.curves import ParametricCurve, Segment, boundary_samples
 from sbcubature.errors import InvalidArgumentError
 from sbcubature.region import (
     CenterPolicy,
@@ -43,9 +43,14 @@ def test_vertex_average_of_builtin_curved_region():
 
 
 def test_decompose_counts(unit_square):
-    tris = decompose(unit_square, np.array([0.5, 0.5]))
-    assert len(tris) == 4
-    assert all(tuple(t.x0) == (0.5, 0.5) for t in tris)
+    x0 = np.array([0.5, 0.5])
+    t = np.linspace(0.0, 1.0, 5)
+    C, N, perp = decompose(unit_square, x0, t)
+    assert C.shape == N.shape == (4, 5, 2)
+    assert perp.shape == (4, 5)
+    for i, c in enumerate(unit_square.curves):
+        for got, want in zip((C[i], N[i], perp[i]), boundary_samples(c, t, x0)):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_open_chain_rejected():

@@ -21,7 +21,9 @@ def segment_triangle_rule(t, s, w_s):
     """Kernel rule on the triangle spanned by x0 = 0 and the edge x = 1, 0 <= y <= 1."""
     x0 = np.zeros(2)
     C, _, perp = boundary_samples(Segment((1, 0), (1, 1)), np.asarray(t, dtype=float), x0)
-    return assemble_rule([(0, C, perp)], x0, np.asarray(s, dtype=float), np.asarray(w_s, dtype=float))
+    return assemble_rule(
+        np.array([0]), C[None], perp[None], x0, np.asarray(s, dtype=float), np.asarray(w_s, dtype=float)
+    )
 
 
 def test_sb_map_endpoints():
@@ -161,6 +163,21 @@ def test_each_curve_is_sampled_once_on_the_t_nodes(family):
         hni_integrate(reg, HomogeneousField(lambda x, y: x * y, 2), n_t)
     for s in spies:
         assert sorted(s.calls) == [("position", n_t), ("velocity", n_t)]
+
+
+def test_every_curve_skipped_gives_an_empty_rule():
+    # x0 lies on both edges of this degenerate region, so no curve counts
+    reg = Region([Segment((0, 0), (1, 0)), Segment((1, 0), (0, 0))])
+    one = lambda x, y: np.ones_like(x)
+    with pytest.warns(UserWarning, match="skipped"):
+        singular = generate_singular_rule(reg, SingularSpec(xc=(0.0, 0.0), t_transform="r1"), 0.5, 3, 4)
+    for rule in (generate_rule(reg, CenterPolicy.ORIGIN, 3, 4), singular):
+        assert rule.points.shape == (0, 2)
+        assert rule.weights.shape == (0,)
+        assert rule.curve_index.shape == (0,)
+        assert np.issubdtype(rule.curve_index.dtype, np.integer)
+        assert rule(one) == 0.0
+    assert hni_integrate(reg, HomogeneousField(one, 0), 4) == 0.0
 
 
 def test_nonfinite_integrand_reports_point(unit_square):

@@ -115,6 +115,17 @@ def test_t_transformed_points_lie_on_their_edges(which):
     assert list(np.unique(rule.curve_index)) == [0, 1, 2, 3]
 
 
+def test_skipped_edge_warning_names_the_caller():
+    sq = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    spec = SingularSpec(xc=(0.5, 0.0), radial=GAUSS_JACOBI, t_transform="r1")
+    f = SplitIntegrand(lambda x, y: np.ones_like(x), 1.0)
+    for call in (lambda: generate_singular_rule(sq, spec, 1.0, 4, 4),
+                 lambda: integrate_singular(sq, f, spec, 4, 4)):
+        with pytest.warns(UserWarning, match="edge through the singularity skipped") as rec:
+            call()
+        assert [w.filename for w in rec] == [__file__]
+
+
 @pytest.mark.parametrize("which", ["r1", "r2", "r3"])
 def test_t_transform_skips_the_edge_through_the_singularity(which):
     # xc on the bottom edge's line: that edge has no area seen from xc, so the
