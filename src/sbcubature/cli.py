@@ -60,6 +60,9 @@ def _center(strategy, index=None, point=None):
     if strategy in ("origin", "vertex_average"):
         return CenterPolicy(strategy)
     if strategy == "vertex":
+        # int() would truncate 1.7 and read true as 1
+        if isinstance(index, bool) or isinstance(index, float) and not index.is_integer():
+            raise InvalidArgumentError("vertex index must be an integer, got %r" % (index,))
         return CenterPolicy.vertex(_number(int, index, "vertex index"))
     if strategy == "custom":
         if not isinstance(point, (list, tuple)) or len(point) != 2:

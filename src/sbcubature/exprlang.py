@@ -11,7 +11,13 @@ than unary minus)::
 
 Recognized variables are ``x``, ``y`` and ``t``; constants ``pi`` and ``e``.
 Evaluation is plain IEEE double precision and broadcasts over numpy arrays.
+The grammar is Python's arithmetic with ``^`` for ``**``, so Python's own
+parser reads it; the grammar above stays the specification of what is accepted.
 """
+
+import ast
+import re
+import warnings
 
 import numpy as np
 
@@ -54,142 +60,80 @@ _VARIABLES = ("x", "y", "t")
 #   ("neg", a) ("bin", op, a, b) ("call", name, args)
 
 
-class _Tokenizer:
-    def __init__(self, src):
-        self.src = src
-        self.pos = 0
-        self.tokens = []
-        self._scan()
-        self.idx = 0
-
-    def _scan(self):
-        src = self.src
-        i = 0
-        n = len(src)
-        while i < n:
-            c = src[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
-                j = i
-                while j < n and (src[j].isdigit() or src[j] == "."):
-                    j += 1
-                if j < n and src[j] in "eE":
-                    k = j + 1
-                    if k < n and src[k] in "+-":
-                        k += 1
-                    if k < n and src[k].isdigit():
-                        j = k
-                        while j < n and src[j].isdigit():
-                            j += 1
-                try:
-                    value = float(src[i:j])
-                except ValueError:
-                    raise ParseError("malformed number %r" % src[i:j], i)
-                self.tokens.append(("num", value, i))
-                i = j
-            elif c.isalpha() or c == "_":
-                j = i
-                while j < n and (src[j].isalnum() or src[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", src[i:j], i))
-                i = j
-            elif c in "+-*/^(),":
-                self.tokens.append((c, c, i))
-                i += 1
-            else:
-                raise ParseError("unexpected character %r" % c, i)
-        self.tokens.append(("end", None, n))
-
-    def peek(self):
-        return self.tokens[self.idx]
-
-    def next(self):
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-
-class _Parser:
-    def __init__(self, src):
-        self.toks = _Tokenizer(src)
-
-    def parse(self):
-        e = self._expr()
-        kind, _, off = self.toks.peek()
-        if kind != "end":
-            raise ParseError("unexpected trailing input", off)
-        return e
-
-    def _expr(self):
-        e = self._term()
-        while self.toks.peek()[0] in ("+", "-"):
-            op = self.toks.next()[0]
-            e = ("bin", op, e, self._term())
-        return e
-
-    def _term(self):
-        e = self._unary()
-        while self.toks.peek()[0] in ("*", "/"):
-            op = self.toks.next()[0]
-            e = ("bin", op, e, self._unary())
-        return e
-
-    def _unary(self):
-        if self.toks.peek()[0] == "-":
-            self.toks.next()
-            return ("neg", self._unary())
-        return self._power()
-
-    def _power(self):
-        base = self._atom()
-        if self.toks.peek()[0] == "^":
-            self.toks.next()
-            return ("bin", "^", base, self._unary())
-        return base
-
-    def _atom(self):
-        kind, value, off = self.toks.next()
-        if kind == "num":
-            return ("num", value)
-        if kind == "ident":
-            if self.toks.peek()[0] == "(":
-                if value not in _FUNCTIONS:
-                    raise ParseError("unknown function %r" % value, off)
-                self.toks.next()
-                args = [self._expr()]
-                while self.toks.peek()[0] == ",":
-                    self.toks.next()
-                    args.append(self._expr())
-                k, _, o = self.toks.next()
-                if k != ")":
-                    raise ParseError("expected ')'", o)
-                arity = _FUNCTIONS[value][1]
-                if len(args) != arity:
-                    raise ParseError(
-                        "%s takes %d argument(s), got %d" % (value, arity, len(args)), off
-                    )
-                return ("call", value, tuple(args))
-            if value in _CONSTANTS:
-                return ("const", value)
-            if value in _VARIABLES:
-                return ("var", value)
-            raise ParseError("unknown identifier %r" % value, off)
-        if kind == "(":
-            e = self._expr()
-            k, _, o = self.toks.next()
-            if k != ")":
-                raise ParseError("expected ')'", o)
-            return e
-        raise ParseError("expected a value", off)
+# NUMBER; Python itself rejects an integer with a leading zero, such as 007
+_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+# any blank separates tokens, but Python's eval mode reads only spaces on one line
+_BLANK = re.compile(r"\s")
+# Python's ** and every character the grammar has no use for
+_FOREIGN = re.compile(r"\*\*|[^0-9A-Za-z_.+\-*/^(),\s]")
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+# deepest tree parse accepts, so _eval and free_variables recurse no further
+_MAX_DEPTH = 200
 
 
 def parse(src):
     """Parse an expression source string into an AST."""
     if not isinstance(src, str):
         raise InvalidArgumentError("expression must be a string, got %r" % (src,))
-    return _Parser(src).parse()
+    bad = _FOREIGN.search(src)
+    if bad:
+        raise ParseError("unexpected %r" % bad.group(), bad.start())
+    body = _BLANK.sub(" ", src).strip().replace("^", "**")
+    try:
+        with warnings.catch_warnings():
+            # a parser warning, say on '1if', fails the parse instead of escaping
+            warnings.simplefilter("error")
+            tree = ast.parse(body, mode="eval").body
+        return _tree(tree, body, 1)
+    except SyntaxError as err:
+        raise ParseError(err.msg, _offset(src, err.offset)) from None
+    except (RecursionError, MemoryError):
+        raise ParseError("expression too large for the parser", len(src)) from None
+
+
+def _offset(src, col):
+    """Index into src of 1-based column col of its stripped, ^-widened body."""
+    body = src.lstrip()
+    cols = [i for i, c in enumerate(body, len(src) - len(body)) for _ in range(1 + (c == "^"))]
+    return cols[col - 1] if 0 < col <= len(cols) else len(src)
+
+
+def _reject(message, node):
+    return SyntaxError(message, ("<expr>", 1, node.col_offset + 1, None))
+
+
+def _tree(node, body, depth):
+    """The tuple AST of a Python expression node; SyntaxError outside the grammar."""
+    if depth > _MAX_DEPTH:
+        raise _reject("expression nested deeper than %d" % _MAX_DEPTH, node)
+    kind = type(node)
+    if kind is ast.BinOp and type(node.op) in _BINARY:
+        return ("bin", _BINARY[type(node.op)],
+                _tree(node.left, body, depth + 1), _tree(node.right, body, depth + 1))
+    if kind is ast.UnaryOp and type(node.op) is ast.USub:
+        return ("neg", _tree(node.operand, body, depth + 1))
+    if kind is ast.Constant:
+        number = body[node.col_offset:node.end_col_offset]
+        if _NUMBER.fullmatch(number):
+            return ("num", float(number))
+    elif kind is ast.Name:
+        if node.id in _VARIABLES:
+            return ("var", node.id)
+        if node.id in _CONSTANTS:
+            return ("const", node.id)
+        raise _reject("unknown identifier %r" % node.id, node)
+    elif kind is ast.Call and type(node.func) is ast.Name:
+        name, args = node.func.id, node.args
+        if name not in _FUNCTIONS:
+            raise _reject("unknown function %r" % name, node)
+        # (sin)(x), sin(x,) and sin(^x), that is sin(**x), are Python only
+        if (node.func.col_offset == node.col_offset and not node.keywords
+                and not body[:node.end_col_offset - 1].rstrip().endswith(",")):
+            arity = _FUNCTIONS[name][1]
+            if len(args) != arity:
+                raise _reject("%s takes %d argument(s), got %d" % (name, arity, len(args)), node)
+            return ("call", name, tuple(_tree(a, body, depth + 1) for a in args))
+    raise _reject("%s is not in the expression grammar" % type(node).__name__, node)
 
 
 def free_variables(expr):

@@ -37,9 +37,10 @@ class Region:
 
     The bounding box (from 64 samples per curve) and its diagonal are
     computed once.  Chain closure is validated to 1e-12 times that diagonal
-    (per coordinate); gaps are a hard error.  Orientation is not checked at
-    construction (signed area needs an integration rule), but downstream
-    results are signed, so a clockwise chain yields negative area.
+    (per coordinate); gaps and non-finite samples are a hard error.
+    Orientation is not checked at construction (signed area needs an
+    integration rule), but downstream results are signed, so a clockwise
+    chain yields negative area.
     """
 
     def __init__(self, curves):
@@ -48,6 +49,10 @@ class Region:
             raise InvalidArgumentError("region needs at least one curve")
         self.curves = curves
         pts = np.concatenate([c.position(np.linspace(0.0, 1.0, 64)) for c in curves])
+        # NaN fails every comparison, so the closure check below would pass it
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if bad.size:
+            raise InvalidArgumentError("curve %d is not finite on [0, 1]" % (bad[0] // 64))
         self._bbox = (pts.min(axis=0), pts.max(axis=0))
         for a in self._bbox:
             a.setflags(write=False)
@@ -99,7 +104,10 @@ def resolve_center(region, policy):
             )
         return region.vertices[i]
     if policy.strategy == "custom":
-        return np.asarray(policy.point, dtype=float)
+        x0 = np.asarray(policy.point, dtype=float)
+        if not np.isfinite(x0).all():
+            raise InvalidArgumentError("custom center %s is not finite" % x0.tolist())
+        return x0
     raise InvalidArgumentError("unknown center strategy %r" % (policy.strategy,))
 
 

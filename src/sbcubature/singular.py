@@ -162,6 +162,8 @@ def generate_singular_rule(region, spec, beta, n_xi, n_t):
             "beta must lie in (0, 2) for an integrable singularity"
         )
     x0 = np.asarray(spec.xc, dtype=float)
+    if not np.isfinite(x0).all():
+        raise InvalidArgumentError("singularity xc %s is not finite" % x0.tolist())
     s_nodes, s_weights = _radial_rule(spec.radial, beta, n_xi)
     t_rule = rules.gauss_legendre(n_t)
     if spec.t_transform is None:

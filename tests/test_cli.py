@@ -242,11 +242,19 @@ def _domain_file(tmp_path, **changes):
         ({"curves": [{"type": "rational_bezier", "control_points": [[0, 0], [0.5, 0], [1, 0]],
                       "weights": [1, "w", 1]}] + SQUARE["curves"][1:]}, []),
         ({"curves": [{"type": "parametric", "x": 5, "y": "0"}] + SQUARE["curves"][1:]}, []),
+        ({"curves": [{"type": "segment", "from": [0, float("nan")], "to": [1, 0]}]
+          + SQUARE["curves"][1:]}, []),
+        ({"curves": [{"type": "parametric", "x": "t", "y": "sqrt(t-1)+t"}]
+          + SQUARE["curves"][1:]}, []),
+        ({}, ["--center", "custom:nan,0"]),
+        ({"x0": {"strategy": "vertex", "index": 1.7}}, []),
+        ({"x0": {"strategy": "vertex", "index": True}}, []),
     ],
     ids=["x0-vertex-without-index", "segment-without-to", "curve-as-list",
          "x0-custom-one-coordinate", "center-custom-one-coordinate", "center-vertex-abc",
          "segment-from-string", "bezier-non-number", "rational-weight-non-number",
-         "parametric-x-number"],
+         "parametric-x-number", "segment-nan", "parametric-nan", "center-custom-nan",
+         "x0-vertex-fraction", "x0-vertex-bool"],
 )
 def test_bad_domain_or_center_exits_2(tmp_path, capsys, doc, args):
     assert main(["rule", _domain_file(tmp_path, **doc), "2", "2"] + args) == 2
@@ -256,9 +264,17 @@ def test_bad_domain_or_center_exits_2(tmp_path, capsys, doc, args):
 @pytest.mark.parametrize("argv", [
     ["integrate", "builtin:T3", "builtin:fS1", "2", "8", "--beta", "0.5", "--radial", "gsb:x"],
     ["convergence", "builtin:T1", "expr:1", "1", "2", "--reference", "abc"],
-], ids=["radial-gsb-x", "reference-abc"])
+    ["integrate", "builtin:T3", "expr:1", "2", "2", "--beta", "0.5", "--xc", "nan", "0"],
+], ids=["radial-gsb-x", "reference-abc", "xc-nan"])
 def test_bad_number_exits_2(capsys, argv):
     assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("src", ["(" * 1200 + "x" + ")" * 1200, "+".join(["x"] * 1200),
+                                 "-" * 1200 + "x"], ids=["parens", "sum", "minus"])
+def test_deep_expression_exits_2(capsys, src):
+    assert main(["integrate", "builtin:T1", "expr:" + src, "2", "2"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

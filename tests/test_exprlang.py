@@ -1,8 +1,13 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbcubature import exprlang
-from sbcubature.exprlang import ParseError, evaluate, parse
+from sbcubature.exprlang import ParseError, evaluate, free_variables, parse
 
 
 def ev(src, **b):
@@ -90,3 +95,130 @@ def test_compile_field_rejects_t():
         exprlang.compile_field("x + t")
     f = exprlang.compile_field("x*y")
     assert f(3.0, 4.0) == 12.0
+
+
+def test_offsets_index_the_source():
+    # past the ^ -> ** widening and the stripped leading blanks
+    for src, offset in [("x^2 + sin(y, t)", 6), ("  x^2 + sin(y, t)", 8), ("x^2 + q", 6),
+                        ("  x^2 + q", 8), ("x^2 +  ", 7), ("x ** 2", 2), ("1 @ x", 2)]:
+        with pytest.raises(ParseError) as e:
+            parse(src)
+        assert e.value.offset == offset, src
+
+
+def test_blanks_separate_tokens():
+    assert parse("x\n+\ty\r-\x0bt\xa0*\x0c2") == parse("x + y - t * 2")
+
+
+# forms Python's parser reads but the grammar does not admit
+_PYTHON_ONLY = [
+    "x ** 2", "2 * π", "0x10", "1_0", "1j", "True", "None", "...", "sin(x,)", "atan2(x, y,)",
+    "+x", "x @ y", "x % y", "x // y", "x < y", "x == y", "x if y else t", "not x", "x and y",
+    "x[0]", "x.real", "sin(x=1)", "sin(*x)", "sin(^x)", "'x'", "(sin)(x)", "(x, y)", "007",
+    "1if x else y", "0x1g", "sin(x for x in y)", "x := 1", "lambda: x", "sin(x)(y)",
+]
+
+
+@pytest.mark.parametrize("src", _PYTHON_ONLY)
+def test_python_only_forms_raise_parse_error(src):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError):
+            parse(src)
+
+
+_DEEP = {"parens": "(" * 1200 + "x" + ")" * 1200, "sum": "+".join(["x"] * 1200),
+         "minus": "-" * 1200 + "x", "power": "^".join(["x"] * 1200),
+         "calls": "sin(" * 1200 + "x" + ")" * 1200}
+
+
+@pytest.mark.parametrize("src", _DEEP.values(), ids=_DEEP.keys())
+def test_deep_expressions_raise_parse_error(src):
+    with pytest.raises(ParseError):
+        parse(src)
+
+
+def test_nesting_limit():
+    limit = exprlang._MAX_DEPTH
+    for make in (lambda k: "+".join(["x"] * k), lambda k: "-" * (k - 1) + "x",
+                 lambda k: "sin(" * (k - 1) + "x" + ")" * (k - 1)):
+        assert free_variables(parse(make(limit))) == {"x"}
+        with pytest.raises(ParseError):
+            parse(make(limit + 1))
+
+
+# numbers carry a '.' or an exponent, so they are floats in Python's eval too,
+# never integers (Python would build a huge one for 9^9^9)
+_LITERAL = re.compile(r"(?<![\w.])(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_ATOMS = ["x", "y", "t", "pi", "e", "1.5", "2.", ".25", "3e-1", "1e2", "0.0", "7.5E+1"]
+_OPS = ["+", "-", "*", "/", "^", " + ", " - ", " * ", "/ ", " ^"]
+_UNARY = ["sin", "exp", "ln", "sqrt", "abs", "tanh"]
+_BINARY = ["atan2", "pow", "min", "max"]
+# token soup, mostly rejected, and strings of the grammar glued without
+# parentheses, so precedence and associativity decide their value
+_TOKEN_STRINGS = st.lists(
+    st.sampled_from(_ATOMS + _OPS + ["(", ")", ",", " "] + [f + "(" for f in _UNARY + _BINARY]),
+    min_size=1, max_size=14,
+).map("".join)
+_GRAMMAR_STRINGS = st.recursive(st.sampled_from(_ATOMS), lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from(_OPS), inner).map("".join),
+    st.tuples(inner, st.sampled_from(_OPS), inner, st.sampled_from(_OPS), inner).map("".join),
+    inner.map("-{}".format),
+    inner.map("({})".format),
+    st.tuples(st.sampled_from(_UNARY), inner).map("{0[0]}({0[1]})".format),
+    st.tuples(st.sampled_from(_BINARY), inner, inner).map("{0[0]}({0[1]}, {0[2]})".format),
+), max_leaves=10)
+
+
+class _Applied:
+    """A value whose Python operators make the numpy calls evaluate makes.
+
+    On two floats, Python's ** is libm's pow and / raises at zero, while
+    np.power and np.true_divide differ from them in the last bit or give inf;
+    with every leaf wrapped, Python's eval orders the operations and the values
+    compare bit for bit.
+    """
+
+    def __init__(self, v):
+        self.v = v
+
+    def __add__(self, o):
+        return _Applied(self.v + o.v)
+
+    def __sub__(self, o):
+        return _Applied(self.v - o.v)
+
+    def __mul__(self, o):
+        return _Applied(self.v * o.v)
+
+    def __truediv__(self, o):
+        return _Applied(np.true_divide(self.v, o.v))
+
+    def __pow__(self, o):
+        return _Applied(np.power(self.v, o.v))
+
+    def __neg__(self):
+        return _Applied(-self.v)
+
+
+def _applied(f):
+    return lambda *args: _Applied(f(*(a.v for a in args)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(_TOKEN_STRINGS, _GRAMMAR_STRINGS))
+def test_parsed_strings_evaluate_as_python_does(src):
+    try:
+        tree = parse(src)
+    except ParseError:
+        return
+    b = {"x": np.array([0.3, -1.7]), "y": np.array([2.5, 0.75]), "t": np.array([-0.45, 1.3])}
+    names = {k: _applied(f) if callable(f) else _Applied(f) for k, f in _PY_NAMES.items()}
+    names.update({k: _Applied(v) for k, v in b.items()}, _n=_Applied, __builtins__={})
+    with np.errstate(all="ignore"):
+        got = evaluate(tree, b)
+        expected = eval(_LITERAL.sub(r"_n(\g<0>)", src.replace("^", "**")), names).v
+    got, expected = np.broadcast_arrays(np.asarray(got, float), np.asarray(expected, float))
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))

@@ -103,3 +103,14 @@ def test_reversed_orientation_negates_area(unit_square):
     rev = polygon([(0, 0), (0, 1), (1, 1), (1, 0)])
     assert area(rev, (0.5, 0.5)) == pytest.approx(-1.0)
     assert area(unit_square, (0.5, 0.5)) == pytest.approx(1.0)
+
+
+def test_non_finite_geometry_and_center_are_rejected(unit_square):
+    with pytest.raises(InvalidArgumentError, match="curve 1 "):
+        # NaN for t < 1
+        Region([Segment((0, 0), (1, 0)), ParametricCurve("1 - t", "t + sqrt(t - 1)"),
+                Segment((0, 1), (0, 0))])
+    with pytest.raises(InvalidArgumentError, match="curve 0 "):
+        polygon([(np.nan, 0), (1, 0), (1, 1)])
+    with pytest.raises(InvalidArgumentError):
+        resolve_center(unit_square, CenterPolicy.custom((0.5, np.inf)))

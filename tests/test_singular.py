@@ -239,3 +239,9 @@ def test_nearly_singular_exterior_center_converges(unit_square, d):
     v = integrate_singular(unit_square, SplitIntegrand(ones, 0.5), spec, 24, 24)
     assert np.isfinite(v) and np.isfinite(ref)
     assert v == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("xc", [(np.nan, 0.0), (0.0, np.inf)])
+def test_non_finite_singularity_is_rejected(unit_square, xc):
+    with pytest.raises(InvalidArgumentError):
+        generate_singular_rule(unit_square, SingularSpec(xc=xc), 0.5, 3, 3)
