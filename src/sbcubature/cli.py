@@ -92,12 +92,12 @@ def load_domain(path):
 def load_function(spec):
     """Scalar field from 'expr:<source>' or 'builtin:<name>'."""
     if spec.startswith("expr:"):
-        return exprlang.compile_field(spec[len("expr:"):]), None
+        return exprlang.compile_field(spec[len("expr:"):])
     if spec.startswith("builtin:"):
         fn = testfns.lookup(spec[len("builtin:"):])
         if not isinstance(fn, testfns.NamedFunction):
             raise InvalidArgumentError("%r is not a function" % (spec,))
-        return fn.field, fn.meta or {}
+        return fn.field
     raise InvalidArgumentError("function spec must start with 'expr:' or 'builtin:'")
 
 
@@ -136,7 +136,7 @@ def _center_policy(arg, default):
 def cmd_integrate(args):
     region, policy = load_domain(args.domain)
     policy = _center_policy(args.center, policy)
-    f, meta = load_function(args.function)
+    f = load_function(args.function)
     if args.hni is not None:
         hf = hni.HomogeneousField(f, args.hni)
         value = hni.hni_integrate(region, hf, args.n_t)
@@ -171,7 +171,7 @@ def cmd_rule(args):
 def cmd_convergence(args):
     region, policy = load_domain(args.domain)
     policy = _center_policy(args.center, policy)
-    f, _ = load_function(args.function)
+    f = load_function(args.function)
     surplus = max(64, 2 * args.n_max)
 
     def run(n_xi, n_t):
@@ -181,6 +181,8 @@ def cmd_convergence(args):
         ref = run(args.n_max + 8, args.n_max + 8)
     else:
         ref = _number(float, args.reference, "reference")
+        if not np.isfinite(ref):
+            raise InvalidArgumentError("reference must be finite, got %r" % (ref,))
     print("n,abs_err,rel_err")
     for n in range(args.n_min, args.n_max + 1):
         if args.sweep == "xi":
@@ -218,7 +220,7 @@ def _print_grid(loop, n, n_t, **field):
 
 def cmd_tmvi(args):
     loop = _loop_from(args)
-    g, _ = load_function(args.g)
+    g = load_function(args.g)
     _print_grid(loop, args.grid, args.n_t, g=g)
 
 

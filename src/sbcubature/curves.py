@@ -128,12 +128,12 @@ class RationalBezier(Curve):
 class ParametricCurve(Curve):
     """Curve defined by two expressions in t.
 
-    The derivative is a central finite difference with h = 1e-6 (second-order
-    one-sided at the endpoints), which is accurate to roughly 1e-9 relative
-    for smooth coordinate functions.
+    The velocity is a complex step, Im c(t + ih) / h: one evaluation of the
+    expressions at complex t, exact to round-off, with no difference to
+    cancel.  Where the derivative is infinite, as for ``t^0.5`` at t = 0, the
+    velocity is infinite, or merely huge for ``sqrt(t)`` (about 8e14), whose
+    complex branch point the step straddles.
     """
-
-    _H = 1e-6
 
     def __init__(self, x_src, y_src):
         self.x_src = x_src
@@ -151,38 +151,16 @@ class ParametricCurve(Curve):
         return self._raw(_check_t(t))
 
     def _raw(self, t):
-        x = exprlang.evaluate(self._x_ast, {"t": t})
-        y = exprlang.evaluate(self._y_ast, {"t": t})
-        out = np.empty(np.shape(t) + (2,))
-        out[..., 0] = x
-        out[..., 1] = y
+        # a complex t, from velocity, keeps its imaginary part
+        out = np.empty(np.shape(t) + (2,), dtype=np.result_type(t))
+        out[..., 0] = exprlang.evaluate(self._x_ast, {"t": t})
+        out[..., 1] = exprlang.evaluate(self._y_ast, {"t": t})
         return out
 
     def velocity(self, t):
-        t = _check_t(t)
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(t)
-        h = self._H
-        lo = t < h
-        hi = t > 1.0 - h
-        mid = ~(lo | hi)
-        out = np.empty(t.shape + (2,))
-        if np.any(mid):
-            tm = t[mid]
-            out[mid] = (self._raw(tm + h) - self._raw(tm - h)) / (2.0 * h)
-        if np.any(lo):
-            tl = t[lo]
-            out[lo] = (
-                -3.0 * self._raw(tl) + 4.0 * self._raw(tl + h) - self._raw(tl + 2.0 * h)
-            ) / (2.0 * h)
-        if np.any(hi):
-            th = t[hi]
-            out[hi] = (
-                3.0 * self._raw(th) - 4.0 * self._raw(th - h) + self._raw(th - 2.0 * h)
-            ) / (2.0 * h)
-        if scalar:
-            return out[0]
-        return out
+        # h is a power of two, so dividing by it is exact and h drops out
+        h = 2.0**-100
+        return self._raw(_check_t(t) + 1j * h).imag / h
 
 
 def boundary_samples(curve, t, x0):

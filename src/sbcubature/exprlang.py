@@ -11,11 +11,15 @@ than unary minus)::
 
 Recognized variables are ``x``, ``y`` and ``t``; constants ``pi`` and ``e``.
 Evaluation is plain IEEE double precision and broadcasts over numpy arrays.
+Every function and operator also accepts complex arguments and then carries
+the derivative of a complex step (see ``ParametricCurve.velocity``); real
+arguments call the numpy function unchanged.
 The grammar is Python's arithmetic with ``^`` for ``**``, so Python's own
 parser reads it; the grammar above stays the specification of what is accepted.
 """
 
 import ast
+import operator
 import re
 import warnings
 
@@ -30,6 +34,35 @@ class ParseError(InvalidArgumentError):
         self.offset = offset
 
 
+def _complex(re, im):
+    """re + i im from real parts; 1j * inf would make the real part nan."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _abs(a):
+    # the modulus of a complex step drops its derivative
+    return np.where(a.real < 0, -a, a) if np.iscomplexobj(a) else np.abs(a)
+
+
+def _atan2(y, x):
+    if not (np.iscomplexobj(y) or np.iscomplexobj(x)):
+        return np.arctan2(y, x)
+    yr, xr = np.real(y), np.real(x)
+    return _complex(np.arctan2(yr, xr), (xr * np.imag(y) - yr * np.imag(x)) / (xr * xr + yr * yr))
+
+
+def _power(a, b):
+    if not np.iscomplexobj(a) or np.iscomplexobj(b):
+        return np.power(a, b)
+    # numpy takes a complex base to an integer power of 100 or more in polar
+    # form, which loses the derivative: (a + i da)^b = a^b + i b a^(b-1) da
+    bda = b * a.imag
+    # a zero exponent or step has a zero derivative, even where a^(b-1) is inf
+    return _complex(np.power(a.real, b), np.where(bda == 0, 0.0, bda * np.power(a.real, b - 1.0)))
+
+
 _FUNCTIONS = {
     "sin": (np.sin, 1),
     "cos": (np.cos, 1),
@@ -37,7 +70,7 @@ _FUNCTIONS = {
     "asin": (np.arcsin, 1),
     "acos": (np.arccos, 1),
     "atan": (np.arctan, 1),
-    "atan2": (np.arctan2, 2),
+    "atan2": (_atan2, 2),
     "sinh": (np.sinh, 1),
     "cosh": (np.cosh, 1),
     "tanh": (np.tanh, 1),
@@ -45,12 +78,14 @@ _FUNCTIONS = {
     "ln": (np.log, 1),
     "log10": (np.log10, 1),
     "sqrt": (np.sqrt, 1),
-    "abs": (np.abs, 1),
-    "pow": (np.power, 2),
+    "abs": (_abs, 1),
+    "pow": (_power, 2),
     "min": (np.minimum, 2),
     "max": (np.maximum, 2),
 }
 
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": np.true_divide,
+              "^": _power}
 _CONSTANTS = {"pi": np.pi, "e": np.e}
 _VARIABLES = ("x", "y", "t")
 
@@ -145,10 +180,7 @@ def free_variables(expr):
     if kind == "bin":
         return free_variables(expr[2]) | free_variables(expr[3])
     if kind == "call":
-        out = set()
-        for a in expr[2]:
-            out |= free_variables(a)
-        return out
+        return set().union(*map(free_variables, expr[2]))
     return set()
 
 
@@ -177,18 +209,7 @@ def _eval(e, b):
     if kind == "neg":
         return -_eval(e[1], b)
     if kind == "bin":
-        op = e[1]
-        lhs = _eval(e[2], b)
-        rhs = _eval(e[3], b)
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if op == "/":
-            return np.true_divide(lhs, rhs)
-        return np.power(lhs, rhs)
+        return _OPERATORS[e[1]](_eval(e[2], b), _eval(e[3], b))
     fn = _FUNCTIONS[e[1]][0]
     return fn(*(_eval(a, b) for a in e[2]))
 

@@ -26,8 +26,8 @@ class HomogeneousField:
     """
 
     def __init__(self, h, q):
-        if not q > -2.0:
-            raise InvalidArgumentError("homogeneity degree must exceed -2")
+        if not -2.0 < q < np.inf:
+            raise InvalidArgumentError("homogeneity degree must be finite and exceed -2")
         self.h = h
         self.q = float(q)
         rng = np.random.default_rng(0)
@@ -45,8 +45,6 @@ class HomogeneousField:
 
 def hni_integrate(region, hf, n_t):
     """Boundary-only integral of hf over the region (center fixed at origin)."""
-    if n_t < 1:
-        raise InvalidArgumentError("rule size must be >= 1")
     t = rules.gauss_legendre(n_t)
     x0 = np.zeros(2)
     idx, C, perp = curve_samples(region, x0, t.nodes)

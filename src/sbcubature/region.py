@@ -48,12 +48,8 @@ class Region:
         if not curves:
             raise InvalidArgumentError("region needs at least one curve")
         self.curves = curves
-        pts = np.concatenate([c.position(np.linspace(0.0, 1.0, 64)) for c in curves])
-        # NaN fails every comparison, so the closure check below would pass it
-        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-        if bad.size:
-            raise InvalidArgumentError("curve %d is not finite on [0, 1]" % (bad[0] // 64))
-        self._bbox = (pts.min(axis=0), pts.max(axis=0))
+        pts = _finite(np.stack([c.position(np.linspace(0.0, 1.0, 64)) for c in curves]))
+        self._bbox = (pts.min(axis=(0, 1)), pts.max(axis=(0, 1)))
         for a in self._bbox:
             a.setflags(write=False)
         self._scale = float(np.hypot(*(self._bbox[1] - self._bbox[0])))
@@ -83,6 +79,14 @@ class Region:
     def scale(self):
         """Bounding-box diagonal, used for relative tolerances."""
         return self._scale
+
+
+def _finite(C):
+    """Positions C (m, n, 2) of m curves; raise if one is not finite (NaN passes comparisons)."""
+    bad = np.flatnonzero(~np.isfinite(C).all(axis=(1, 2)))
+    if bad.size:
+        raise InvalidArgumentError("curve %d is not finite on [0, 1]" % bad[0])
+    return C
 
 
 def polygon(vertices):
@@ -116,11 +120,12 @@ def decompose(region, x0, t):
 
     Every curve is sampled once at the nodes t (see ``boundary_samples``);
     the result is C = c_i(t), c_i'_perp and (C - x0).c_i'_perp stacked over
-    the m curves, with shapes (m, n, 2), (m, n, 2) and (m, n).
+    the m curves, with shapes (m, n, 2), (m, n, 2) and (m, n).  A non-finite
+    C is an InvalidArgumentError; c_i' may be infinite at an endpoint.
     """
     x0 = np.asarray(x0, dtype=float)
-    parts = [boundary_samples(c, t, x0) for c in region.curves]
-    return tuple(np.stack(a) for a in zip(*parts))
+    C, N, perp = (np.stack(a) for a in zip(*(boundary_samples(c, t, x0) for c in region.curves)))
+    return _finite(C), N, perp
 
 
 def is_star_convex(region, x0):

@@ -108,8 +108,6 @@ def generate_rule(region, policy, n_xi, n_t):
     Point ordering is (curve, t-node, xi-node).  Curves that x0 sees edge-on
     (see ``curve_samples``) contribute nothing and emit no points.
     """
-    if n_xi < 1 or n_t < 1:
-        raise InvalidArgumentError("rule sizes must be >= 1")
     x0 = resolve_center(region, policy)
     xi = rules.gauss_legendre(n_xi)
     t = rules.gauss_legendre(n_t)

@@ -130,16 +130,14 @@ def _radial_rule(radial, beta, n_xi):
     """Radial rule (nodes s, weights) of one strategy, singular power folded in."""
     if radial is None:
         r1 = rules.gauss_legendre(n_xi)
-        w = r1.weights * r1.nodes ** (1.0 - beta)
-        return r1.nodes, w
+        return r1.nodes, r1.weights * r1.nodes ** (1.0 - beta)
     if isinstance(radial, GeneralizedSB):
         a = radial.alpha
-        if a <= 0:
-            raise InvalidArgumentError("generalized-SB alpha must be positive")
+        if not 0 < a < np.inf:
+            raise InvalidArgumentError("generalized-SB alpha must be positive and finite")
         eta = radial_exponent(beta, a)
         r1 = rules.gauss_legendre(n_xi)
-        w = r1.weights * a * r1.nodes ** eta
-        return r1.nodes ** a, w
+        return r1.nodes ** a, r1.weights * a * r1.nodes ** eta
     if radial == GAUSS_JACOBI:
         r1 = rules.gauss_jacobi_unit(n_xi, radial_exponent(beta, 1.0))
         return r1.nodes, r1.weights
@@ -152,8 +150,6 @@ def generate_singular_rule(region, spec, beta, n_xi, n_t):
     The singular power is folded into the weights, so the returned rule is
     applied to the smooth numerator only.
     """
-    if n_xi < 1 or n_t < 1:
-        raise InvalidArgumentError("rule sizes must be >= 1")
     if spec.t_transform in ("r2", "r3"):
         if not 0.0 < beta <= 3.0:
             raise InvalidArgumentError("beta must lie in (0, 3] with r2/r3")

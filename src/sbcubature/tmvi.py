@@ -113,8 +113,8 @@ def evaluate_masked(loop, x, n_t=256, g=None, p=None):
     """
     if (g is None) == (p is None):
         raise InvalidArgumentError("give boundary data g or a power p, not both")
-    if p is not None and p < 1:
-        raise InvalidArgumentError("p must be >= 1")
+    if p is not None and not 1 <= p < np.inf:
+        raise InvalidArgumentError("p must be finite and >= 1, got %r" % (p,))
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if g is not None:
         C = loop.samples(n_t)[0]

@@ -265,10 +265,29 @@ def test_bad_domain_or_center_exits_2(tmp_path, capsys, doc, args):
     ["integrate", "builtin:T3", "builtin:fS1", "2", "8", "--beta", "0.5", "--radial", "gsb:x"],
     ["convergence", "builtin:T1", "expr:1", "1", "2", "--reference", "abc"],
     ["integrate", "builtin:T3", "expr:1", "2", "2", "--beta", "0.5", "--xc", "nan", "0"],
-], ids=["radial-gsb-x", "reference-abc", "xc-nan"])
+    ["integrate", "builtin:convex_quad", "expr:x^2*y", "1", "4", "--hni", "inf"],
+    ["distfield", "builtin:egg", "--p", "nan", "--grid", "3"],
+    ["distfield", "builtin:egg", "--p", "inf", "--grid", "3"],
+    ["integrate", "builtin:T3", "builtin:fS1", "2", "8", "--beta", "0.5", "--radial", "gsb:nan"],
+    ["integrate", "builtin:T3", "builtin:fS1", "2", "8", "--beta", "0.5", "--radial", "gsb:inf"],
+    ["convergence", "builtin:T1", "expr:1", "1", "2", "--reference", "nan"],
+], ids=["radial-gsb-x", "reference-abc", "xc-nan", "hni-inf", "p-nan", "p-inf", "radial-gsb-nan",
+        "radial-gsb-inf", "reference-nan"])
 def test_bad_number_exits_2(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "{}", "expr:1", "3", "5"],
+    ["tmvi", "{}", "expr:1", "--n-t", "5", "--grid", "2"],
+], ids=["integrate", "tmvi"])
+def test_non_finite_sample_at_a_node_exits_2(tmp_path, capsys, argv):
+    # NaN only for |t - 0.5| < 0.001: Region's 64 samples miss it, the 5-node rule does not
+    edge = {"type": "parametric", "x": "t + 0*sqrt(abs(t-0.5)-0.001)", "y": "0"}
+    domain = _domain_file(tmp_path, curves=[edge] + SQUARE["curves"][1:])
+    assert main([a.format(domain) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: curve 0 ")
 
 
 @pytest.mark.parametrize("src", ["(" * 1200 + "x" + ")" * 1200, "+".join(["x"] * 1200),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,9 @@ from sbcubature.curves import (
     boundary_samples,
 )
 from sbcubature.errors import InvalidArgumentError
+from sbcubature.exprlang import _FUNCTIONS
+from sbcubature.rules import gauss_legendre
+from sbcubature.testfns import lookup
 
 
 def central_diff(curve, t, h=1e-6):
@@ -90,7 +95,97 @@ def test_parametric_derivative_accuracy():
     for t in np.linspace(0.1, 0.9, 7):
         exact_x = 2.0 * (1.0 + 2.0 * np.cos(w * t)) * (-2.0 * w * np.sin(w * t)) / 12.0
         exact_y = (2.0 * w * np.cos(w * t) - 8.0 * w * np.cos(2.0 * w * t)) / 6.0
-        assert c.velocity(t) == pytest.approx([exact_x, exact_y], abs=1e-8)
+        assert c.velocity(t) == pytest.approx([exact_x, exact_y], abs=1e-14)
+
+
+def test_deltoid_arc_velocities_are_exact_to_round_off():
+    # the builtin deltoid runs the natural arc f backwards: arc i is f(i - t)
+    w = 2.0 * np.pi / 3.0
+    t = np.linspace(0.0, 1.0, 101)
+    for i, c in zip((3, 2, 1), lookup("deltoid").make().curves):
+        s = i - t
+        exact = -np.column_stack([
+            2.0 * (1.0 + 2.0 * np.cos(w * s)) * (-2.0 * w * np.sin(w * s)) / 12.0,
+            (2.0 * w * np.cos(w * s) - 8.0 * w * np.cos(2.0 * w * s)) / 6.0,
+        ])
+        assert np.abs(c.velocity(t) - exact).max() <= 1e-15 * np.abs(exact).max()
+
+
+def test_straight_expression_edge_has_exact_velocity():
+    t = gauss_legendre(16).nodes
+    v = ParametricCurve("0", "1 - t").velocity(t)
+    assert np.array_equal(v, np.broadcast_to([0.0, -1.0], v.shape))
+
+
+def _atan2_quadrant(a, b):
+    # d/dt atan2(a (1 + t), b (2 - t))
+    return lambda t: 3.0 * a * b / ((2.0 - t) ** 2 + (1.0 + t) ** 2)
+
+
+# x(t) and its closed-form derivative for every function and operator; abs,
+# min and max on both branches, atan2 in all four quadrants, and powers that
+# numpy would take in polar form or with a complex exponent
+DERIVATIVES = {
+    "2*t - t^2 + pi": lambda t: 2.0 - 2.0 * t,
+    "-t^3": lambda t: -3.0 * t**2,
+    "t * sin(t)": lambda t: np.sin(t) + t * np.cos(t),
+    "1 / (1 + t)": lambda t: -1.0 / (1.0 + t) ** 2,
+    "(t-2)^3": lambda t: 3.0 * (t - 2.0) ** 2,
+    "(t-2)^100": lambda t: 100.0 * (t - 2.0) ** 99,
+    "t^0.5": lambda t: 0.5 / np.sqrt(t),
+    "t^t": lambda t: t**t * (np.log(t) + 1.0),
+    "e^t": lambda t: np.exp(t),
+    "sin(3*t)": lambda t: 3.0 * np.cos(3.0 * t),
+    "cos(3*t)": lambda t: -3.0 * np.sin(3.0 * t),
+    "tan(t)": lambda t: 1.0 / np.cos(t) ** 2,
+    "asin(t - 0.5)": lambda t: 1.0 / np.sqrt(1.0 - (t - 0.5) ** 2),
+    "acos(0.9*t)": lambda t: -0.9 / np.sqrt(1.0 - 0.81 * t**2),
+    "atan(3*t)": lambda t: 3.0 / (1.0 + 9.0 * t**2),
+    "atan2(1 + t, 2 - t)": _atan2_quadrant(1.0, 1.0),
+    "atan2(1 + t, t - 2)": _atan2_quadrant(1.0, -1.0),
+    "atan2(-1 - t, t - 2)": _atan2_quadrant(-1.0, -1.0),
+    "atan2(-1 - t, 2 - t)": _atan2_quadrant(-1.0, 1.0),
+    "atan2(1, t)": lambda t: -1.0 / (1.0 + t**2),
+    "atan2(t, 2)": lambda t: 2.0 / (4.0 + t**2),
+    "sinh(2*t)": lambda t: 2.0 * np.cosh(2.0 * t),
+    "cosh(2*t)": lambda t: 2.0 * np.sinh(2.0 * t),
+    "tanh(2*t - 1)": lambda t: 2.0 / np.cosh(2.0 * t - 1.0) ** 2,
+    "exp(2*t)": lambda t: 2.0 * np.exp(2.0 * t),
+    "ln(1 + t)": lambda t: 1.0 / (1.0 + t),
+    "log10(2 + t)": lambda t: 1.0 / ((2.0 + t) * np.log(10.0)),
+    "sqrt(1 + t)": lambda t: 0.5 / np.sqrt(1.0 + t),
+    "abs(t - 0.5)": lambda t: np.sign(t - 0.5),
+    "abs(0.5 - t)": lambda t: np.sign(t - 0.5),
+    "pow(t + 1, 2.5)": lambda t: 2.5 * (t + 1.0) ** 1.5,
+    "pow(2, t)": lambda t: np.log(2.0) * 2.0**t,
+    "min(t, 0.5)": lambda t: (t < 0.5).astype(float),
+    "min(t^2, 1 - t)": lambda t: np.where(t**2 < 1.0 - t, 2.0 * t, -1.0),
+    "max(t, 0.5)": lambda t: (t > 0.5).astype(float),
+    "max(t^2, 1 - t)": lambda t: np.where(t**2 > 1.0 - t, 2.0 * t, -1.0),
+}
+# interior points, none at a branch point of abs, min or max
+INTERIOR = np.linspace(0.03, 0.97, 24)
+
+
+@pytest.mark.parametrize("src", DERIVATIVES)
+def test_expression_velocity_matches_closed_form(src):
+    v = ParametricCurve(src, "0").velocity(INTERIOR)
+    np.testing.assert_allclose(v[:, 0], DERIVATIVES[src](INTERIOR), rtol=1e-13, atol=0.0)
+    assert np.all(v[:, 1] == 0.0)
+
+
+def test_zero_exponent_or_step_at_a_zero_base_has_zero_derivative():
+    # 0 * inf would make both nan, and a nan velocity at a node drops the curve
+    v = ParametricCurve("t + (t - 0.5)^0", "(0*t)^0.5").velocity(np.array([0.0, 0.5]))
+    np.testing.assert_array_equal(v, [[1.0, 0.0], [1.0, 0.0]])
+
+
+def test_closed_form_derivatives_cover_every_function_and_operator():
+    sources = " ".join(DERIVATIVES)
+    for name in _FUNCTIONS:
+        assert re.search(r"\b%s\(" % name, sources), name
+    for op in "+-*/^":
+        assert op in sources
 
 
 def test_parametric_rejects_xy():
@@ -112,7 +207,7 @@ def test_perp_product_segment():
 def test_perp_product_circle():
     c = ParametricCurve("cos(2*pi*t)", "sin(2*pi*t)")
     for t in np.linspace(0.0, 1.0, 9):
-        assert perp_product(c, t, (0.0, 0.0)) == pytest.approx(2.0 * np.pi, rel=1e-9)
+        assert perp_product(c, t, (0.0, 0.0)) == pytest.approx(2.0 * np.pi, rel=1e-14)
 
 
 @pytest.mark.parametrize("curve", [Segment((0.2, -0.3), (1.5, 0.8)), CUBIC])

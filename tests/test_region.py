@@ -53,6 +53,27 @@ def test_decompose_counts(unit_square):
             np.testing.assert_array_equal(got, want)
 
 
+def test_non_finite_sample_at_a_node_is_rejected():
+    # NaN only for |t - 0.5| < 0.001, which none of Region's 64 samples hits
+    region = Region([ParametricCurve("t + 0*sqrt(abs(t-0.5)-0.001)", "0"), Segment((1, 0), (1, 1)),
+                     Segment((1, 1), (0, 1)), Segment((0, 1), (0, 0))])
+    with pytest.raises(InvalidArgumentError, match="curve 0 "):
+        decompose(region, np.array([0.5, 0.5]), np.array([0.25, 0.5]))
+    with pytest.raises(InvalidArgumentError, match="curve 0 "):
+        integrate(region, CenterPolicy.VERTEX_AVERAGE, lambda x, y: np.ones_like(x), 3, 5)
+    # the odd rule's middle node is t = 0.5; an even rule misses the gap
+    assert area(region, (0.5, 0.5), n_t=4) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_infinite_velocity_at_an_endpoint_is_accepted():
+    # c'(0) is infinite for t^0.5; positions are finite, and only they are checked
+    region = Region([ParametricCurve("t^0.5", "0"), Segment((1, 0), (0, 1)),
+                     Segment((0, 1), (0, 0))])
+    C, N, _ = decompose(region, np.array([0.25, 0.25]), np.array([0.0, 1.0]))
+    assert np.isfinite(C).all() and np.isinf(N[0, 0]).any()
+    assert is_star_convex(region, (0.25, 0.25))
+
+
 def test_open_chain_rejected():
     with pytest.raises(InvalidArgumentError):
         Region([Segment((0, 0), (1, 0)), Segment((1, 0.1), (0, 0))])

@@ -199,3 +199,11 @@ def test_hni_equivalence_sample():
     a = integrate(reg, CenterPolicy.ORIGIN, f, 3, 2)
     b = hni_integrate(reg, HomogeneousField(f, 3), 4)
     assert a == pytest.approx(b, rel=1e-11)
+
+
+@pytest.mark.parametrize("n_t", [16, 32, 64])
+def test_deltoid_area_is_exact_to_round_off(n_t):
+    # pi / 9 is the exact area inside the builtin deltoid's three arcs
+    area = integrate(lookup("deltoid").make(), CenterPolicy.VERTEX_AVERAGE,
+                     lambda x, y: np.ones_like(x), 2, n_t)
+    assert abs(area - np.pi / 9.0) <= 2e-15
