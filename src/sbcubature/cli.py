@@ -211,6 +211,8 @@ def _loop_from(args):
 
 def _print_grid(loop, n, n_t, **field):
     """CSV of a tmvi field (g=... or p=...) over the grid; cells it rejects empty."""
+    if n < 1:
+        raise InvalidArgumentError("--grid must be at least 1, got %d" % n)
     pts = _grid_rows(loop, n)
     vals, inside = tmvi.evaluate_masked(loop, pts, n_t, **field)
     print("x,y,value")

@@ -48,7 +48,7 @@ class Region:
         if not curves:
             raise InvalidArgumentError("region needs at least one curve")
         self.curves = curves
-        pts = _finite(np.stack([c.position(np.linspace(0.0, 1.0, 64)) for c in curves]))
+        pts = check_finite(np.stack([c.position(np.linspace(0.0, 1.0, 64)) for c in curves]))
         self._bbox = (pts.min(axis=(0, 1)), pts.max(axis=(0, 1)))
         for a in self._bbox:
             a.setflags(write=False)
@@ -81,12 +81,16 @@ class Region:
         return self._scale
 
 
-def _finite(C):
-    """Positions C (m, n, 2) of m curves; raise if one is not finite (NaN passes comparisons)."""
-    bad = np.flatnonzero(~np.isfinite(C).all(axis=(1, 2)))
+NODE_VELOCITY = "has a non-finite velocity at a quadrature node"
+
+
+def check_finite(a, what="is not finite on [0, 1]"):
+    """Samples a (m, n, 2) of m curves; raise naming the first curve with a
+    non-finite sample (NaN passes comparisons)."""
+    bad = np.flatnonzero(~np.isfinite(a).all(axis=(1, 2)))
     if bad.size:
-        raise InvalidArgumentError("curve %d is not finite on [0, 1]" % bad[0])
-    return C
+        raise InvalidArgumentError("curve %d %s" % (bad[0], what))
+    return a
 
 
 def polygon(vertices):
@@ -121,11 +125,12 @@ def decompose(region, x0, t):
     Every curve is sampled once at the nodes t (see ``boundary_samples``);
     the result is C = c_i(t), c_i'_perp and (C - x0).c_i'_perp stacked over
     the m curves, with shapes (m, n, 2), (m, n, 2) and (m, n).  A non-finite
-    C is an InvalidArgumentError; c_i' may be infinite at an endpoint.
+    C is an InvalidArgumentError; c_i' may be infinite at an endpoint, so
+    callers that sample at interior nodes check it with ``check_finite``.
     """
     x0 = np.asarray(x0, dtype=float)
     C, N, perp = (np.stack(a) for a in zip(*(boundary_samples(c, t, x0) for c in region.curves)))
-    return _finite(C), N, perp
+    return check_finite(C), N, perp
 
 
 def is_star_convex(region, x0):

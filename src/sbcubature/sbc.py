@@ -30,7 +30,7 @@ import numpy as np
 
 from . import rules
 from .errors import EvaluationError, InvalidArgumentError
-from .region import decompose, resolve_center
+from .region import NODE_VELOCITY, check_finite, decompose, resolve_center
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,11 @@ def curve_samples(region, x0, t):
     A curve is skipped when max|(c - x0).c'_perp| <= 1e-14 * scale * max|c'|:
     x0 lies on it (or on its supporting line), so its triangle has no area.
     C and perp are ``decompose``'s arrays with the skipped rows masked out.
+    A non-finite c'_perp at a node is an InvalidArgumentError: a NaN would
+    fail the skip test and drop the curve silently.
     """
     C, N, perp = decompose(region, x0, t)
+    check_finite(N, NODE_VELOCITY)
     tol = 1e-14 * region.scale()
     keep = np.max(np.abs(perp), axis=1) > tol * np.max(np.hypot(N[..., 0], N[..., 1]), axis=1)
     return np.flatnonzero(keep), C[keep], perp[keep]

@@ -271,8 +271,11 @@ def test_bad_domain_or_center_exits_2(tmp_path, capsys, doc, args):
     ["integrate", "builtin:T3", "builtin:fS1", "2", "8", "--beta", "0.5", "--radial", "gsb:nan"],
     ["integrate", "builtin:T3", "builtin:fS1", "2", "8", "--beta", "0.5", "--radial", "gsb:inf"],
     ["convergence", "builtin:T1", "expr:1", "1", "2", "--reference", "nan"],
+    ["distfield", "builtin:egg", "--p", "1", "--grid", "0"],
+    ["distfield", "builtin:egg", "--p", "1", "--grid", "-3"],
+    ["tmvi", "builtin:egg", "expr:1", "--grid", "0"],
 ], ids=["radial-gsb-x", "reference-abc", "xc-nan", "hni-inf", "p-nan", "p-inf", "radial-gsb-nan",
-        "radial-gsb-inf", "reference-nan"])
+        "radial-gsb-inf", "reference-nan", "grid-0", "grid-negative", "tmvi-grid-0"])
 def test_bad_number_exits_2(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -288,6 +291,19 @@ def test_non_finite_sample_at_a_node_exits_2(tmp_path, capsys, argv):
     domain = _domain_file(tmp_path, curves=[edge] + SQUARE["curves"][1:])
     assert main([a.format(domain) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: curve 0 ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "{}", "expr:1", "3", "5"],
+    ["tmvi", "{}", "expr:1", "--grid", "3", "--n-t", "5"],
+    ["distfield", "{}", "--p", "1", "--grid", "3", "--n-t", "5"],
+], ids=["integrate", "tmvi", "distfield"])
+def test_non_finite_velocity_at_a_node_exits_2(tmp_path, capsys, argv):
+    # c(0.5) is finite but atan2(0, 0) has no derivative, so c'(0.5) is NaN
+    edge = {"type": "parametric", "x": "t + 0*atan2(t-0.5, t-0.5)", "y": "0"}
+    domain = _domain_file(tmp_path, curves=[edge] + SQUARE["curves"][1:])
+    assert main([a.format(domain) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: curve 0 has a non-finite velocity")
 
 
 @pytest.mark.parametrize("src", ["(" * 1200 + "x" + ")" * 1200, "+".join(["x"] * 1200),

@@ -65,6 +65,24 @@ def test_non_finite_sample_at_a_node_is_rejected():
     assert area(region, (0.5, 0.5), n_t=4) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_non_finite_velocity_at_a_node_is_rejected():
+    # atan2(0, 0) has no derivative: c'(0.5) is NaN while c(0.5) is finite
+    from sbcubature.hni import HomogeneousField, hni_integrate
+    from sbcubature.singular import SingularSpec, generate_singular_rule
+
+    region = Region([ParametricCurve("t + 0*atan2(t-0.5, t-0.5)", "0"), Segment((1, 0), (1, 1)),
+                     Segment((1, 1), (0, 1)), Segment((0, 1), (0, 0))])
+    _, N, _ = decompose(region, np.array([0.5, 0.5]), np.array([0.25, 0.5]))
+    assert np.isnan(N[0, 1]).any()
+    with pytest.raises(InvalidArgumentError, match="curve 0 has a non-finite velocity"):
+        integrate(region, CenterPolicy.VERTEX_AVERAGE, lambda x, y: np.ones_like(x), 3, 5)
+    with pytest.raises(InvalidArgumentError, match="curve 0 has a non-finite velocity"):
+        hni_integrate(region, HomogeneousField(lambda x, y: np.ones_like(x), 0.0), 5)
+    with pytest.raises(InvalidArgumentError, match="curve 0 has a non-finite velocity"):
+        generate_singular_rule(region, SingularSpec(xc=(0.5, 0.5)), 0.5, 3, 5)
+    assert area(region, (0.5, 0.5), n_t=4) == pytest.approx(1.0, abs=1e-14)
+
+
 def test_infinite_velocity_at_an_endpoint_is_accepted():
     # c'(0) is infinite for t^0.5; positions are finite, and only they are checked
     region = Region([ParametricCurve("t^0.5", "0"), Segment((1, 0), (0, 1)),

@@ -1,9 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from sbcubature.curves import ParametricCurve
+from sbcubature import tmvi
+from sbcubature.curves import ParametricCurve, Segment
 from sbcubature.errors import InvalidArgumentError
 from sbcubature.tmvi import (
     BoundaryLoop,
@@ -21,8 +23,6 @@ def circle_loop():
 
 
 def square_loop():
-    from sbcubature.curves import Segment
-
     v = [(0, 0), (1, 0), (1, 1), (0, 1)]
     return BoundaryLoop([Segment(v[i], v[(i + 1) % 4]) for i in range(4)])
 
@@ -154,3 +154,104 @@ def test_lp_distance_vanishes_near_boundary():
     x = p0 + 1e-3 * inward
     assert lp_distance_many(loop, x[None, :], 10.0, n_t=4096)[0] <= 5e-3
 
+
+def hexagon_loop():
+    from sbcubature.testfns import lookup
+
+    return BoundaryLoop(lookup("convex_hexagon").make().curves)
+
+
+def interior_points(loop, n):
+    """n x n points x0 + s (C - x0) for n boundary samples C and s in [0.05, 0.9]."""
+    C = loop.samples(n)[0][:: len(loop.curves)]
+    x0 = C.mean(axis=0)
+    s = np.linspace(0.05, 0.9, n)
+    return (x0 + s[:, None, None] * (C[None] - x0)).reshape(-1, 2)
+
+
+def linear_g(x, y):
+    return 1.0 + 2.0 * np.asarray(x) - 3.0 * np.asarray(y)
+
+
+LOOPS = {"egg": egg_domain, "circle": circle_loop, "hexagon": hexagon_loop}
+
+
+def test_kernel_memory_does_not_grow_with_the_grid():
+    # 36 x 36 points x 3072 samples = 4.0e6 pairs; an (N, M) float array alone is 32 MB
+    loop = hexagon_loop()
+    x = interior_points(loop, 36)
+    loop.samples(512)
+    tracemalloc.start()
+    try:
+        lp_distance_many(loop, x, 10.0, n_t=512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("name", sorted(LOOPS))
+def test_kernel_values_do_not_depend_on_the_block_size(monkeypatch, name):
+    # not bit for bit: BLAS rounds a row differently with the block's row
+    # count; a TMVI value is a weighted mean of g(C), so its error scales
+    # with max|g(C)| (the sum of g(C) w over a polygon's edges cancels)
+    loop = LOOPS[name]()
+    x = interior_points(loop, 12)
+    C = loop.samples(128)[0]
+    g_max = np.abs(linear_g(C[:, 0], C[:, 1])).max()
+    for field in ({"g": linear_g}, {"p": 10.0}):
+        values, inside = evaluate_masked(loop, x, 128, **field)
+        assert inside.all()
+        tol = 1e-14 * g_max if "g" in field else 1e-15 * np.abs(values).max()
+        for pairs in (1, 2**30):
+            monkeypatch.setattr(tmvi, "_BLOCK_PAIRS", pairs)
+            other, other_inside = evaluate_masked(loop, x, 128, **field)
+            np.testing.assert_array_equal(other_inside, inside)
+            assert np.abs(other - values).max() <= tol
+
+
+@pytest.mark.parametrize("name", sorted(LOOPS))
+def test_kernel_matches_a_whole_grid_reference(name):
+    # the (N, M) kernel from hypot and einsum, d factored out as in the library
+    loop = LOOPS[name]()
+    x = interior_points(loop, 15)
+    C, R, w = loop.samples(128)
+    diff = C[None, :, :] - x[:, None, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    d = dist.min(axis=1)[:, None]
+    num = np.einsum("nmi,mi->nm", diff, R)
+    gC = linear_g(C[:, 0], C[:, 1])
+    K = (d / dist) ** 3 * num
+    want = (K * gC) @ w / (K @ w)
+    got = tmvi_eval_many(loop, linear_g, x, 128)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(gC).max()
+    for p in (1.0, 10.0, 100.0):
+        S = ((d / dist) ** (2.0 + p) * num) @ w
+        want = d[:, 0] ** ((2.0 + p) / p) * S ** (-1.0 / p)
+        np.testing.assert_allclose(lp_distance_many(loop, x, p, 128), want, rtol=1e-14, atol=0.0)
+
+
+def test_evaluate_masked_takes_one_point_or_n_by_2():
+    loop = circle_loop()
+    one, _ = evaluate_masked(loop, [0.1, 0.2], p=2.0)
+    many, _ = evaluate_masked(loop, [[0.1, 0.2], [0.3, 0.0]], p=2.0)
+    assert one.shape == (1,) and many.shape == (2,)
+    assert one[0] == pytest.approx(many[0], rel=1e-15)
+    values, inside = evaluate_masked(loop, np.empty((0, 2)), g=linear_g)
+    assert values.shape == inside.shape == (0,)
+    assert lp_distance_many(loop, np.empty((0, 2)), 2.0).shape == (0,)
+    # (N, 1) used to broadcast to the points (0.1, 0.1) and (0.2, 0.2)
+    for x in ([[0.1], [0.2]], np.zeros((3, 3)), [], np.zeros((2, 2, 2)), 0.1):
+        with pytest.raises(InvalidArgumentError, match="points must be"):
+            evaluate_masked(loop, x, p=2.0)
+
+
+def test_non_finite_velocity_at_a_node_is_rejected():
+    loop = BoundaryLoop([ParametricCurve("t + 0*atan2(t-0.5, t-0.5)", "0"), Segment((1, 0), (1, 1)),
+                         Segment((1, 1), (0, 1)), Segment((0, 1), (0, 0))], check_convex=False)
+    for call in (lambda: loop.samples(5),
+                 lambda: tmvi_eval_many(loop, linear_g, [(0.5, 0.5)], 5),
+                 lambda: lp_distance_many(loop, [(0.5, 0.5)], 1.0, 5)):
+        with pytest.raises(InvalidArgumentError, match="curve 0 has a non-finite velocity"):
+            call()
+    assert lp_distance_many(loop, [(0.5, 0.5)], 1.0, 4)[0] > 0.0
