@@ -2,7 +2,8 @@
 
 Every curve maps t in [0,1] to a point in the plane and exposes position and
 velocity.  Evaluation is vectorized: ``t`` may be a scalar or a 1-D numpy
-array, and the result has shape ``t.shape + (2,)``.
+array, and the result has shape ``t.shape + (2,)``.  ``sample_chain``
+evaluates a whole chain of curves, one pass per curve class.
 """
 
 import numpy as np
@@ -63,10 +64,13 @@ class Segment(Curve):
 
 
 def _de_casteljau(points, t):
-    # points: (n+1, d) in any dimension d; t: array.  Returns a new array of
-    # shape t.shape + (d,).
-    t = np.asarray(t, dtype=float)[..., None, None]
-    work = np.broadcast_to(points, t.shape[:-2] + points.shape)  # (..., n+1, d)
+    # points: (..., n+1, d), a stack of control polygons in any dimension d;
+    # t: array.  Returns a new array of shape points.shape[:-2] + t.shape + (d,).
+    t = np.asarray(t, dtype=float)
+    lead = points.ndim - 2
+    points = np.expand_dims(points, tuple(range(lead, lead + t.ndim)))
+    t = t[..., None, None]
+    work = np.broadcast_to(points, points.shape[:lead] + t.shape[:-2] + points.shape[-2:])
     while work.shape[-2] > 1:
         work = (1.0 - t) * work[..., :-1, :] + t * work[..., 1:, :]
     return np.array(work[..., 0, :])
@@ -118,11 +122,14 @@ class RationalBezier(Curve):
         # quotient rule on the homogeneous polynomial curve:
         # c = p/w  =>  c' = (p' w - p w') / w^2, all degree-(n-1) evaluations
         t = _check_t(t)
-        h = _de_casteljau(self._hcp, t)
-        dh = _de_casteljau(self._dhcp, t)
-        w = h[..., 2:3]
-        dw = dh[..., 2:3]
-        return (dh[..., :2] * w - h[..., :2] * dw) / (w * w)
+        return _quotient_rule(_de_casteljau(self._hcp, t), _de_casteljau(self._dhcp, t))
+
+
+def _quotient_rule(h, dh):
+    """Velocity of c = p/w from homogeneous samples h = (p, w) and dh = (p', w')."""
+    w = h[..., 2:3]
+    dw = dh[..., 2:3]
+    return (dh[..., :2] * w - h[..., :2] * dw) / (w * w)
 
 
 class ParametricCurve(Curve):
@@ -131,8 +138,10 @@ class ParametricCurve(Curve):
     The velocity is a complex step, Im c(t + ih) / h: one evaluation of the
     expressions at complex t, exact to round-off, with no difference to
     cancel.  Where the derivative is infinite, as for ``t^0.5`` at t = 0, the
-    velocity is infinite, or merely huge for ``sqrt(t)`` (about 8e14), whose
-    complex branch point the step straddles.
+    velocity is infinite, or merely huge where the step straddles a complex
+    branch point: ``sqrt`` at 0 (about 8e14 for ``sqrt(t)``), ``asin`` and
+    ``acos`` at +-1 (about -1.1e15 for ``asin(1-t)`` at t = 0) and ``ln``
+    at 0 (about 2e30 for ``ln(t)``).
     """
 
     def __init__(self, x_src, y_src):
@@ -161,6 +170,60 @@ class ParametricCurve(Curve):
         # h is a power of two, so dividing by it is exact and h drops out
         h = 2.0**-100
         return self._raw(_check_t(t) + 1j * h).imag / h
+
+
+def sample_chain(curves, t, velocity=True):
+    """Positions and, if asked, velocities of m curves at the 1-D nodes t.
+
+    Returns (C, V), each (m, n, 2) in chain order; V is None without
+    ``velocity``.  t is checked once.  Curves of one exact class are
+    evaluated in one pass: every Segment as a + t d, and every Bezier or
+    RationalBezier of one degree by one de Casteljau on the stacked control
+    points.  Any other curve, a subclass of these included, is evaluated on
+    its own through its position and velocity methods.  Every sample takes
+    the same element-wise operations as the curve's own methods, so the
+    values are bit-identical to them.
+    """
+    t = _check_t(t)
+    C = np.empty((len(curves),) + t.shape + (2,))
+    V = np.empty_like(C) if velocity else None
+    groups = {}
+    for i, c in enumerate(curves):
+        kind = type(c)
+        if kind is Segment:
+            groups.setdefault(kind, []).append(i)
+        elif kind is Bezier or kind is RationalBezier:
+            groups.setdefault((kind, c.degree), []).append(i)
+        else:
+            _put(C, i, c.position(t), "position")
+            if velocity:
+                _put(V, i, c.velocity(t), "velocity")
+    for key, rows in groups.items():
+        group = [curves[i] for i in rows]
+        if key is Segment:
+            d = np.array([c.d for c in group])[:, None]
+            C[rows] = np.array([c.a for c in group])[:, None] + t[:, None] * d
+            if velocity:
+                V[rows] = d
+        elif key[0] is Bezier:
+            C[rows] = _de_casteljau(np.array([c.control_points for c in group]), t)
+            if velocity:
+                V[rows] = _de_casteljau(np.array([c._dcp for c in group]), t)
+        else:
+            h = _de_casteljau(np.array([c._hcp for c in group]), t)
+            C[rows] = h[..., :2] / h[..., 2:3]
+            if velocity:
+                V[rows] = _quotient_rule(h, _de_casteljau(np.array([c._dhcp for c in group]), t))
+    return C, V
+
+
+def _put(out, i, value, what):
+    # a sample array of the wrong shape must not broadcast into out[i]
+    if np.shape(value) != out.shape[1:]:
+        raise InvalidArgumentError(
+            "curve %d %s has shape %s, expected %s" % (i, what, np.shape(value), out.shape[1:])
+        )
+    out[i] = value
 
 
 def boundary_samples(curve, t, x0):

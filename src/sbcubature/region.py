@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Segment, boundary_samples
+from .curves import Segment, sample_chain
 from .errors import InvalidArgumentError
 
 
@@ -48,7 +48,8 @@ class Region:
         if not curves:
             raise InvalidArgumentError("region needs at least one curve")
         self.curves = curves
-        pts = check_finite(np.stack([c.position(np.linspace(0.0, 1.0, 64)) for c in curves]))
+        # positions only: a velocity may be infinite at an endpoint
+        pts = check_finite(sample_chain(curves, np.linspace(0.0, 1.0, 64), velocity=False)[0])
         self._bbox = (pts.min(axis=(0, 1)), pts.max(axis=(0, 1)))
         for a in self._bbox:
             a.setflags(write=False)
@@ -122,15 +123,18 @@ def resolve_center(region, policy):
 def decompose(region, x0, t):
     """The curved triangles spanned by x0 and each boundary curve, sampled at t.
 
-    Every curve is sampled once at the nodes t (see ``boundary_samples``);
-    the result is C = c_i(t), c_i'_perp and (C - x0).c_i'_perp stacked over
-    the m curves, with shapes (m, n, 2), (m, n, 2) and (m, n).  A non-finite
-    C is an InvalidArgumentError; c_i' may be infinite at an endpoint, so
-    callers that sample at interior nodes check it with ``check_finite``.
+    The m curves are sampled at the nodes t in one pass per curve class
+    (``sample_chain``: segments together, Bezier and rational Bezier curves
+    by degree, any other curve on its own); the result is C = c_i(t),
+    c_i'_perp and (C - x0).c_i'_perp in chain order, with shapes (m, n, 2),
+    (m, n, 2) and (m, n), the same values as ``boundary_samples`` gives per
+    curve.  A non-finite C is an InvalidArgumentError naming the curve's
+    chain index; c_i' may be infinite at an endpoint, so callers that sample
+    at interior nodes check it with ``check_finite``.
     """
-    x0 = np.asarray(x0, dtype=float)
-    C, N, perp = (np.stack(a) for a in zip(*(boundary_samples(c, t, x0) for c in region.curves)))
-    return check_finite(C), N, perp
+    C, V = sample_chain(region.curves, t)
+    N = np.stack([V[..., 1], -V[..., 0]], axis=-1)
+    return check_finite(C), N, np.einsum("...i,...i->...", C - np.asarray(x0, dtype=float), N)
 
 
 def is_star_convex(region, x0):

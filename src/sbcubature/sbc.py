@@ -8,7 +8,9 @@ the unit square maps onto it via
 and summing the per-triangle tensor-rule integrals gives the region
 integral.  Every rule family is built the same way: ``region.decompose``
 gives C = c(t) and (C - x0).c'_perp at the t-nodes of every curve as
-(curve, node) arrays, the family turns these into t-weights, and
+(curve, node) arrays, in one pass per curve class (all segments at once,
+Bezier and rational Bezier curves by degree, any other curve on its own),
+the family turns these into t-weights, and
 ``assemble_rule`` takes the tensor product with a radial rule (nodes s in
 [0, 1], weights w_s) in one broadcast.  The families differ only in their
 radial rule:

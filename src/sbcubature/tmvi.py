@@ -120,7 +120,9 @@ def _scaled_kernel(loop, x, n_t, power, W):
         dx += dy
         dist = np.sqrt(dx, out=dx)
         d[i:i + rows] = db = dist.min(axis=1)
-        K = np.divide(db[:, None], dist, out=dist)
+        # a point on a sample divides 0/0; its NaN row is masked out
+        with np.errstate(invalid="ignore"):
+            K = np.divide(db[:, None], dist, out=dist)
         K **= power
         K *= num
         np.matmul(K, W, out=sums[i:i + rows])

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sbcubature.curves import ParametricCurve, Segment, boundary_samples
+from sbcubature.curves import (
+    Bezier,
+    Curve,
+    ParametricCurve,
+    RationalBezier,
+    Segment,
+    boundary_samples,
+)
 from sbcubature.errors import InvalidArgumentError
 from sbcubature.region import (
     CenterPolicy,
@@ -12,7 +21,7 @@ from sbcubature.region import (
     resolve_center,
 )
 from sbcubature.sbc import integrate
-from sbcubature.testfns import lookup
+from sbcubature.testfns import geometry_names, lookup
 
 
 def area(region, x0, n_t=32):
@@ -53,6 +62,88 @@ def test_decompose_counts(unit_square):
             np.testing.assert_array_equal(got, want)
 
 
+class Arc(Curve):
+    """Unit-circle arc from angle th0 to th1: a curve class decompose does not batch."""
+
+    def __init__(self, th0, th1):
+        self.th0, self.th1 = th0, th1
+
+    def position(self, t):
+        th = self.th0 + (self.th1 - self.th0) * np.asarray(t, dtype=float)
+        return np.stack([np.cos(th), np.sin(th)], axis=-1)
+
+    def velocity(self, t):
+        th = self.th0 + (self.th1 - self.th0) * np.asarray(t, dtype=float)
+        return (self.th1 - self.th0) * np.stack([-np.sin(th), np.cos(th)], axis=-1)
+
+
+class BulgedSegment(Segment):
+    """A Segment subclass with its own position: it must not be batched as a segment."""
+
+    def position(self, t):
+        bump = 0.1 * np.sin(np.pi * np.asarray(t, dtype=float))
+        return super().position(t) + np.multiply.outer(bump, (self.d[1], -self.d[0]))
+
+    def velocity(self, t):
+        bump = 0.1 * np.pi * np.cos(np.pi * np.asarray(t, dtype=float))
+        return super().velocity(t) + np.multiply.outer(bump, (self.d[1], -self.d[0]))
+
+
+KINDS = ("segment", "bezier1", "bezier2", "bezier3", "rational", "parametric", "arc", "bulged")
+
+
+def curve_chain(kinds, bulge=0.2):
+    """A closed chain through points on the unit circle, one curve of each kind per edge."""
+    th = 2.0 * np.pi * np.arange(len(kinds) + 1) / len(kinds)
+    v = np.column_stack([np.cos(th), np.sin(th)])
+    v[-1] = v[0]
+    curves = []
+    for kind, a, b, th0, th1 in zip(kinds, v, v[1:], th, th[1:]):
+        out = bulge * np.array([b[1] - a[1], a[0] - b[0]])
+        if kind == "segment":
+            curves.append(Segment(a, b))
+        elif kind.startswith("bezier"):
+            deg = int(kind[-1])
+            s = np.arange(1, deg)[:, None] / deg
+            curves.append(Bezier([a, *(a + s * (b - a) + out), b]))
+        elif kind == "rational":
+            curves.append(RationalBezier([a, 0.5 * (a + b) + out, b], [1.0, 0.6 + bulge, 1.0]))
+        elif kind == "parametric":
+            x, y = ("%r + t*%r + %r*sin(pi*t)" % (float(a[j]), float(b[j] - a[j]), float(out[j]))
+                    for j in (0, 1))
+            curves.append(ParametricCurve(x, y))
+        elif kind == "arc":
+            curves.append(Arc(th0, th1))
+        else:
+            curves.append(BulgedSegment(a, b))
+    return Region(curves)
+
+
+def assert_decompose_matches_each_curve(region, x0, t):
+    C, N, perp = decompose(region, x0, t)
+    assert C.shape == N.shape == (len(region.curves), len(t), 2)
+    for i, c in enumerate(region.curves):
+        for got, want in zip((C[i], N[i], perp[i]), boundary_samples(c, t, x0)):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_decompose_matches_each_curve_in_chain_order():
+    t = np.concatenate([[0.0], np.polynomial.legendre.leggauss(9)[0] * 0.5 + 0.5, [1.0]])
+    x0 = np.array([0.1, -0.2])
+    # every kind twice, Bezier degrees 1-3 interleaved with the other groups
+    assert_decompose_matches_each_curve(curve_chain(KINDS + KINDS[::-1]), x0, t)
+    for name in geometry_names():
+        assert_decompose_matches_each_curve(lookup(name).make(), x0, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kinds=st.lists(st.sampled_from(KINDS), min_size=2, max_size=10),
+       bulge=st.floats(-0.3, 0.3), x0=st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+       t=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_decompose_matches_each_curve_for_any_chain(kinds, bulge, x0, t):
+    assert_decompose_matches_each_curve(curve_chain(kinds, bulge), np.array(x0), np.array(t))
+
+
 def test_non_finite_sample_at_a_node_is_rejected():
     # NaN only for |t - 0.5| < 0.001, which none of Region's 64 samples hits
     region = Region([ParametricCurve("t + 0*sqrt(abs(t-0.5)-0.001)", "0"), Segment((1, 0), (1, 1)),
@@ -63,6 +154,48 @@ def test_non_finite_sample_at_a_node_is_rejected():
         integrate(region, CenterPolicy.VERTEX_AVERAGE, lambda x, y: np.ones_like(x), 3, 5)
     # the odd rule's middle node is t = 0.5; an even rule misses the gap
     assert area(region, (0.5, 0.5), n_t=4) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_non_finite_sample_after_batched_segments_names_its_chain_index():
+    region = Region([Segment((0, 0), (1, 0)), Segment((1, 0), (1, 1)),
+                     ParametricCurve("1 - t", "1 + 0*sqrt(abs(t-0.5)-0.001)"),
+                     Segment((0, 1), (0, 0))])
+    with pytest.raises(InvalidArgumentError, match="curve 2 "):
+        decompose(region, np.array([0.5, 0.5]), np.array([0.25, 0.5]))
+    with pytest.raises(InvalidArgumentError, match="curve 2 "):
+        integrate(region, CenterPolicy.VERTEX_AVERAGE, lambda x, y: np.ones_like(x), 3, 5)
+
+
+def test_decompose_rejects_nodes_outside_the_unit_interval(unit_square):
+    for region in (unit_square, lookup("egg").make(), curve_chain(KINDS)):
+        for t in ([-0.1, 0.5], [0.5, 1.1]):
+            with pytest.raises(InvalidArgumentError, match="must lie in"):
+                decompose(region, np.zeros(2), np.array(t))
+
+
+class UnvectorizedLine(Segment):
+    """A segment subclass whose velocity forgets to broadcast over t."""
+
+    def velocity(self, t):
+        return self.d
+
+
+class TransposedLine(Segment):
+    """A segment subclass whose position returns (2, n) samples."""
+
+    def position(self, t):
+        return super().position(t).T
+
+
+def test_curve_samples_of_the_wrong_shape_are_rejected():
+    v = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    region = Region([Segment(v[0], v[1]), UnvectorizedLine(v[1], v[2]),
+                     Segment(v[2], v[3]), Segment(v[3], v[0])])
+    with pytest.raises(InvalidArgumentError, match=r"curve 1 velocity has shape \(2,\)"):
+        decompose(region, np.zeros(2), np.array([0.25, 0.5]))
+    with pytest.raises(InvalidArgumentError, match=r"curve 2 position has shape \(2, 64\)"):
+        Region([Segment(v[0], v[1]), Segment(v[1], v[2]), TransposedLine(v[2], v[3]),
+                Segment(v[3], v[0])])
 
 
 def test_non_finite_velocity_at_a_node_is_rejected():

@@ -255,3 +255,17 @@ def test_non_finite_velocity_at_a_node_is_rejected():
         with pytest.raises(InvalidArgumentError, match="curve 0 has a non-finite velocity"):
             call()
     assert lp_distance_many(loop, [(0.5, 0.5)], 1.0, 4)[0] > 0.0
+
+
+def test_point_on_a_sample_is_masked_without_a_warning():
+    loop = egg_domain()
+    on_sample = loop.samples(64)[0][3]
+    x = np.array([on_sample, [0.1, 0.2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for field in ({"p": 2.0}, {"g": linear_g}):
+            values, inside = evaluate_masked(loop, x, 64, **field)
+            np.testing.assert_array_equal(inside, [False, True])
+            assert np.isnan(values[0]) and np.isfinite(values[1])
+            one, _ = evaluate_masked(loop, on_sample, 64, **field)
+            assert np.isnan(one[0])
