@@ -54,8 +54,9 @@ class Region:
         for a in self._bbox:
             a.setflags(write=False)
         self._scale = float(np.hypot(*(self._bbox[1] - self._bbox[0])))
-        starts = np.array([c.start() for c in curves])
-        ends = np.array([c.end() for c in curves])
+        # the samples hold t = 0 and t = 1: each curve's start() and end()
+        starts = pts[:, 0].copy()
+        ends = pts[:, -1]
         gap = np.abs(ends - np.roll(starts, -1, axis=0)).max()
         tol = 1e-12 * self._scale
         if gap > tol:

@@ -303,7 +303,8 @@ class BilinearElement:
     """Four-node quadrilateral with the standard bilinear isoparametric map.
 
     The map is held in coefficient form x = a0 + a1*xi + a2*eta + a3*xi*eta,
-    so its value, Jacobian and inverse Jacobian are element-wise expressions.
+    so its value, Jacobian, inverse and shape functions are element-wise
+    expressions.
     """
 
     def __init__(self, nodes):
@@ -312,23 +313,6 @@ class BilinearElement:
         self.a0, self.a1, self.a2, self.a3 = (
             0.25 * (w * self.nodes).sum(axis=0) for w in (1.0, s, t, s * t)
         )
-
-    def shape(self, xi, eta):
-        return 0.25 * (1.0 + np.multiply.outer(xi, _XI_SIGNS[:, 0])) * (
-            1.0 + np.multiply.outer(eta, _XI_SIGNS[:, 1])
-        )
-
-    def shape_grad_ref(self, xi, eta):
-        """dN/d(xi,eta): shape (..., 4, 2)."""
-        xi = np.asarray(xi, dtype=float)
-        out = np.empty(xi.shape + (4, 2))
-        out[..., :, 0] = 0.25 * _XI_SIGNS[:, 0] * (
-            1.0 + np.multiply.outer(eta, _XI_SIGNS[:, 1])
-        )
-        out[..., :, 1] = 0.25 * _XI_SIGNS[:, 1] * (
-            1.0 + np.multiply.outer(xi, _XI_SIGNS[:, 0])
-        )
-        return out
 
     def to_physical(self, xi, eta):
         return np.stack(self._map(xi, eta), axis=-1)
@@ -351,36 +335,52 @@ class BilinearElement:
         return x_xi, x_eta, y_xi, y_eta, x_xi * y_eta - x_eta * y_xi
 
     def to_reference(self, x, y):
-        """Inverse of the bilinear map by Newton iteration (vectorized)."""
+        """Inverse of the bilinear map in closed form (vectorized).
+
+        With p = x - a0 the map reads p - a2*eta = xi*(a1 + a3*eta), so
+        cross(p - a2*eta, a1 + a3*eta) = 0 is a quadratic A eta^2 + B eta + C.
+        Its root 2C / (-B - sign(B) sqrt(B^2 - 4AC)) is the one of smaller
+        magnitude, which is the one in [-1, 1] for a point inside a convex
+        element, and it stays exact as A -> 0 (a parallelogram).  xi follows
+        from the larger component of a1 + a3*eta; one Newton step then
+        removes the closed form's rounding.  A point so far outside that the
+        quadratic has no real root maps to NaN.
+        """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        xi = np.zeros(np.broadcast(x, y).shape)
-        eta = np.zeros_like(xi)
-        for _ in range(30):
-            px, py = self._map(xi, eta)
-            rx = px - x
-            ry = py - y
-            x_xi, x_eta, y_xi, y_eta, det = self._jacobian(xi, eta)
-            dxi = (y_eta * rx - x_eta * ry) / det
-            deta = (x_xi * ry - y_xi * rx) / det
-            xi -= dxi
-            eta -= deta
-            if max(np.abs(dxi).max(), np.abs(deta).max()) < 1e-14:
-                break
-        return xi, eta
+        a1, a2, a3 = self.a1, self.a2, self.a3
+        px, py = x - self.a0[0], y - self.a0[1]
+        A = a3[0] * a2[1] - a3[1] * a2[0]
+        B = (px * a3[1] - py * a3[0]) + (a1[0] * a2[1] - a1[1] * a2[0])
+        C = px * a1[1] - py * a1[0]
+        with np.errstate(invalid="ignore"):
+            root = np.sqrt(B * B - 4.0 * A * C)
+        eta = 2.0 * C / (-B - np.copysign(root, B))
+        # dx/dxi = a1 + a3*eta = u, dx/deta = a2 + a3*xi = v
+        ux, uy = a1[0] + a3[0] * eta, a1[1] + a3[1] * eta
+        use_x = np.abs(ux) >= np.abs(uy)
+        xi = np.where(use_x, px - a2[0] * eta, py - a2[1] * eta) / np.where(use_x, ux, uy)
+        vx, vy = a2[0] + a3[0] * xi, a2[1] + a3[1] * xi
+        rx = xi * ux + a2[0] * eta - px
+        ry = xi * uy + a2[1] * eta - py
+        det = ux * vy - vx * uy
+        return xi - (vy * rx - vx * ry) / det, eta - (ux * ry - uy * rx) / det
 
-    def shape_grad_physical(self, x, y):
-        """N_I and physical gradients dN_I/dx, dN_I/dy at given points."""
-        xi, eta = self.to_reference(x, y)
+    def shape_functions(self, xi, eta):
+        """N_I and the physical gradients dN_I/dx, dN_I/dy at reference points.
+
+        Three arrays of shape (4,) + xi.shape, one row per node.
+        """
         x_xi, x_eta, y_xi, y_eta, det = self._jacobian(xi, eta)
         # rows of inv(J), J = d(x, y)/d(xi, eta): d(xi)/d(x, y), d(eta)/d(x, y)
         xi_x, xi_y = y_eta / det, -x_eta / det
         eta_x, eta_y = -y_xi / det, x_xi / det
-        dref = self.shape_grad_ref(xi, eta)
-        grad = np.empty_like(dref)
-        grad[..., 0] = dref[..., 0] * xi_x[..., None] + dref[..., 1] * eta_x[..., None]
-        grad[..., 1] = dref[..., 0] * xi_y[..., None] + dref[..., 1] * eta_y[..., None]
-        return self.shape(xi, eta), grad
+        s, t = (w.reshape((4,) + (1,) * np.ndim(xi)) for w in _XI_SIGNS.T)
+        fx = 1.0 + s * xi
+        fy = 1.0 + t * eta
+        n_xi = 0.25 * s * fy
+        n_eta = 0.25 * t * fx
+        return 0.25 * fx * fy, n_xi * xi_x + n_eta * eta_x, n_xi * xi_y + n_eta * eta_y
 
 
 def xfem_split_regions(element, dx):
@@ -395,36 +395,39 @@ def xfem_split_regions(element, dx):
     raise NotFoundError("unknown element %r" % (element,))
 
 
-# One process-wide entry (element, tip, x, y, geometry) for the last point set,
-# shared by the closures of every xfem_integrands call: one entry per closure
-# set would hold the geometry of every set alive at once.  x and y are private
-# copies, so a point array changed in place never gets a stale geometry; the
-# entry is replaced whole, so a reader always sees a consistent one.
-_last_geometry = None
+# One process-wide entry (key, K) for the last point set, shared by the
+# closures of every xfem_integrands call: one entry per closure set would hold
+# the numerators of every set alive at once.  The key holds the element, the
+# tip and the bytes of x and y, so a point array changed in place never gets
+# a stale K; the entry is replaced whole, so a reader always sees a
+# consistent one.
+_last_stiffness = None
 
 
-def _crack_geometry(elem, xc, x, y):
-    """N_I, grad N_I, -sin(theta/2)/2, cos(theta/2)/2 and r*sin(theta/2) at (x, y)."""
-    global _last_geometry
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    last = _last_geometry
-    if (
-        last is not None
-        and last[0] is elem
-        and last[1] == xc
-        and np.array_equal(last[2], x)
-        and np.array_equal(last[3], y)
-    ):
-        return last[4]
-    N, grad = elem.shape_grad_physical(x, y)
+def _crack_stiffness(elem, xc, x, y):
+    """All sixteen numerators K[i, j] at (x, y): read-only, shape (4, 4) + x.shape."""
+    global _last_stiffness
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    key = (elem, xc, x.shape, y.shape, x.tobytes(), y.tobytes())
+    last = _last_stiffness
+    if last is not None and last[0] == key:
+        return last[1]
+    x, y = np.broadcast_arrays(x, y)
+    N, gx, gy = elem.shape_functions(*elem.to_reference(x, y))
     rx = x - xc[0]
     ry = y - xc[1]
     th = np.arctan2(ry, rx)
     s = np.sin(0.5 * th)
     # sqrt(r)*dF/dx = -s/2, sqrt(r)*dF/dy = c/2, sqrt(r)*F = r*s
-    geom = (N, grad, -0.5 * s, 0.5 * np.cos(0.5 * th), np.hypot(rx, ry) * s)
-    _last_geometry = (elem, xc, x.copy(), y.copy(), geom)
-    return geom
+    b = (-0.5 * s) * gx + (0.5 * np.cos(0.5 * th)) * gy
+    K = gx[:, None] * gx[None]
+    K += gy[:, None] * gy[None]
+    K *= np.hypot(rx, ry) * s
+    K += N[:, None] * b[None]
+    K.setflags(write=False)
+    _last_stiffness = (key, K)
+    return K
 
 
 _XFEM_ELEMENTS = {name: BilinearElement(nodes) for name, nodes in _XFEM_NODES.items()}
@@ -439,12 +442,12 @@ def xfem_integrands(element, dx):
     the 1/sqrt(r) factor split off, i.e. the full integrand is
     g(x, y) / ||x - xc||^(1/2), plus the split geometry and xc.
 
-    The sixteen fields share one evaluation of the per-point geometry (N_I,
-    grad N_I, r*sin(theta/2), sin(theta/2), cos(theta/2)): the first field
-    applied to a point set computes it, and the others reuse it while they
-    are applied to the same points.  So the fast order is all sixteen fields
-    on one rule before the next rule; interleaving rules recomputes the
-    geometry on every call.
+    The sixteen fields share one evaluation per point set: the first field
+    applied to a set computes all sixteen numerators as one (4, 4, N) array,
+    with the inverse bilinear map in closed form, and each field returns its
+    row of it while it is applied to the same points.  So the fast order is
+    all sixteen fields on one rule before the next rule; interleaving rules
+    recomputes the array on every call.
     """
     if element not in _XFEM_NODES:
         raise NotFoundError("unknown element %r" % (element,))
@@ -452,13 +455,7 @@ def xfem_integrands(element, dx):
     elem = _XFEM_ELEMENTS[element]
 
     def numerator(i, j):
-        def g(x, y):
-            N, grad, hs, hc, rs = _crack_geometry(elem, xc, x, y)
-            return N[..., i] * (hs * grad[..., j, 0] + hc * grad[..., j, 1]) + rs * (
-                grad[..., i, 0] * grad[..., j, 0] + grad[..., i, 1] * grad[..., j, 1]
-            )
-
-        return g
+        return lambda x, y: _crack_stiffness(elem, xc, x, y)[i, j]
 
     fields = [numerator(i, j) for i in range(4) for j in range(4)]
     return xfem_split_regions(element, dx), fields, 0.5, np.array(xc)

@@ -10,6 +10,7 @@ from sbcubature.curves import (
     RationalBezier,
     Segment,
     boundary_samples,
+    sample_chain,
 )
 from sbcubature.errors import InvalidArgumentError
 from sbcubature.region import (
@@ -228,6 +229,30 @@ def test_infinite_velocity_at_an_endpoint_is_accepted():
 def test_open_chain_rejected():
     with pytest.raises(InvalidArgumentError):
         Region([Segment((0, 0), (1, 0)), Segment((1, 0.1), (0, 0))])
+
+
+def test_region_endpoints_are_each_curves_start_and_end():
+    # Region reads them from its 64 bounding-box samples, t = 0 and t = 1 included
+    t = np.linspace(0.0, 1.0, 64)
+    chains = [lookup(name).make() for name in geometry_names()]
+    for region in chains + [curve_chain(KINDS + KINDS[::-1])]:
+        C = sample_chain(region.curves, t, velocity=False)[0]
+        starts = np.array([c.start() for c in region.curves])
+        ends = np.array([c.end() for c in region.curves])
+        np.testing.assert_array_equal(region.vertices, starts)
+        np.testing.assert_array_equal(C[:, -1], ends)
+        np.testing.assert_array_equal(
+            np.abs(C[:, -1] - np.roll(C[:, 0], -1, axis=0)).max(),
+            np.abs(ends - np.roll(starts, -1, axis=0)).max(),
+        )
+
+
+def test_open_chain_reports_the_gap_between_curve_ends():
+    curves = curve_chain(KINDS).curves
+    curves[-1] = Segment(curves[-1].start(), curves[0].start() + np.array([0.0, 1e-3]))
+    gap = max(np.abs(a.end() - b.start()).max() for a, b in zip(curves, curves[1:] + curves[:1]))
+    with pytest.raises(InvalidArgumentError, match="max endpoint gap %.3e " % gap):
+        Region(curves)
 
 
 def test_closure_tolerance_is_relative_to_scale():

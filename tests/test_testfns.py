@@ -1,11 +1,22 @@
+import warnings
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sbcubature.errors import NotFoundError
+from sbcubature import testfns
+from sbcubature.errors import EvaluationError, NotFoundError
 from sbcubature.region import Region
-from sbcubature.singular import GAUSS_JACOBI, SingularSpec, generate_singular_rule
+from sbcubature.sbc import CubatureRule
+from sbcubature.singular import (
+    GAUSS_JACOBI,
+    GeneralizedSB,
+    SingularSpec,
+    generate_singular_rule,
+    select_alpha,
+)
 from sbcubature.testfns import (
     POLYGON_NAMES,
     _XFEM_NODES,
@@ -98,11 +109,76 @@ def test_rescaled_polygon_fits_unit_square():
         assert v.max() == pytest.approx(1.0)
 
 
+# Reference for the crack-tip numerators, kept as first written: a Newton
+# iteration for the inverse map, N_I and grad N_I as (..., 4) and (..., 4, 2)
+# arrays through inv(J), and the sixteen entries formed one (i, j) at a time.
+_SIGNS = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
+
+
+def _ref_shape(xi, eta):
+    return 0.25 * (1.0 + np.multiply.outer(xi, _SIGNS[:, 0])) * (
+        1.0 + np.multiply.outer(eta, _SIGNS[:, 1])
+    )
+
+
+def _ref_shape_grad_ref(xi, eta):
+    """dN/d(xi,eta): shape (..., 4, 2)."""
+    xi = np.asarray(xi, dtype=float)
+    out = np.empty(xi.shape + (4, 2))
+    out[..., :, 0] = 0.25 * _SIGNS[:, 0] * (1.0 + np.multiply.outer(eta, _SIGNS[:, 1]))
+    out[..., :, 1] = 0.25 * _SIGNS[:, 1] * (1.0 + np.multiply.outer(xi, _SIGNS[:, 0]))
+    return out
+
+
+def _ref_to_reference(elem, x, y):
+    xi = np.zeros(np.broadcast(x, y).shape)
+    eta = np.zeros_like(xi)
+    for _ in range(30):
+        px, py = elem._map(xi, eta)
+        rx = px - x
+        ry = py - y
+        x_xi, x_eta, y_xi, y_eta, det = elem._jacobian(xi, eta)
+        dxi = (y_eta * rx - x_eta * ry) / det
+        deta = (x_xi * ry - y_xi * rx) / det
+        xi -= dxi
+        eta -= deta
+        if max(np.abs(dxi).max(), np.abs(deta).max()) < 1e-14:
+            break
+    return xi, eta
+
+
+def _ref_crack_numerators(elem, xc, x, y):
+    """The sixteen numerators at points (x, y), shape (16, N) in (i, j) order."""
+    xi, eta = _ref_to_reference(elem, x, y)
+    x_xi, x_eta, y_xi, y_eta, det = elem._jacobian(xi, eta)
+    xi_x, xi_y = y_eta / det, -x_eta / det
+    eta_x, eta_y = -y_xi / det, x_xi / det
+    dref = _ref_shape_grad_ref(xi, eta)
+    grad = np.empty_like(dref)
+    grad[..., 0] = dref[..., 0] * xi_x[..., None] + dref[..., 1] * eta_x[..., None]
+    grad[..., 1] = dref[..., 0] * xi_y[..., None] + dref[..., 1] * eta_y[..., None]
+    N = _ref_shape(xi, eta)
+    rx = x - xc[0]
+    ry = y - xc[1]
+    th = np.arctan2(ry, rx)
+    s = np.sin(0.5 * th)
+    hs, hc, rs = -0.5 * s, 0.5 * np.cos(0.5 * th), np.hypot(rx, ry) * s
+    return np.array([
+        N[..., i] * (hs * grad[..., j, 0] + hc * grad[..., j, 1])
+        + rs * (grad[..., i, 0] * grad[..., j, 0] + grad[..., i, 1] * grad[..., j, 1])
+        for i in range(4)
+        for j in range(4)
+    ])
+
+
 def test_bilinear_partition_of_unity():
     elem = BilinearElement([(0, 0), (0.9, 0.1), (1.1, 0.9), (0, 1)])
     xi = np.array([-0.7, 0.0, 0.4])
     eta = np.array([0.2, -0.9, 0.8])
-    np.testing.assert_allclose(elem.shape(xi, eta).sum(axis=-1), 1.0, atol=1e-15)
+    N, gx, gy = elem.shape_functions(xi, eta)
+    np.testing.assert_allclose(N.sum(axis=0), 1.0, atol=1e-15)
+    np.testing.assert_allclose(gx.sum(axis=0), 0.0, atol=1e-15)
+    np.testing.assert_allclose(gy.sum(axis=0), 0.0, atol=1e-15)
 
 
 def _element_points(element, dx=1e-3):
@@ -125,18 +201,99 @@ def test_bilinear_inverse_round_trip():
         np.testing.assert_allclose(back, near, rtol=0, atol=1e-15)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    angles=st.lists(st.floats(0.05, 0.95), min_size=4, max_size=4),
+    radii=st.lists(st.floats(0.2, 1.0), min_size=4, max_size=4),
+    log_scale=st.floats(-3.0, 3.0),
+    offset=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bilinear_inverse_residual_on_convex_quads(angles, radii, log_scale, offset, seed):
+    # one vertex per quadrant, counterclockwise; convex with a margin, so the
+    # Jacobian, affine in (xi, eta), is positive over the whole element
+    phi = 0.5 * np.pi * (np.arange(4) + np.array(angles))
+    unit = np.column_stack([np.cos(phi), np.sin(phi)]) * np.array(radii)[:, None]
+    e = np.roll(unit, -1, axis=0) - unit
+    f = np.roll(e, 1, axis=0)
+    assume(np.min(f[:, 0] * e[:, 1] - f[:, 1] * e[:, 0]) > 0.05)
+    scale = 10.0**log_scale
+    nodes = scale * (unit + np.array(offset))
+    elem = BilinearElement(nodes)
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(-1.0, 1.0, 7)
+    xi = np.concatenate([np.repeat(grid, 7), rng.uniform(-1.0, 1.0, 64)])
+    eta = np.concatenate([np.tile(grid, 7), rng.uniform(-1.0, 1.0, 64)])
+    p = elem.to_physical(xi, eta)
+    back = elem.to_physical(*elem.to_reference(p[:, 0], p[:, 1]))
+    assert np.abs(back - p).max() <= 1e-15 * np.abs(nodes).max()
+
+
+@pytest.mark.parametrize("case", ["parallelogram", "y_branch"])
+def test_bilinear_inverse_exact_cases(case):
+    if case == "parallelogram":
+        elem = BilinearElement([(0.0, 0.0), (1.0, 0.25), (1.5, 1.25), (0.5, 1.0)])
+        assert not elem.a3.any()  # the quadratic in eta degenerates to a line
+    else:
+        elem = BilinearElement([(0.0, 0.0), (0.0, 2.0), (-1.0, 1.5), (-1.0, 0.0)])
+        # dx/dxi = a1 + a3*eta has a zero x component: xi comes from y
+        assert elem.a1[0] == 0.0 and elem.a3[0] == 0.0 and elem.a3[1] != 0.0
+    xi, eta = (a.ravel() for a in np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9)))
+    p = elem.to_physical(xi, eta)
+    xi2, eta2 = elem.to_reference(p[:, 0], p[:, 1])
+    np.testing.assert_array_equal(xi2, xi)
+    np.testing.assert_array_equal(eta2, eta)
+
+
+@pytest.mark.parametrize("element", ["Omega1", "Omega2"])
+def test_far_point_without_real_inverse_is_an_evaluation_error(element):
+    elem = BilinearElement(_XFEM_NODES[element])
+    far = {"Omega1": (-20.0, -0.5), "Omega2": (5.5, -20.0)}[element]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xi, eta = elem.to_reference(np.array([far[0]]), np.array([far[1]]))
+        assert np.isnan(xi).all() and np.isnan(eta).all()
+        fields = xfem_integrands(element, 0.01)[1]
+        # the element's centre (xi = eta = 0) first, then the far point
+        rule = CubatureRule(np.array([elem.a0, far]), np.ones(2), np.zeros(2, dtype=int))
+        with pytest.raises(EvaluationError) as e:
+            rule(fields[6])
+    assert e.value.point == far
+    assert repr(far[0]) in str(e.value) and repr(far[1]) in str(e.value)
+
+
 @pytest.mark.parametrize("element", ["Omega1", "Omega2"])
 def test_shape_grad_physical_matches_inverse_jacobian(element):
     elem, xi, eta, _ = _element_points(element)
-    p = elem.to_physical(xi, eta)
-    N, grad = elem.shape_grad_physical(p[:, 0], p[:, 1])
-    dref = elem.shape_grad_ref(xi, eta)
+    N, gx, gy = elem.shape_functions(xi, eta)
+    grad = np.stack([gx.T, gy.T], axis=-1)
+    dref = _ref_shape_grad_ref(xi, eta)
     jac = np.einsum("kj,nki->nji", elem.nodes, dref)  # d(x, y)/d(xi, eta)
     np.testing.assert_allclose(grad, dref @ np.linalg.inv(jac), rtol=0, atol=1e-13)
-    np.testing.assert_allclose(N, elem.shape(xi, eta), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(N.T, _ref_shape(xi, eta), rtol=0, atol=1e-15)
     # x = sum_k N_k x_k, so sum_k x_k grad(N_k) is the identity
     eye = np.einsum("ka,nkb->nab", elem.nodes, grad)
     np.testing.assert_allclose(eye, np.broadcast_to(np.eye(2), eye.shape), atol=1e-13)
+
+
+@pytest.mark.filterwarnings("ignore:edge through the singularity")
+@pytest.mark.parametrize("dx", [1e-3, 1e-2, 1e-1])
+@pytest.mark.parametrize("element", ["Omega1", "Omega2"])
+def test_crack_values_match_per_entry_newton_reference(element, dx):
+    regions, fields, beta, xc = xfem_integrands(element, dx)
+    elem = BilinearElement(_XFEM_NODES[element])
+    for radial in (GAUSS_JACOBI, GeneralizedSB(select_alpha(beta)), None):
+        for t_transform in ("r1", "r2", "r3"):
+            spec = SingularSpec(xc=tuple(xc), radial=radial, t_transform=t_transform)
+            for n in (8, 16, 32):
+                got = np.zeros(16)
+                ref = np.zeros(16)
+                for reg in regions:
+                    rule = generate_singular_rule(reg, spec, beta, n, n)
+                    got += [rule(g) for g in fields]
+                    vals = _ref_crack_numerators(elem, xc, rule.points[:, 0], rule.points[:, 1])
+                    ref += [np.dot(rule.weights, v) for v in vals]
+                assert np.abs(got - ref).sum() <= 1e-14 * np.abs(ref).sum()
 
 
 @pytest.mark.filterwarnings("ignore:edge through the singularity")
@@ -163,6 +320,26 @@ def test_crack_fields_bit_identical_in_any_order():
     assert changed != region_major[0, 5]
     pts[:] = saved
     assert np.array_equal(region_major, [[rule(g) for g in fields] for rule in rules])
+
+
+@pytest.mark.filterwarnings("ignore:edge through the singularity")
+def test_sixteen_fields_solve_the_inverse_map_once_per_rule(monkeypatch):
+    calls = []
+    to_reference = BilinearElement.to_reference
+
+    def counted(self, x, y):
+        calls.append(len(x))
+        return to_reference(self, x, y)
+
+    monkeypatch.setattr(BilinearElement, "to_reference", counted)
+    monkeypatch.setattr(testfns, "_last_stiffness", None)
+    regions, fields, beta, xc = xfem_integrands("Omega1", 1e-2)
+    spec = SingularSpec(xc=tuple(xc), radial=GAUSS_JACOBI, t_transform="r1")
+    rules = [generate_singular_rule(reg, spec, beta, 10, 10) for reg in regions]
+    for rule in rules:
+        for g in fields:
+            rule(g)
+    assert calls == [len(rule) for rule in rules]
 
 
 def test_crack_integrand_suite_shape_and_self_consistency():
