@@ -1,6 +1,6 @@
 """Tensor-product cubature over planar regions bounded by segments and curves."""
 
-from .curves import Bezier, Curve, ParametricCurve, RationalBezier, Segment, boundary_samples
+from .curves import Bezier, Curve, ParametricCurve, RationalBezier, Segment
 from .errors import EvaluationError, InvalidArgumentError, NotFoundError
 from .hni import HomogeneousField, hni_integrate
 from .region import CenterPolicy, Region, decompose, is_star_convex, polygon, resolve_center
@@ -27,7 +27,6 @@ from .tmvi import (
     BoundaryLoop,
     EggCurve,
     egg_domain,
-    exact_distance,
     tmvi_eval_many,
 )
 

@@ -3,7 +3,8 @@
 Every curve maps t in [0,1] to a point in the plane and exposes position and
 velocity.  Evaluation is vectorized: ``t`` may be a scalar or a 1-D numpy
 array, and the result has shape ``t.shape + (2,)``.  ``sample_chain``
-evaluates a whole chain of curves, one pass per curve class.
+evaluates a whole chain of curves, one pass per curve class, at shared
+nodes or at one row of nodes per curve.
 """
 
 import numpy as np
@@ -14,9 +15,12 @@ from .errors import InvalidArgumentError
 
 def _check_t(t):
     t = np.asarray(t, dtype=float)
-    if np.any(t < -1e-12) or np.any(t > 1.0 + 1e-12):
+    if not t.size:
+        return t
+    lo, hi = t.min(), t.max()
+    if lo < -1e-12 or hi > 1.0 + 1e-12:
         raise InvalidArgumentError("curve parameter must lie in [0,1]")
-    return np.clip(t, 0.0, 1.0)
+    return np.clip(t, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else t
 
 
 def _floats(value, what):
@@ -35,12 +39,6 @@ class Curve:
 
     def velocity(self, t):
         raise NotImplementedError
-
-    def start(self):
-        return self.position(0.0)
-
-    def end(self):
-        return self.position(1.0)
 
 
 class Segment(Curve):
@@ -65,12 +63,11 @@ class Segment(Curve):
 
 def _de_casteljau(points, t):
     # points: (..., n+1, d), a stack of control polygons in any dimension d;
-    # t: array.  Returns a new array of shape points.shape[:-2] + t.shape + (d,).
-    t = np.asarray(t, dtype=float)
-    lead = points.ndim - 2
-    points = np.expand_dims(points, tuple(range(lead, lead + t.ndim)))
-    t = t[..., None, None]
-    work = np.broadcast_to(points, points.shape[:lead] + t.shape[:-2] + points.shape[-2:])
+    # t: an array that broadcasts against the stack shape points.shape[:-2].
+    # Returns a new array of the broadcast shape + (d,).
+    t = np.asarray(t, dtype=float)[..., None, None]
+    lead = np.broadcast_shapes(points.shape[:-2], t.shape[:-2])
+    work = np.broadcast_to(points, lead + points.shape[-2:])
     while work.shape[-2] > 1:
         work = (1.0 - t) * work[..., :-1, :] + t * work[..., 1:, :]
     return np.array(work[..., 0, :])
@@ -173,19 +170,25 @@ class ParametricCurve(Curve):
 
 
 def sample_chain(curves, t, velocity=True):
-    """Positions and, if asked, velocities of m curves at the 1-D nodes t.
+    """Positions and, if asked, velocities of m curves at the nodes t.
 
+    t is either the shared nodes (n,) or one row of nodes per curve (m, n).
     Returns (C, V), each (m, n, 2) in chain order; V is None without
     ``velocity``.  t is checked once.  Curves of one exact class are
     evaluated in one pass: every Segment as a + t d, and every Bezier or
     RationalBezier of one degree by one de Casteljau on the stacked control
-    points.  Any other curve, a subclass of these included, is evaluated on
-    its own through its position and velocity methods.  Every sample takes
-    the same element-wise operations as the curve's own methods, so the
-    values are bit-identical to them.
+    points, each at its own row of t.  Any other curve, a subclass of these
+    included, is evaluated on its own row through its position and velocity
+    methods.  Every sample takes the same element-wise operations as the
+    curve's own methods, so the values are bit-identical to them.
     """
     t = _check_t(t)
-    C = np.empty((len(curves),) + t.shape + (2,))
+    m = len(curves)
+    if t.ndim not in (1, 2) or t.ndim == 2 and len(t) != m:
+        raise InvalidArgumentError(
+            "nodes must be (n,) or one row per curve (%d, n), got shape %s" % (m, t.shape)
+        )
+    C = np.empty((m, t.shape[-1], 2))
     V = np.empty_like(C) if velocity else None
     groups = {}
     for i, c in enumerate(curves):
@@ -195,25 +198,30 @@ def sample_chain(curves, t, velocity=True):
         elif kind is Bezier or kind is RationalBezier:
             groups.setdefault((kind, c.degree), []).append(i)
         else:
-            _put(C, i, c.position(t), "position")
+            ti = t if t.ndim == 1 else t[i]
+            _put(C, i, c.position(ti), "position")
             if velocity:
-                _put(V, i, c.velocity(t), "velocity")
+                _put(V, i, c.velocity(ti), "velocity")
     for key, rows in groups.items():
         group = [curves[i] for i in rows]
+        if len(rows) == m:
+            rows = slice(None)  # one group holds the whole chain, in order
+        tg = t if t.ndim == 1 else t[rows]
         if key is Segment:
             d = np.array([c.d for c in group])[:, None]
-            C[rows] = np.array([c.a for c in group])[:, None] + t[:, None] * d
+            C[rows] = np.array([c.a for c in group])[:, None] + tg[..., None] * d
             if velocity:
                 V[rows] = d
         elif key[0] is Bezier:
-            C[rows] = _de_casteljau(np.array([c.control_points for c in group]), t)
+            C[rows] = _de_casteljau(np.array([c.control_points for c in group])[:, None], tg)
             if velocity:
-                V[rows] = _de_casteljau(np.array([c._dcp for c in group]), t)
+                V[rows] = _de_casteljau(np.array([c._dcp for c in group])[:, None], tg)
         else:
-            h = _de_casteljau(np.array([c._hcp for c in group]), t)
+            h = _de_casteljau(np.array([c._hcp for c in group])[:, None], tg)
             C[rows] = h[..., :2] / h[..., 2:3]
             if velocity:
-                V[rows] = _quotient_rule(h, _de_casteljau(np.array([c._dhcp for c in group]), t))
+                dh = _de_casteljau(np.array([c._dhcp for c in group])[:, None], tg)
+                V[rows] = _quotient_rule(h, dh)
     return C, V
 
 
@@ -225,16 +233,3 @@ def _put(out, i, value, what):
         )
     out[i] = value
 
-
-def boundary_samples(curve, t, x0):
-    """The boundary part of every scaled boundary rule, at the t-nodes of one curve.
-
-    Returns C = c(t), the rotated velocity c'_perp = (c2', -c1') (the outward
-    normal times |c'| on a counterclockwise curve) and (C - x0).c'_perp.  The
-    last is the t-part of the scaled boundary Jacobian xi * (C - x0).c'_perp;
-    it is positive where x0 sees the curve from its interior side.
-    """
-    C = curve.position(t)
-    V = curve.velocity(t)
-    N = np.stack([V[..., 1], -V[..., 0]], axis=-1)
-    return C, N, np.einsum("...i,...i->...", C - x0, N)

@@ -89,8 +89,8 @@ NODE_VELOCITY = "has a non-finite velocity at a quadrature node"
 def check_finite(a, what="is not finite on [0, 1]"):
     """Samples a (m, n, 2) of m curves; raise naming the first curve with a
     non-finite sample (NaN passes comparisons)."""
-    bad = np.flatnonzero(~np.isfinite(a).all(axis=(1, 2)))
-    if bad.size:
+    if not np.isfinite(a).all():
+        bad = np.flatnonzero(~np.isfinite(a).all(axis=(1, 2)))
         raise InvalidArgumentError("curve %d %s" % (bad[0], what))
     return a
 
@@ -124,17 +124,20 @@ def resolve_center(region, policy):
 def decompose(region, x0, t):
     """The curved triangles spanned by x0 and each boundary curve, sampled at t.
 
-    The m curves are sampled at the nodes t in one pass per curve class
+    t is either the nodes (n,) shared by all m curves or one row of nodes
+    per curve (m, n).  The curves are sampled in one pass per curve class
     (``sample_chain``: segments together, Bezier and rational Bezier curves
-    by degree, any other curve on its own); the result is C = c_i(t),
-    c_i'_perp and (C - x0).c_i'_perp in chain order, with shapes (m, n, 2),
-    (m, n, 2) and (m, n), the same values as ``boundary_samples`` gives per
-    curve.  A non-finite C is an InvalidArgumentError naming the curve's
-    chain index; c_i' may be infinite at an endpoint, so callers that sample
-    at interior nodes check it with ``check_finite``.
+    by degree, any other curve on its own row); the result is C = c_i(t),
+    c_i'_perp = (c_i2', -c_i1') (the outward normal times |c_i'| on a
+    counterclockwise chain) and (C - x0).c_i'_perp, the t-part of the scaled
+    boundary Jacobian, in chain order, with shapes (m, n, 2), (m, n, 2) and
+    (m, n).  Each row holds the same values as the curve's own position and
+    velocity give.  A non-finite C is an InvalidArgumentError naming the
+    curve's chain index; c_i' may be infinite at an endpoint, so callers
+    that sample at interior nodes check it with ``check_finite``.
     """
     C, V = sample_chain(region.curves, t)
-    N = np.stack([V[..., 1], -V[..., 0]], axis=-1)
+    N = V[..., ::-1] * (1.0, -1.0)
     return check_finite(C), N, np.einsum("...i,...i->...", C - np.asarray(x0, dtype=float), N)
 
 

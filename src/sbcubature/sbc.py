@@ -6,18 +6,20 @@ the unit square maps onto it via
     phi(s, t) = x0 + s * (c(t) - x0),      J(s, t) = s * (c(t)-x0).c'_perp(t)
 
 and summing the per-triangle tensor-rule integrals gives the region
-integral.  Every rule family is built the same way: ``region.decompose``
-gives C = c(t) and (C - x0).c'_perp at the t-nodes of every curve as
-(curve, node) arrays, in one pass per curve class (all segments at once,
-Bezier and rational Bezier curves by degree, any other curve on its own),
-the family turns these into t-weights, and
+integral.  Every rule family is built the same way: ``curve_samples``
+(through ``region.decompose``) gives C = c(t) and (C - x0).c'_perp as
+(curve, node) arrays at the t-nodes, shared by all curves or one row per
+curve, in one pass per curve class (all segments at once, Bezier and
+rational Bezier curves by degree, any other curve on its own), and drops
+the curves x0 sees edge-on; the family turns these into t-weights, and
 ``assemble_rule`` takes the tensor product with a radial rule (nodes s in
 [0, 1], weights w_s) in one broadcast.  The families differ only in their
-radial rule:
+radial rule and their t-nodes:
 
 * regular (``generate_rule``): Gauss-Legendre nodes xi, weights w_xi * xi;
 * singular (``singular.generate_singular_rule``): the three radial
-  strategies for g / ||x - x0||^beta, optionally on reparametrized t;
+  strategies for g / ||x - x0||^beta, and with r1/r2/r3 one row of
+  reparametrized t-nodes per edge;
 * homogeneous (``hni.hni_integrate``): the single node s = 1 with weight
   1/(2+q), which is how the scheme reduces to HNI for a degree-q field.
 
@@ -49,9 +51,8 @@ class CubatureRule:
     def __call__(self, f):
         """Apply the rule to a scalar field f(x, y)."""
         vals = np.asarray(f(self.points[:, 0], self.points[:, 1]), dtype=float)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            i = int(np.argmax(bad))
+        if not np.isfinite(vals).all():
+            i = int(np.argmax(~np.isfinite(vals)))
             raise EvaluationError(
                 "integrand is not finite at (%r, %r)"
                 % (self.points[i, 0], self.points[i, 1]),
@@ -63,6 +64,7 @@ class CubatureRule:
 def curve_samples(region, x0, t):
     """Curve indices, C and (C - x0).c'_perp at nodes t, for the curves that count.
 
+    t is the nodes (n,) shared by every curve or one row per curve (m, n).
     A curve is skipped when max|(c - x0).c'_perp| <= 1e-14 * scale * max|c'|:
     x0 lies on it (or on its supporting line), so its triangle has no area.
     C and perp are ``decompose``'s arrays with the skipped rows masked out.
@@ -72,7 +74,9 @@ def curve_samples(region, x0, t):
     C, N, perp = decompose(region, x0, t)
     check_finite(N, NODE_VELOCITY)
     tol = 1e-14 * region.scale()
-    keep = np.max(np.abs(perp), axis=1) > tol * np.max(np.hypot(N[..., 0], N[..., 1]), axis=1)
+    keep = np.abs(perp).max(axis=1) > tol * np.hypot(N[..., 0], N[..., 1]).max(axis=1)
+    if keep.all():
+        return np.arange(len(keep)), C, perp
     return np.flatnonzero(keep), C[keep], perp[keep]
 
 

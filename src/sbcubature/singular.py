@@ -13,6 +13,10 @@ xi-power (handled by a radial strategy) and a smooth boundary factor
 
 For polygon edges, three reparametrizations of the tangential coordinate
 cancel the (ell^2 + tau^2)^(-beta/2) near-singularity for beta = 1, 2, 3.
+They only move each edge's t-nodes along the edge: every rule samples its
+boundary through ``sbc.curve_samples`` (one node row per edge here), which
+also decides which edges count, and its t-weights are
+w dt/dtau~ * (C - xc).c'_perp * ||C - xc||^-beta.
 """
 
 import sys
@@ -88,11 +92,12 @@ def t_transform_bounds(ell, tau1, tau2, which):
     transformed endpoints and two callables giving tau and dtau/dtau~ at
     transformed coordinates.  All three maps are strictly increasing for
     ell != 0; L = |ell| keeps that true when x0 is on the outward side of
-    the edge line.
+    the edge line.  ell, tau1 and tau2 may be arrays that broadcast against
+    each other and against the transformed coordinates, one entry per edge.
     """
-    if ell == 0.0:
+    L = np.abs(ell)
+    if (L == 0.0).any():
         raise InvalidArgumentError("edge line passes through the singularity")
-    L = abs(ell)
     l2 = ell * ell
     if which == "r1":
         def fwd(tau):
@@ -148,7 +153,9 @@ def generate_singular_rule(region, spec, beta, n_xi, n_t):
     """Cubature rule for integrands g / ||x - xc||^beta; apply it to g alone.
 
     The singular power is folded into the weights, so the returned rule is
-    applied to the smooth numerator only.
+    applied to the smooth numerator only.  With a t-transform every edge is
+    sampled at its own row of nodes; an edge that xc sees edge-on (see
+    ``sbc.curve_samples``) is skipped with one warning per edge.
     """
     if spec.t_transform in ("r2", "r3"):
         if not 0.0 < beta <= 3.0:
@@ -162,12 +169,24 @@ def generate_singular_rule(region, spec, beta, n_xi, n_t):
         raise InvalidArgumentError("singularity xc %s is not finite" % x0.tolist())
     s_nodes, s_weights = _radial_rule(spec.radial, beta, n_xi)
     t_rule = rules.gauss_legendre(n_t)
-    if spec.t_transform is None:
-        idx, C, perp = curve_samples(region, x0, t_rule.nodes)
-        D = C - x0
-        tw = t_rule.weights * (perp * np.hypot(D[..., 0], D[..., 1]) ** (-beta))
-    else:
-        idx, C, tw = _transformed_samples(region, x0, spec.t_transform, beta, t_rule)
+    t, tw = t_rule.nodes, t_rule.weights
+    if spec.t_transform is not None:
+        t, tw, unmapped = _transformed_nodes(region, x0, spec.t_transform, t_rule)
+    idx, C, perp = curve_samples(region, x0, t)
+    if spec.t_transform is not None:
+        kept = set(idx.tolist())
+        for i in range(len(region.curves)):
+            if i not in kept:
+                _warn_caller("edge through the singularity skipped (curve %d)" % i)
+        lost = kept.intersection(unmapped)
+        if lost:
+            raise InvalidArgumentError(
+                "the %s t-transform cannot resolve curve %d: xc is too close to its line"
+                % (spec.t_transform, min(lost))
+            )
+        tw = tw[idx]
+    D = C - x0
+    tw = tw * (perp * np.hypot(D[..., 0], D[..., 1]) ** (-beta))
     return assemble_rule(idx, C, tw, x0, s_nodes, s_weights)
 
 
@@ -181,35 +200,40 @@ def _warn_caller(message):
     warnings.warn(message, stacklevel=level)
 
 
-def _transformed_samples(region, x0, which, beta, t_rule):
-    """Edge indices, C and t-weights with the tangential coordinate reparametrized.
+def _transformed_nodes(region, x0, which, t_rule):
+    """Node rows t (m, n) and t-weights w dt/dtau~ of a t-transform on every edge.
 
-    Gauss nodes are placed in the transformed coordinate; each edge's t-weight
-    carries dtau/dtau~ and the boundary factor ell * (ell^2 + tau^2)^(-beta/2).
+    In units of the edge length, x0 - a = (t* + i ell) d as complex numbers:
+    t* is the parameter of x0's foot on the edge line and |ell| its distance
+    from the line, and the tangential coordinate is tau = t - t*.  The Gauss
+    nodes are placed in the transformed coordinate tau~ and mapped back to
+    t = t* + tau(tau~), with weights w (hi - lo) dtau/dtau~.
+
+    ``curve_samples`` decides which edges count.  An edge whose line passes
+    through x0 (ell = 0) has no map of its own and takes the one for ell = 1:
+    its nodes lie on the edge, and the edge is dropped.  Where round-off
+    leaves the map without nodes in [0, 1] (ell next to 0), the edge keeps
+    the Gauss nodes and is listed in the returned ``unmapped``; a kept one
+    is an error.
     """
-    idx, Cs, tws = [], [], []
-    for i, c in enumerate(region.curves):
-        if not isinstance(c, Segment):
-            raise InvalidArgumentError("t-transforms require segment edges")
-        # unit tangent, outward normal and x0's signed distance to the edge line
-        tau_hat = c.d / float(np.hypot(*c.d))
-        n = np.array([tau_hat[1], -tau_hat[0]])
-        ell = float(np.dot(c.a - x0, n))
-        if abs(ell) <= 1e-14 * region.scale():
-            # zero-contribution edge through (or numerically through) xc
-            _warn_caller("edge through the singularity skipped")
-            continue
-        tau1 = float(np.dot(c.a - x0, tau_hat))
-        tau2 = float(np.dot(c.b - x0, tau_hat))
-        lo, hi, tau_of, dtau_of = t_transform_bounds(ell, tau1, tau2, which)
+    if not all(isinstance(c, Segment) for c in region.curves):
+        raise InvalidArgumentError("t-transforms require segment edges")
+    a = np.array([c.a for c in region.curves])
+    d = np.array([c.d for c in region.curves])
+    z = (x0 - a).view(complex) / d.view(complex)  # (m, 1): t* + i ell
+    foot = z.real
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lo, hi, tau_of, dtau_of = t_transform_bounds(
+            z.imag + (z.imag == 0.0), -foot, 1.0 - foot, which
+        )
         tt = lo + (hi - lo) * t_rule.nodes
-        tau = tau_of(tt)
-        bfac = ell * (ell**2 + tau * tau) ** (-0.5 * beta)
-        idx.append(i)
-        Cs.append(x0 + ell * n + tau[:, None] * tau_hat)
-        tws.append(t_rule.weights * (hi - lo) * dtau_of(tt) * bfac)
-    n_t = len(t_rule.nodes)
-    return np.array(idx, dtype=int), np.reshape(Cs, (-1, n_t, 2)), np.reshape(tws, (-1, n_t))
+        t = foot + tau_of(tt)
+        tw = t_rule.weights * (hi - lo) * dtau_of(tt)
+    if t.min() >= 0.0 and t.max() <= 1.0:  # NaN fails both
+        return t, tw, []
+    unmapped = np.flatnonzero(~((t >= 0.0) & (t <= 1.0)).all(axis=1))
+    t[unmapped] = t_rule.nodes
+    return t, tw, unmapped.tolist()
 
 
 def integrate_singular(region, f, spec, n_xi, n_t):

@@ -178,41 +178,3 @@ def tmvi_eval_many(loop, g, x, n_t=256):
 def lp_distance_many(loop, x, p, n_t=256):
     """Lp-distance field psi = (1/W_p)^(1/p) at interior points x (N,2)."""
     return _all_inside(*evaluate_masked(loop, x, n_t, p=p))
-
-
-def exact_distance(loop, x):
-    """Distance from x to the boundary: Newton on d/dt ||x - c(t)||^2 per curve.
-
-    Sixteen uniform seeds per curve plus the endpoints; the second derivative
-    uses a central difference of the velocity, so curves only need first
-    derivatives.
-    """
-    x = np.asarray(x, dtype=float)
-    h = 1e-6
-    best = np.inf
-    for c in loop.curves:
-        cand = list(np.linspace(0.0, 1.0, 18))
-        seeds = np.linspace(1.0 / 32.0, 1.0 - 1.0 / 32.0, 16)
-        for t in seeds:
-            for _ in range(50):
-                d = x - c.position(t)
-                v = c.velocity(t)
-                acc = (c.velocity(min(t + h, 1.0)) - c.velocity(max(t - h, 0.0))) / (
-                    min(t + h, 1.0) - max(t - h, 0.0)
-                )
-                F = -2.0 * np.dot(d, v)
-                dF = 2.0 * np.dot(v, v) - 2.0 * np.dot(d, acc)
-                if dF == 0.0:
-                    break
-                step = F / dF
-                t = min(1.0, max(0.0, t - step))
-                if abs(step) < 1e-14:
-                    break
-            if abs(-2.0 * np.dot(x - c.position(t), c.velocity(t))) < 1e-13 * (
-                1.0 + loop.scale() ** 2
-            ):
-                cand.append(t)
-        dists = np.hypot(*(x - c.position(np.array(cand))).T)
-        best = min(best, float(dists.min()))
-    return best
-

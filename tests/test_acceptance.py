@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import greens_poly
+from conftest import exact_distance, greens_poly
 from sbcubature.hni import HomogeneousField, hni_integrate
 from sbcubature.region import CenterPolicy
 from sbcubature.rules import gauss_jacobi_unit
@@ -32,7 +32,6 @@ from sbcubature.testfns import (
 )
 from sbcubature.tmvi import (
     egg_domain,
-    exact_distance,
     lp_distance_many,
     tmvi_eval_many,
 )

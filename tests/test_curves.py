@@ -3,15 +3,16 @@ import re
 import numpy as np
 import pytest
 
+from conftest import own_samples
 from sbcubature.curves import (
     Bezier,
     ParametricCurve,
     RationalBezier,
     Segment,
-    boundary_samples,
 )
 from sbcubature.errors import InvalidArgumentError
 from sbcubature.exprlang import _FUNCTIONS
+from sbcubature.region import Region, decompose
 from sbcubature.rules import gauss_legendre
 from sbcubature.testfns import lookup
 
@@ -194,7 +195,7 @@ def test_parametric_rejects_xy():
 
 
 def perp_product(curve, t, x0):
-    return boundary_samples(curve, t, np.asarray(x0, dtype=float))[2]
+    return own_samples(curve, t, np.asarray(x0, dtype=float))[2]
 
 
 def test_perp_product_segment():
@@ -212,12 +213,14 @@ def test_perp_product_circle():
 
 @pytest.mark.parametrize("curve", [Segment((0.2, -0.3), (1.5, 0.8)), CUBIC])
 def test_boundary_samples_position_and_rotated_velocity(curve):
+    # the curve closed by a segment back to its start; decompose samples both
     t = np.linspace(0.0, 1.0, 5)
-    C, N, perp = boundary_samples(curve, t, np.array([0.1, 0.2]))
-    np.testing.assert_array_equal(C, curve.position(t))
+    region = Region([curve, Segment(curve.position(1.0), curve.position(0.0))])
+    C, N, perp = decompose(region, np.array([0.1, 0.2]), t)
+    np.testing.assert_array_equal(C[0], curve.position(t))
     v = curve.velocity(t)
-    np.testing.assert_array_equal(N, np.column_stack([v[:, 1], -v[:, 0]]))
-    np.testing.assert_allclose(perp, np.sum((C - [0.1, 0.2]) * N, axis=1), rtol=1e-15)
+    np.testing.assert_array_equal(N[0], np.column_stack([v[:, 1], -v[:, 0]]))
+    np.testing.assert_allclose(perp[0], np.sum((C[0] - [0.1, 0.2]) * N[0], axis=1), rtol=1e-15)
 
 
 def test_rational_homogeneous_evaluation_matches_quotient():

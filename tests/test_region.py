@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import own_samples
 from sbcubature.curves import (
     Bezier,
     Curve,
     ParametricCurve,
     RationalBezier,
     Segment,
-    boundary_samples,
     sample_chain,
 )
 from sbcubature.errors import InvalidArgumentError
@@ -59,7 +59,7 @@ def test_decompose_counts(unit_square):
     assert C.shape == N.shape == (4, 5, 2)
     assert perp.shape == (4, 5)
     for i, c in enumerate(unit_square.curves):
-        for got, want in zip((C[i], N[i], perp[i]), boundary_samples(c, t, x0)):
+        for got, want in zip((C[i], N[i], perp[i]), own_samples(c, t, x0)):
             np.testing.assert_array_equal(got, want)
 
 
@@ -124,7 +124,7 @@ def assert_decompose_matches_each_curve(region, x0, t):
     C, N, perp = decompose(region, x0, t)
     assert C.shape == N.shape == (len(region.curves), len(t), 2)
     for i, c in enumerate(region.curves):
-        for got, want in zip((C[i], N[i], perp[i]), boundary_samples(c, t, x0)):
+        for got, want in zip((C[i], N[i], perp[i]), own_samples(c, t, x0)):
             np.testing.assert_array_equal(got, want)
 
 
@@ -143,6 +143,31 @@ def test_decompose_matches_each_curve_in_chain_order():
        t=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
 def test_decompose_matches_each_curve_for_any_chain(kinds, bulge, x0, t):
     assert_decompose_matches_each_curve(curve_chain(kinds, bulge), np.array(x0), np.array(t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kinds=st.lists(st.sampled_from(KINDS), min_size=2, max_size=10),
+       bulge=st.floats(-0.3, 0.3), x0=st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+       n=st.integers(1, 6), data=st.data())
+def test_decompose_matches_each_curve_at_its_own_node_row(kinds, bulge, x0, n, data):
+    # one row of nodes per curve: each row is its curve's own evaluation, bit for bit
+    region = curve_chain(kinds, bulge)
+    row = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    t = np.array(data.draw(st.lists(row, min_size=len(kinds), max_size=len(kinds))))
+    x0 = np.array(x0)
+    C, N, perp = decompose(region, x0, t)
+    assert C.shape == N.shape == (len(kinds), n, 2)
+    for i, c in enumerate(region.curves):
+        for got, want in zip((C[i], N[i], perp[i]), own_samples(c, t[i], x0)):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_node_rows_must_match_the_chain(unit_square):
+    for t in (np.full((3, 2), 0.5), np.full((5, 2), 0.5), np.full((4, 2, 1), 0.5)):
+        with pytest.raises(InvalidArgumentError, match="one row per curve"):
+            decompose(unit_square, np.zeros(2), t)
+    with pytest.raises(InvalidArgumentError, match="must lie in"):
+        decompose(unit_square, np.zeros(2), np.array([[0.5]] * 3 + [[1.5]]))
 
 
 def test_non_finite_sample_at_a_node_is_rejected():
@@ -237,8 +262,8 @@ def test_region_endpoints_are_each_curves_start_and_end():
     chains = [lookup(name).make() for name in geometry_names()]
     for region in chains + [curve_chain(KINDS + KINDS[::-1])]:
         C = sample_chain(region.curves, t, velocity=False)[0]
-        starts = np.array([c.start() for c in region.curves])
-        ends = np.array([c.end() for c in region.curves])
+        starts = np.array([c.position(0.0) for c in region.curves])
+        ends = np.array([c.position(1.0) for c in region.curves])
         np.testing.assert_array_equal(region.vertices, starts)
         np.testing.assert_array_equal(C[:, -1], ends)
         np.testing.assert_array_equal(
@@ -249,8 +274,9 @@ def test_region_endpoints_are_each_curves_start_and_end():
 
 def test_open_chain_reports_the_gap_between_curve_ends():
     curves = curve_chain(KINDS).curves
-    curves[-1] = Segment(curves[-1].start(), curves[0].start() + np.array([0.0, 1e-3]))
-    gap = max(np.abs(a.end() - b.start()).max() for a, b in zip(curves, curves[1:] + curves[:1]))
+    curves[-1] = Segment(curves[-1].position(0.0), curves[0].position(0.0) + np.array([0.0, 1e-3]))
+    gap = max(np.abs(a.position(1.0) - b.position(0.0)).max()
+              for a, b in zip(curves, curves[1:] + curves[:1]))
     with pytest.raises(InvalidArgumentError, match="max endpoint gap %.3e " % gap):
         Region(curves)
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import greens_poly
-from sbcubature.curves import Bezier, Curve, Segment, boundary_samples
+from conftest import greens_poly, own_samples
+from sbcubature.curves import Bezier, Curve, Segment
 from sbcubature.errors import EvaluationError
 from sbcubature.hni import HomogeneousField, hni_integrate
 from sbcubature.region import CenterPolicy, Region, polygon
@@ -20,7 +20,7 @@ from sbcubature.testfns import _POLY_MONOMIALS, POLYGON_NAMES, lookup
 def segment_triangle_rule(t, s, w_s):
     """Kernel rule on the triangle spanned by x0 = 0 and the edge x = 1, 0 <= y <= 1."""
     x0 = np.zeros(2)
-    C, _, perp = boundary_samples(Segment((1, 0), (1, 1)), np.asarray(t, dtype=float), x0)
+    C, _, perp = own_samples(Segment((1, 0), (1, 1)), np.asarray(t, dtype=float), x0)
     return assemble_rule(
         np.array([0]), C[None], perp[None], x0, np.asarray(s, dtype=float), np.asarray(w_s, dtype=float)
     )

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,19 +8,20 @@ from hypothesis import strategies as st
 from sbcubature.errors import InvalidArgumentError
 from sbcubature.region import CenterPolicy, polygon
 from sbcubature.rules import gauss_legendre
-from sbcubature.sbc import generate_rule, integrate
+from sbcubature.sbc import assemble_rule, generate_rule, integrate
 from sbcubature.singular import (
     GAUSS_JACOBI,
     GeneralizedSB,
     SingularSpec,
     SplitIntegrand,
+    _radial_rule,
     generate_singular_rule,
     integrate_singular,
     radial_exponent,
     select_alpha,
     t_transform_bounds,
 )
-from sbcubature.testfns import lookup
+from sbcubature.testfns import lookup, xfem_integrands
 
 ORIGIN_SPEC = SingularSpec(xc=(0.0, 0.0))
 
@@ -115,6 +118,99 @@ def test_t_transformed_points_lie_on_their_edges(which):
     assert list(np.unique(rule.curve_index)) == [0, 1, 2, 3]
 
 
+def _per_edge_samples(region, x0, which, beta, t_rule):
+    """Edge indices, C and t-weights of a t-transform, one edge at a time.
+
+    The sampler the r1/r2/r3 rules used before they went through
+    region.decompose, kept as the reference: each edge's own unit tangent,
+    normal and distance ell, its skip test |ell| <= 1e-14 * scale, and points
+    x0 + ell n + tau tau_hat.
+    """
+    idx, Cs, tws = [], [], []
+    for i, c in enumerate(region.curves):
+        tau_hat = c.d / float(np.hypot(*c.d))
+        n = np.array([tau_hat[1], -tau_hat[0]])
+        ell = float(np.dot(c.a - x0, n))
+        if abs(ell) <= 1e-14 * region.scale():
+            continue
+        tau1 = float(np.dot(c.a - x0, tau_hat))
+        tau2 = float(np.dot(c.b - x0, tau_hat))
+        lo, hi, tau_of, dtau_of = t_transform_bounds(ell, tau1, tau2, which)
+        tt = lo + (hi - lo) * t_rule.nodes
+        tau = tau_of(tt)
+        bfac = ell * (ell**2 + tau * tau) ** (-0.5 * beta)
+        idx.append(i)
+        Cs.append(x0 + ell * n + tau[:, None] * tau_hat)
+        tws.append(t_rule.weights * (hi - lo) * dtau_of(tt) * bfac)
+    n_t = len(t_rule.nodes)
+    return np.array(idx, dtype=int), np.reshape(Cs, (-1, n_t, 2)), np.reshape(tws, (-1, n_t))
+
+
+def per_edge_rule(region, spec, beta, n_xi, n_t):
+    x0 = np.asarray(spec.xc, dtype=float)
+    samples = _per_edge_samples(region, x0, spec.t_transform, beta, gauss_legendre(n_t))
+    return assemble_rule(*samples, x0, *_radial_rule(spec.radial, beta, n_xi))
+
+
+@pytest.mark.filterwarnings("ignore:edge through the singularity")
+@pytest.mark.parametrize("dx", [1e-3, 1e-2, 1e-1])
+@pytest.mark.parametrize("element", ["Omega1", "Omega2"])
+def test_crack_rules_match_the_per_edge_sampler(element, dx):
+    regions, fields, beta, xc = xfem_integrands(element, dx)
+    for radial in (None, GAUSS_JACOBI, GeneralizedSB(select_alpha(beta))):
+        for which in ("r1", "r2", "r3"):
+            spec = SingularSpec(xc=tuple(xc), radial=radial, t_transform=which)
+            for n in (8, 16, 32):
+                got = np.zeros(16)
+                ref = np.zeros(16)
+                for reg in regions:
+                    rule = generate_singular_rule(reg, spec, beta, n, n)
+                    old = per_edge_rule(reg, spec, beta, n, n)
+                    np.testing.assert_array_equal(rule.curve_index, old.curve_index)
+                    got += [rule(g) for g in fields]
+                    ref += [old(g) for g in fields]
+                assert np.abs(got - ref).sum() <= 1e-14 * np.abs(ref).sum()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    k=st.integers(3, 7),
+    frac=st.lists(st.floats(0.1, 0.9), min_size=7, max_size=7),
+    radii=st.lists(st.floats(0.3, 2.0), min_size=7, max_size=7),
+    scale=st.floats(-3.0, 3.0),
+    at_vertex=st.booleans(),
+    offset=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+    beta=st.floats(0.1, 1.9),
+    which=st.sampled_from(["r1", "r2", "r3"]),
+    radial=st.sampled_from([None, GAUSS_JACOBI, "gsb"]),
+)
+def test_star_polygon_rules_match_the_per_edge_sampler(
+    k, frac, radii, scale, at_vertex, offset, beta, which, radial
+):
+    # star polygons about the origin, 1e-3 to 1e3 across; xc at a vertex
+    # (two edges skipped) or near the centre
+    s = 10.0**scale
+    th = 2.0 * np.pi * (np.arange(k) + np.array(frac[:k])) / k
+    v = s * np.column_stack([radii[:k] * np.cos(th), radii[:k] * np.sin(th)])
+    reg = polygon(v)
+    xc = tuple(v[0]) if at_vertex else (s * offset[0], s * offset[1])
+    if radial == "gsb":
+        radial = GeneralizedSB(2.0)
+    spec = SingularSpec(xc=xc, radial=radial, t_transform=which)
+    old = per_edge_rule(reg, spec, beta, 6, 12)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rule = generate_singular_rule(reg, spec, beta, 6, 12)
+    assert len(caught) == k - len(np.unique(old.curve_index))
+    np.testing.assert_array_equal(rule.curve_index, old.curve_index)
+
+    def g(x, y):
+        return np.cos(x / s) + (y / s) ** 2
+
+    vals = g(old.points[:, 0], old.points[:, 1])
+    assert abs(rule(g) - old(g)) <= 1e-13 * np.abs(old.weights * vals).sum()
+
+
 def test_skipped_edge_warning_names_the_caller():
     sq = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
     spec = SingularSpec(xc=(0.5, 0.0), radial=GAUSS_JACOBI, t_transform="r1")
@@ -124,6 +220,18 @@ def test_skipped_edge_warning_names_the_caller():
         with pytest.warns(UserWarning, match="edge through the singularity skipped") as rec:
             call()
         assert [w.filename for w in rec] == [__file__]
+
+
+def test_each_skipped_edge_warns_once():
+    # xc at T3's vertex (0, 0): the two edges through it are skipped
+    t3 = lookup("T3").make()
+    spec = SingularSpec(xc=(0.0, 0.0), t_transform="r1")
+    with pytest.warns(UserWarning, match="edge through the singularity skipped") as rec:
+        rule = generate_singular_rule(t3, spec, 0.5, 4, 4)
+    assert len(rec) == 2
+    assert [w.filename for w in rec] == [__file__, __file__]
+    assert len(set(str(w.message) for w in rec)) == 2
+    assert len(np.unique(rule.curve_index)) == len(t3.curves) - 2
 
 
 @pytest.mark.parametrize("which", ["r1", "r2", "r3"])
@@ -213,6 +321,33 @@ def test_weakly_singular_registry_functions_have_consistent_split():
         x, y = 0.3, -0.2
         r = np.hypot(x, y)
         assert fn.field(x, y) == pytest.approx(g(x, y) / r**beta, rel=1e-13)
+
+
+@pytest.mark.parametrize("which", ["r1", "r2", "r3"])
+def test_edge_next_to_the_singularity_is_skipped(which):
+    # xc 1e-15 off the bottom edge's line, within round-off of it
+    sq = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    for xc in ((0.5, 1e-15), (2.0, 1e-15)):
+        spec = SingularSpec(xc=xc, radial=GAUSS_JACOBI, t_transform=which)
+        with pytest.warns(UserWarning, match=r"skipped \(curve 0\)"):
+            rule = generate_singular_rule(sq, spec, 0.5, 6, 6)
+        assert 0 not in rule.curve_index and np.isfinite(rule.weights).all()
+
+
+@pytest.mark.parametrize("which, xc", [("r1", (0.5, 1e-10)), ("r1", (0.5, -1e-10)),
+                                       ("r1", (2.0, 1e-10)), ("r3", (2.0, 1e-10))])
+def test_t_transform_without_nodes_on_a_kept_edge_is_an_error(which, xc):
+    # r1's log(tau + sqrt(ell^2 + tau^2)) is -inf for tau < 0 once ell^2 is
+    # below the round-off of tau^2, and r3's ends both round to 1 when the
+    # edge lies far along its line from xc: the edge has no nodes, but it is
+    # 1e-10 from xc, so it counts
+    sq = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    spec = SingularSpec(xc=xc, radial=GAUSS_JACOBI, t_transform=which)
+    with pytest.raises(InvalidArgumentError, match="cannot resolve curve 0"):
+        generate_singular_rule(sq, spec, 0.5, 6, 6)
+    # the same point without a t-transform gives a finite rule
+    rule = generate_singular_rule(sq, SingularSpec(xc=xc, radial=GAUSS_JACOBI), 0.5, 6, 6)
+    assert np.isfinite(rule.weights).all()
 
 
 def test_t_transform_requires_segments():

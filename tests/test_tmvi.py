@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import exact_distance
 from sbcubature import tmvi
 from sbcubature.curves import ParametricCurve, Segment
 from sbcubature.errors import InvalidArgumentError
@@ -12,7 +13,6 @@ from sbcubature.tmvi import (
     EggCurve,
     egg_domain,
     evaluate_masked,
-    exact_distance,
     lp_distance_many,
     tmvi_eval_many,
 )
