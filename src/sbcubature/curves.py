@@ -18,7 +18,8 @@ def _check_t(t):
     if not t.size:
         return t
     lo, hi = t.min(), t.max()
-    if lo < -1e-12 or hi > 1.0 + 1e-12:
+    # negated so that a NaN node (every comparison with it is false) fails too
+    if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):
         raise InvalidArgumentError("curve parameter must lie in [0,1]")
     return np.clip(t, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else t
 

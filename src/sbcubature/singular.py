@@ -94,14 +94,28 @@ def t_transform_bounds(ell, tau1, tau2, which):
     ell != 0; L = |ell| keeps that true when x0 is on the outward side of
     the edge line.  ell, tau1 and tau2 may be arrays that broadcast against
     each other and against the transformed coordinates, one entry per edge.
+
+    r2 and r3 send tau = +-inf to the poles tau~ = +-pi/2 and +-1, and an
+    edge with |ell| << |tau| has its nodes next to a pole, where tau~ alone
+    would keep too few digits of the distance to it.  So an edge on one side
+    of x0's foot (tau1 >= 0 or tau2 <= 0) gets tau~ less the pole on its
+    side, computed without cancellation, as lo, hi and the argument of the
+    two callables; an edge across the foot keeps tau~.
+    r1 has no pole, and its forward map log(tau + sqrt(ell^2 + tau^2)) is
+    taken as log L + asinh(tau/L), which does not cancel for tau < 0.
     """
     L = np.abs(ell)
     if (L == 0.0).any():
         raise InvalidArgumentError("edge line passes through the singularity")
     l2 = ell * ell
+    # +1 or -1: the r2/r3 pole on the edge's side of the foot, 0: the edge
+    # spans the foot; the formulas below scale by sigma and spans = 1 - |sigma|,
+    # exact factors 0 and +-1, to pick their form per edge
+    sigma = (np.asarray(tau1) >= 0.0) - (np.asarray(tau2) <= 0.0) * 1.0
+    spans = 1.0 - np.abs(sigma)
     if which == "r1":
         def fwd(tau):
-            return np.log(tau + np.sqrt(l2 + tau * tau))
+            return np.log(L) + np.arcsinh(tau / L)
 
         def tau_of(tt):
             return 0.5 * (np.exp(tt) - l2 * np.exp(-tt))
@@ -110,22 +124,32 @@ def t_transform_bounds(ell, tau1, tau2, which):
             return 0.5 * (np.exp(tt) + l2 * np.exp(-tt))
     elif which == "r2":
         def fwd(tau):
-            return np.arctan(tau / L)
+            # arctan(tau/L) - sigma pi/2 = -sigma arctan(L/|tau|) on the pole's side
+            return spans * np.arctan(tau / L) - sigma * np.arctan2(L, np.abs(tau))
+
+        def cos_shifted(tt):
+            return spans * np.cos(tt) - sigma * np.sin(tt)  # cos(tt + sigma pi/2)
 
         def tau_of(tt):
-            return L * np.tan(tt)
+            return L * (spans * np.sin(tt) + sigma * np.cos(tt)) / cos_shifted(tt)
 
         def dtau_of(tt):
-            return L / np.cos(tt) ** 2
+            return L / cos_shifted(tt) ** 2
     elif which == "r3":
         def fwd(tau):
-            return tau / np.sqrt(l2 + tau * tau)
+            # tau/r - sigma = -sigma L^2 / (r (r + |tau|)) on the pole's side
+            r = np.sqrt(l2 + tau * tau)
+            return (spans * tau - sigma * l2 / (r + np.abs(tau))) / r
+
+        def one_minus_square(tt):
+            # 1 - (tt + sigma)^2; one factor is exactly -tt or tt on a pole's side
+            return (1.0 - sigma - tt) * (1.0 + sigma + tt)
 
         def tau_of(tt):
-            return L * tt / np.sqrt(1.0 - tt * tt)
+            return L * (tt + sigma) / np.sqrt(one_minus_square(tt))
 
         def dtau_of(tt):
-            return L / (1.0 - tt * tt) ** 1.5
+            return L / one_minus_square(tt) ** 1.5
     else:
         raise InvalidArgumentError("unknown t-transform %r" % (which,))
     return fwd(tau1), fwd(tau2), tau_of, dtau_of

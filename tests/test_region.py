@@ -199,6 +199,21 @@ def test_decompose_rejects_nodes_outside_the_unit_interval(unit_square):
                 decompose(region, np.zeros(2), np.array(t))
 
 
+def test_nan_node_is_a_bad_parameter_not_a_bad_curve(unit_square):
+    # a NaN node fails the [0, 1] check instead of reaching the curves'
+    # finiteness check, which would blame the geometry
+    library_curves = [c for c in curve_chain(KINDS).curves if type(c).__module__ == "sbcubature.curves"]
+    assert len(library_curves) == 6
+    for curve in library_curves:
+        for method in (curve.position, curve.velocity):
+            with pytest.raises(InvalidArgumentError, match="curve parameter must lie in"):
+                method(np.nan)
+    for region in (unit_square, lookup("egg").make(), curve_chain(KINDS)):
+        for t in ([0.5, np.nan], [[np.nan, 0.5]] * len(region.curves)):
+            with pytest.raises(InvalidArgumentError, match="curve parameter must lie in"):
+                decompose(region, np.zeros(2), np.array(t))
+
+
 class UnvectorizedLine(Segment):
     """A segment subclass whose velocity forgets to broadcast over t."""
 

@@ -278,6 +278,20 @@ def test_t_transform_round_trip_and_monotone(ell, tau, which, sign):
     assert dtau_of(fwd) > 0.0
 
 
+@pytest.mark.parametrize("which, tau1, tau2", [
+    (w, *taus) for w in ("r1", "r2", "r3") for taus in ((-2.0, -1.0), (1.0, 2.0))
+] + [("r1", -0.5, 0.5)])
+def test_t_transform_ends_round_trip_next_to_the_line(which, tau1, tau2):
+    # ell = 1e-10: r2/r3 put an edge on one side of the foot next to a pole,
+    # and r1's forward map cancels for tau < 0.  (r2/r3 on an edge across the
+    # foot keep tau~, whose ends round onto the poles at this ell.)
+    lo, hi, tau_of, dtau_of = t_transform_bounds(1e-10, tau1, tau2, which)
+    assert tau_of(lo) == pytest.approx(tau1, rel=1e-12)
+    assert tau_of(hi) == pytest.approx(tau2, rel=1e-12)
+    tt = np.linspace(lo, hi, 9)
+    assert np.all(np.diff(tau_of(tt)) > 0.0) and np.all(np.isfinite(dtau_of(tt)) & (dtau_of(tt) > 0.0))
+
+
 def test_small_beta_limit_matches_plain_cubature(unit_square):
     v = integrate_singular(
         unit_square, SplitIntegrand(ones, 1e-14), SingularSpec(xc=(-0.5, -0.5)), 8, 8
@@ -336,18 +350,25 @@ def test_edge_next_to_the_singularity_is_skipped(which):
 
 @pytest.mark.parametrize("which, xc", [("r1", (0.5, 1e-10)), ("r1", (0.5, -1e-10)),
                                        ("r1", (2.0, 1e-10)), ("r3", (2.0, 1e-10))])
-def test_t_transform_without_nodes_on_a_kept_edge_is_an_error(which, xc):
-    # r1's log(tau + sqrt(ell^2 + tau^2)) is -inf for tau < 0 once ell^2 is
-    # below the round-off of tau^2, and r3's ends both round to 1 when the
-    # edge lies far along its line from xc: the edge has no nodes, but it is
-    # 1e-10 from xc, so it counts
+def test_t_transform_resolves_a_kept_edge_next_to_xc(which, xc):
+    # the bottom edge is 1e-10 from xc, so it counts.  Its nodes need r1's map
+    # without the cancellation of log(tau + r) for tau < 0, and r3's ends
+    # measured from the pole when the edge lies far along its line from xc
     sq = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
     spec = SingularSpec(xc=xc, radial=GAUSS_JACOBI, t_transform=which)
-    with pytest.raises(InvalidArgumentError, match="cannot resolve curve 0"):
-        generate_singular_rule(sq, spec, 0.5, 6, 6)
-    # the same point without a t-transform gives a finite rule
-    rule = generate_singular_rule(sq, SingularSpec(xc=xc, radial=GAUSS_JACOBI), 0.5, 6, 6)
-    assert np.isfinite(rule.weights).all()
+    rule = generate_singular_rule(sq, spec, 0.5, 6, 6)
+    assert 0 in rule.curve_index and np.isfinite(rule.weights).all()
+    # the same point without a t-transform gives a finite rule too
+    plain = generate_singular_rule(sq, SingularSpec(xc=xc, radial=GAUSS_JACOBI), 0.5, 6, 6)
+    assert np.isfinite(plain.weights).all()
+    old = per_edge_rule(sq, spec, 0.5, 6, 6)
+    np.testing.assert_array_equal(rule.curve_index, old.curve_index)
+
+    def g(x, y):
+        return np.cos(x) + y * y
+
+    vals = g(old.points[:, 0], old.points[:, 1])
+    assert abs(rule(g) - old(g)) <= 1e-13 * np.abs(old.weights * vals).sum()
 
 
 def test_t_transform_requires_segments():

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -70,6 +71,52 @@ def test_polynomial_degree_metadata(name):
         coeffs = (-1.0) ** (d + 1 - k) * np.array([comb(d + 1, int(i)) for i in k])
         vals = fn.field(x0 + k * h * dx, y0 + k * h * dy)
         assert abs(np.dot(coeffs, vals)) <= 1e-9 * (1.0 + np.abs(vals).max())
+
+
+# _cubic_numerator, the numerator of fS1 and fS3, as {(i, j): c} of c x**i y**j
+_CUBIC_MONOMIALS = {
+    (0, 0): 4, (1, 0): -2, (0, 1): 1, (2, 0): -1, (1, 1): 2, (0, 2): -3,
+    (3, 0): 3, (2, 1): -5, (1, 2): 5, (0, 3): -4,
+}
+_POLYNOMIAL_FIELDS = [(name, lookup(name).field, lookup(name).meta["monomials"])
+                      for name in ("p0", "p1", "p2", "p3", "p4", "p5", "fC1", "fC2")]
+_POLYNOMIAL_FIELDS.append(("fS1 numerator", lookup("fS1").meta["numerator"], _CUBIC_MONOMIALS))
+
+
+@pytest.mark.parametrize("name, field, monomials", _POLYNOMIAL_FIELDS,
+                         ids=[name for name, _, _ in _POLYNOMIAL_FIELDS])
+def test_polynomial_fields_match_their_monomials_pointwise(name, field, monomials):
+    # exact rational evaluation of the monomials; the field may be off by
+    # 8 deg u times the sum of the term sizes
+    rng = np.random.default_rng(17)
+    x = np.concatenate([rng.uniform(-3.0, 3.0, 200), [0.0, -1.0, 1.0, -0.5]])
+    y = np.concatenate([rng.uniform(-3.0, 3.0, 200), [-1.0, 0.0, -2.0, -0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = field(x, y)
+    assert got.shape == x.shape
+    degree = max(i + j for i, j in monomials)
+    u = Fraction(2) ** -53
+    for xk, yk, gk in zip(x.tolist(), y.tolist(), got.tolist()):
+        terms = [Fraction(c) * Fraction(xk) ** i * Fraction(yk) ** j for (i, j), c in monomials.items()]
+        assert abs(Fraction(gk) - sum(terms)) <= 8 * degree * u * sum(abs(t) for t in terms), (xk, yk)
+
+
+@pytest.mark.parametrize("name, field, monomials", _POLYNOMIAL_FIELDS,
+                         ids=[name for name, _, _ in _POLYNOMIAL_FIELDS])
+def test_polynomial_fields_return_the_broadcast_shape(name, field, monomials):
+    # every shape gives the values of the pointwise scalar calls, bit for bit
+    x = np.linspace(-2.0, 1.0, 7)
+    y = np.linspace(-1.0, 2.0, 7)
+    cases = [(-0.75, -1.25), (x, y), (x, -1.25), (-0.75, y), (x[:, None], y[None, :3])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for xs, ys in cases:
+            values = field(xs, ys)
+            bx, by = np.broadcast_arrays(xs, ys)
+            assert np.shape(values) == bx.shape
+            pointwise = [field(a, b) for a, b in zip(bx.ravel().tolist(), by.ravel().tolist())]
+            np.testing.assert_array_equal(np.ravel(values), pointwise)
 
 
 @pytest.mark.parametrize("name", ["fS1", "fS2", "fS3", "fS4", "fS5", "fS6"])
