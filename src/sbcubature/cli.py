@@ -206,7 +206,7 @@ def _grid_rows(loop, n):
 
 def _loop_from(args):
     region, _ = load_domain(args.domain)
-    return tmvi.BoundaryLoop(region.curves, check_convex=False)
+    return tmvi.BoundaryLoop(region.curves)
 
 
 def _print_grid(loop, n, n_t, **field):

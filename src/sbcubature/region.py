@@ -83,9 +83,6 @@ class Region:
         return self._scale
 
 
-NODE_VELOCITY = "has a non-finite velocity at a quadrature node"
-
-
 def check_finite(a, what="is not finite on [0, 1]"):
     """Samples a (m, n, 2) of m curves; raise naming the first curve with a
     non-finite sample (NaN passes comparisons)."""
@@ -133,12 +130,18 @@ def decompose(region, x0, t):
     boundary Jacobian, in chain order, with shapes (m, n, 2), (m, n, 2) and
     (m, n).  Each row holds the same values as the curve's own position and
     velocity give.  A non-finite C is an InvalidArgumentError naming the
-    curve's chain index; c_i' may be infinite at an endpoint, so callers
-    that sample at interior nodes check it with ``check_finite``.
+    curve's chain index, and so is a non-finite c_i'_perp at a node strictly
+    inside (0, 1): a NaN there would pass every sign and skip test unseen.
+    c_i' may be infinite at an endpoint, as for t^0.5 at t = 0.
     """
     C, V = sample_chain(region.curves, t)
     N = V[..., ::-1] * (1.0, -1.0)
-    return check_finite(C), N, np.einsum("...i,...i->...", C - np.asarray(x0, dtype=float), N)
+    check_finite(C)
+    if not np.isfinite(N).all():
+        t = np.asarray(t, dtype=float)
+        inner = ((t > 0.0) & (t < 1.0))[..., None]
+        check_finite(np.where(inner, N, 0.0), "has a non-finite velocity at a node in (0, 1)")
+    return C, N, np.einsum("...i,...i->...", C - np.asarray(x0, dtype=float), N)
 
 
 def is_star_convex(region, x0):

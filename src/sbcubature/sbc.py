@@ -34,7 +34,7 @@ import numpy as np
 
 from . import rules
 from .errors import EvaluationError, InvalidArgumentError
-from .region import NODE_VELOCITY, check_finite, decompose, resolve_center
+from .region import decompose, resolve_center
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,8 @@ def curve_samples(region, x0, t):
     A curve is skipped when max|(c - x0).c'_perp| <= 1e-14 * scale * max|c'|:
     x0 lies on it (or on its supporting line), so its triangle has no area.
     C and perp are ``decompose``'s arrays with the skipped rows masked out.
-    A non-finite c'_perp at a node is an InvalidArgumentError: a NaN would
-    fail the skip test and drop the curve silently.
     """
     C, N, perp = decompose(region, x0, t)
-    check_finite(N, NODE_VELOCITY)
     tol = 1e-14 * region.scale()
     keep = np.abs(perp).max(axis=1) > tol * np.hypot(N[..., 0], N[..., 1]).max(axis=1)
     if keep.all():

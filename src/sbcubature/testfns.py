@@ -155,10 +155,9 @@ _register_fn("fF1", _franke1)
 _register_fn("fF2", _franke2)
 _register_fn("fF3", _franke3)
 
-_register_fn("fC1", _poly_field({(0, 0): 1.0}), degree=0, monomials={(0, 0): 1.0})
-_register_fn("fC2", _poly_field(_POLY_MONOMIALS["p5"]), degree=5,
-             monomials=_POLY_MONOMIALS["p5"])
-_register_fn("fC3", _franke1)
+# fC1-fC3 are p0, p5 and fF1 under a second name: the same field and metadata
+for _alias, _name in (("fC1", "p0"), ("fC2", "p5"), ("fC3", "fF1")):
+    _register_fn(_alias, _FUNCTIONS[_name].field, **_FUNCTIONS[_name].meta)
 _register_fn(
     "fC4",
     lambda x, y: np.exp(-(((x - 0.4) / 0.3) ** 2 + ((y - 0.5) / 0.4) ** 2) ** 2)
@@ -166,37 +165,19 @@ _register_fn(
     * np.cos(8.0 * y) ** 2,
 )
 
-_register_fn(
-    "fS1",
-    lambda x, y: _cubic_numerator(x, y) / _r_power(x, y, 0.25),
-    singular_xc=(0.0, 0.0), beta=0.5, numerator=_cubic_numerator,
-)
-_register_fn(
-    "fS2",
-    lambda x, y: _bump_numerator(x, y) / _r_power(x, y, 0.25),
-    singular_xc=(0.0, 0.0), beta=0.5, numerator=_bump_numerator,
-)
-_register_fn(
-    "fS3",
-    lambda x, y: _cubic_numerator(x, y) / _r_power(x, y, 0.9),
-    singular_xc=(0.0, 0.0), beta=1.8, numerator=_cubic_numerator,
-)
-_register_fn(
-    "fS4",
-    lambda x, y: _bump_numerator(x, y) / _r_power(x, y, 0.9),
-    singular_xc=(0.0, 0.0), beta=1.8, numerator=_bump_numerator,
-)
-_register_fn(
-    "fS5",
-    lambda x, y: _fs5_numerator_over_r2(x, y) / _r_power(x, y, 0.5),
-    singular_xc=(0.0, 0.0), beta=1.0, numerator=_fs5_numerator_over_r2,
-    homogeneous=-1.0,
-)
-_register_fn(
-    "fS6",
-    lambda x, y: _bump_numerator(x, y) / _r_power(x, y, 0.5),
-    singular_xc=(0.0, 0.0), beta=1.0, numerator=_bump_numerator,
-)
+
+def _register_singular(name, numerator, beta, **meta):
+    """numerator / ||x||^beta, singular at the origin."""
+    _register_fn(name, lambda x, y: numerator(x, y) / _r_power(x, y, 0.5 * beta),
+                 singular_xc=(0.0, 0.0), beta=beta, numerator=numerator, **meta)
+
+
+_register_singular("fS1", _cubic_numerator, 0.5)
+_register_singular("fS2", _bump_numerator, 0.5)
+_register_singular("fS3", _cubic_numerator, 1.8)
+_register_singular("fS4", _bump_numerator, 1.8)
+_register_singular("fS5", _fs5_numerator_over_r2, 1.0, homogeneous=-1.0)
+_register_singular("fS6", _bump_numerator, 1.0)
 
 _register_fn("g1", lambda x, y: 1.0 - 2.0 * x + 3.0 * y, degree=1)
 _register_fn("g2", lambda x, y: np.sin(x) * np.sin(y))
@@ -411,16 +392,13 @@ class BilinearElement:
         return 0.25 * fx * fy, n_xi * xi_x + n_eta * eta_x, n_xi * xi_y + n_eta * eta_y
 
 
-def xfem_split_regions(element, dx):
-    """Element subregions with the discontinuity ray from (dx, 0.5) inserted."""
-    if element == "Omega2":
-        v = [(0.0, 0.0), (0.9, 0.1), (1.1, 0.9), (0.0, 1.0), (0.0, 0.5)]
-        return [polygon(v)]
-    if element == "Omega1":
-        upper = [(0.0, 0.5), (0.0, 1.0), (-0.9, 0.9), (-0.98, 0.5)]
-        lower = [(-1.1, -0.1), (0.0, 0.0), (0.0, 0.5), (-0.98, 0.5)]
-        return [polygon(upper), polygon(lower)]
-    raise NotFoundError("unknown element %r" % (element,))
+# Element subregions with the discontinuity ray from the tip to the element's
+# edge at y = 0.5 inserted as vertices
+_XFEM_SPLITS = {
+    "Omega1": ([(0.0, 0.5), (0.0, 1.0), (-0.9, 0.9), (-0.98, 0.5)],
+               [(-1.1, -0.1), (0.0, 0.0), (0.0, 0.5), (-0.98, 0.5)]),
+    "Omega2": ([(0.0, 0.0), (0.9, 0.1), (1.1, 0.9), (0.0, 1.0), (0.0, 0.5)],),
+}
 
 
 # One process-wide entry (key, K) for the last point set, shared by the
@@ -486,4 +464,4 @@ def xfem_integrands(element, dx):
         return lambda x, y: _crack_stiffness(elem, xc, x, y)[i, j]
 
     fields = [numerator(i, j) for i in range(4) for j in range(4)]
-    return xfem_split_regions(element, dx), fields, 0.5, np.array(xc)
+    return [polygon(v) for v in _XFEM_SPLITS[element]], fields, 0.5, np.array(xc)

@@ -15,32 +15,34 @@ import warnings
 import numpy as np
 
 from . import rules
-from .curves import Curve
+from .curves import Curve, _check_t, sample_chain
 from .errors import InvalidArgumentError
-from .region import NODE_VELOCITY, Region, check_finite, decompose
+from .region import Region, decompose
 
 
 class BoundaryLoop(Region):
     """Closed counterclockwise convex chain of curves.
 
     Convexity is advisory: a warning, not an error, since mildly nonconvex
-    loops merely degrade kernel positivity near the boundary.
+    loops merely degrade kernel positivity near the boundary.  The closed
+    polygon through 128 positions per curve, t = k/128, must turn left at
+    every sample, cross(E_k, E_k+1) >= -1e-12 scale |E_k| for its secants
+    E, and wind once: its turning angles sum to 2 pi within pi.  The test
+    is linear in the number of samples, and it samples no velocity, so an
+    infinite endpoint velocity does not matter here.
     """
 
-    def __init__(self, curves, check_convex=True):
+    def __init__(self, curves):
         super().__init__(curves)
         self._sample_cache = {}
-        if check_convex:
-            C, N, CN = decompose(self, np.zeros(2), np.linspace(0.0, 1.0, 128))
-            C = C.reshape(-1, 2)
-            # convex: no sample C_j lies outside the tangent line at a sample
-            # C_i, (C_j - C_i).n_i <= 0; one curve's tangent lines at a time
-            # keeps memory linear in the number of curves
-            for N_i, CN_i in zip(N, CN):
-                norm = np.hypot(N_i[:, 0], N_i[:, 1])
-                if np.max(C @ (N_i / norm[:, None]).T - CN_i / norm) > 1e-12 * self.scale():
-                    warnings.warn("boundary loop does not look convex", stacklevel=2)
-                    break
+        P = sample_chain(self.curves, np.arange(128) / 128.0, velocity=False)[0].reshape(-1, 2)
+        E = np.roll(P, -1, axis=0) - P
+        F = np.roll(E, -1, axis=0)
+        cross = E[:, 0] * F[:, 1] - E[:, 1] * F[:, 0]
+        dot = E[:, 0] * F[:, 0] + E[:, 1] * F[:, 1]
+        right_turn = cross < -1e-12 * self.scale() * np.hypot(E[:, 0], E[:, 1])
+        if right_turn.any() or abs(np.arctan2(cross, dot).sum() - 2.0 * np.pi) > np.pi:
+            warnings.warn("boundary loop does not look convex", stacklevel=2)
 
     def samples(self, n_t):
         """Per-loop cached (points, rotated velocities, weights) at n_t per curve."""
@@ -49,7 +51,6 @@ class BoundaryLoop(Region):
             return cached
         t_rule = rules.gauss_legendre(n_t)
         C, R, _ = decompose(self, np.zeros(2), t_rule.nodes)
-        check_finite(R, NODE_VELOCITY)
         w = np.tile(t_rule.weights, len(self.curves))
         self._sample_cache[n_t] = (C.reshape(-1, 2), R.reshape(-1, 2), w)
         return self._sample_cache[n_t]
@@ -65,7 +66,7 @@ class EggCurve(Curve):
         self.a, self.b, self.r = float(a), float(b), float(r)
 
     def position(self, t):
-        th = 2.0 * np.pi * np.asarray(t, dtype=float)
+        th = 2.0 * np.pi * _check_t(t)
         a, b, r = self.a, self.b, self.r
         out = np.empty(np.shape(th) + (2,))
         out[..., 0] = r * np.cos(th)
@@ -73,7 +74,7 @@ class EggCurve(Curve):
         return out
 
     def velocity(self, t):
-        th = 2.0 * np.pi * np.asarray(t, dtype=float)
+        th = 2.0 * np.pi * _check_t(t)
         a, b, r = self.a, self.b, self.r
         den = b + r * np.cos(th)
         out = np.empty(np.shape(th) + (2,))

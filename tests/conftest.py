@@ -1,5 +1,14 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# CI (GitHub Actions sets CI) prints a @reproduce_failure blob with each
+# property-test failure, so a failure seen there can be replayed locally
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def greens_monomial(vertices, i, j):

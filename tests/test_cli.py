@@ -128,6 +128,22 @@ def test_hni_flag(capsys):
     assert float(out) == pytest.approx(float(ref), rel=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ["distfield", "builtin:nonconvex_quad", "--grid", "3"],
+    ["tmvi", "builtin:nonconvex_quad", "expr:x", "--grid", "3"],
+], ids=["distfield", "tmvi"])
+def test_grid_commands_warn_on_a_nonconvex_loop(capsys, argv):
+    with pytest.warns(UserWarning, match="boundary loop does not look convex"):
+        code, out = run(capsys, argv)
+    assert code == 0 and len(out.splitlines()) == 10
+
+
+def test_hni_flag_rejects_a_field_homogeneous_on_one_half_plane_only(capsys):
+    argv = ["integrate", "builtin:circle", "expr:max(x,0)^2+min(x,0)^3", "1", "16", "--hni", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: field is not homogeneous")
+
+
 def test_distfield_center_of_circle(capsys):
     code, out = run(capsys, ["distfield", "builtin:circle", "--grid", "3", "--p", "2"])
     assert code == 0

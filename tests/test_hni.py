@@ -45,6 +45,17 @@ def test_homogeneity_spot_check_rejects_impostor():
         HomogeneousField(lambda x, y: x + 1.0, 1)
 
 
+def test_homogeneity_spot_check_covers_every_quadrant():
+    # degree 2 on the right half-plane only: x^3 for x < 0
+    with pytest.raises(InvalidArgumentError):
+        HomogeneousField(lambda x, y: np.maximum(x, 0.0) ** 2 + np.minimum(x, 0.0) ** 3, 2)
+    # NaN for x < 1 must not hide the mismatch where both sides are finite
+    with pytest.raises(InvalidArgumentError):
+        HomogeneousField(lambda x, y: np.sqrt(x - 1.0) + 0.0 * y, 0.5)
+    # undefined off x >= 0, and homogeneous where it is defined
+    HomogeneousField(lambda x, y: np.asarray(x, dtype=float) ** 0.5 * y, 1.5)
+
+
 def test_degree_bound():
     with pytest.raises(InvalidArgumentError):
         HomogeneousField(const, -2.0)

@@ -246,8 +246,8 @@ def test_non_finite_velocity_at_a_node_is_rejected():
 
     region = Region([ParametricCurve("t + 0*atan2(t-0.5, t-0.5)", "0"), Segment((1, 0), (1, 1)),
                      Segment((1, 1), (0, 1)), Segment((0, 1), (0, 0))])
-    _, N, _ = decompose(region, np.array([0.5, 0.5]), np.array([0.25, 0.5]))
-    assert np.isnan(N[0, 1]).any()
+    with pytest.raises(InvalidArgumentError, match="curve 0 has a non-finite velocity"):
+        decompose(region, np.array([0.5, 0.5]), np.array([0.25, 0.5]))
     with pytest.raises(InvalidArgumentError, match="curve 0 has a non-finite velocity"):
         integrate(region, CenterPolicy.VERTEX_AVERAGE, lambda x, y: np.ones_like(x), 3, 5)
     with pytest.raises(InvalidArgumentError, match="curve 0 has a non-finite velocity"):
@@ -255,6 +255,20 @@ def test_non_finite_velocity_at_a_node_is_rejected():
     with pytest.raises(InvalidArgumentError, match="curve 0 has a non-finite velocity"):
         generate_singular_rule(region, SingularSpec(xc=(0.5, 0.5)), 0.5, 3, 5)
     assert area(region, (0.5, 0.5), n_t=4) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_star_convexity_check_rejects_a_nan_normal_inside():
+    # a NaN normal fails every sign test, so unchecked it would read as star-convex
+    class NanInside(Segment):
+        def velocity(self, t):
+            v = super().velocity(t)
+            v[(0.0 < t) & (t < 1.0)] = np.nan
+            return v
+
+    region = Region([NanInside((0, 0), (1, 0)), Segment((1, 0), (1, 1)),
+                     Segment((1, 1), (0, 1)), Segment((0, 1), (0, 0))])
+    with pytest.raises(InvalidArgumentError, match="curve 0 has a non-finite velocity"):
+        is_star_convex(region, (0.5, 0.5))
 
 
 def test_infinite_velocity_at_an_endpoint_is_accepted():

@@ -339,9 +339,11 @@ def test_weakly_singular_registry_functions_have_consistent_split():
 
 @pytest.mark.parametrize("which", ["r1", "r2", "r3"])
 def test_edge_next_to_the_singularity_is_skipped(which):
-    # xc 1e-15 off the bottom edge's line, within round-off of it
+    # xc 1e-15 off the bottom edge's line, within round-off of it; at 1e-310,
+    # a subnormal, the r1 map (and r3's beyond the edge) has no nodes in
+    # [0, 1] and the edge keeps the Gauss nodes before it is dropped
     sq = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-    for xc in ((0.5, 1e-15), (2.0, 1e-15)):
+    for xc in ((0.5, 1e-15), (2.0, 1e-15), (0.5, 1e-310), (2.0, 1e-310)):
         spec = SingularSpec(xc=xc, radial=GAUSS_JACOBI, t_transform=which)
         with pytest.warns(UserWarning, match=r"skipped \(curve 0\)"):
             rule = generate_singular_rule(sq, spec, 0.5, 6, 6)

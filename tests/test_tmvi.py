@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import exact_distance
 from sbcubature import tmvi
@@ -41,6 +43,50 @@ def test_nonconvex_loop_warns():
         circle_loop()
 
 
+def polygon_loop(v):
+    return BoundaryLoop([Segment(v[i], v[(i + 1) % len(v)]) for i in range(len(v))])
+
+
+@st.composite
+def convex_polygons(draw):
+    """Vertices on a rotated ellipse, at scales 1e-5..1e5 and offsets up to 1e2 scale.
+
+    Near 1e3 scale the round-off of the sample positions reaches the test's
+    1e-12 scale tolerance, so a convex polygon there may warn.
+    """
+    deg = np.array(sorted(draw(st.sets(st.integers(0, 359), min_size=3, max_size=12))))
+    a, b, phi = draw(st.floats(0.2, 1.0)), draw(st.floats(0.2, 1.0)), draw(st.floats(0.0, 6.3))
+    th = np.radians(deg) + phi
+    scale = 10.0 ** draw(st.floats(-5.0, 5.0))
+    offset = np.array([draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0))])
+    return scale * (np.column_stack([a * np.cos(th), b * np.sin(th)]) + offset)
+
+
+@settings(max_examples=50, deadline=None)
+@given(v=convex_polygons(), i=st.integers(0, 11), depth=st.floats(0.01, 1.0))
+def test_convex_polygons_pass_and_a_dent_warns(v, i, depth):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        polygon_loop(v)
+    # pull vertex i to the inner side of the chord between its neighbours
+    i %= len(v)
+    mid = 0.5 * (v[i - 1] + v[(i + 1) % len(v)])
+    v[i] = mid - depth * (v[i] - mid)
+    with pytest.warns(UserWarning, match="does not look convex"):
+        polygon_loop(v)
+
+
+def test_convexity_check_is_linear_in_memory():
+    th = 2.0 * np.pi * np.arange(256) / 256
+    tracemalloc.start()
+    try:
+        polygon_loop(np.column_stack([np.cos(th), np.sin(th)]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_partition_of_unity_on_circle():
     loop = circle_loop()
     one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
@@ -54,6 +100,14 @@ def test_egg_curve_derivative_is_exact():
     for t in np.linspace(0.03, 0.97, 17):
         fd = (c.position(t + h) - c.position(t - h)) / (2 * h)
         np.testing.assert_allclose(c.velocity(t), fd, atol=2e-6)
+
+
+@pytest.mark.parametrize("t", [2.0, -0.5, np.nan, [0.5, 1.5]])
+def test_egg_curve_checks_its_parameter(t):
+    c = EggCurve()
+    for method in (c.position, c.velocity):
+        with pytest.raises(InvalidArgumentError, match=r"curve parameter must lie in \[0,1\]"):
+            method(t)
 
 
 def test_linear_precision_on_egg():
@@ -248,7 +302,7 @@ def test_evaluate_masked_takes_one_point_or_n_by_2():
 
 def test_non_finite_velocity_at_a_node_is_rejected():
     loop = BoundaryLoop([ParametricCurve("t + 0*atan2(t-0.5, t-0.5)", "0"), Segment((1, 0), (1, 1)),
-                         Segment((1, 1), (0, 1)), Segment((0, 1), (0, 0))], check_convex=False)
+                         Segment((1, 1), (0, 1)), Segment((0, 1), (0, 0))])
     for call in (lambda: loop.samples(5),
                  lambda: tmvi_eval_many(loop, linear_g, [(0.5, 0.5)], 5),
                  lambda: lp_distance_many(loop, [(0.5, 0.5)], 1.0, 5)):
