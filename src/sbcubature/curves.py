@@ -145,10 +145,10 @@ class ParametricCurve(Curve):
     def __init__(self, x_src, y_src):
         self.x_src = x_src
         self.y_src = y_src
-        self._x_ast = exprlang.parse(x_src)
-        self._y_ast = exprlang.parse(y_src)
-        for ast, src in ((self._x_ast, x_src), (self._y_ast, y_src)):
-            extra = exprlang.free_variables(ast) - {"t"}
+        self._x_expr = exprlang.parse(x_src)
+        self._y_expr = exprlang.parse(y_src)
+        for expr, src in ((self._x_expr, x_src), (self._y_expr, y_src)):
+            extra = expr.variables - {"t"}
             if extra:
                 raise InvalidArgumentError(
                     "parametric coordinate %r may only use t, found %s" % (src, sorted(extra))
@@ -160,8 +160,8 @@ class ParametricCurve(Curve):
     def _raw(self, t):
         # a complex t, from velocity, keeps its imaginary part
         out = np.empty(np.shape(t) + (2,), dtype=np.result_type(t))
-        out[..., 0] = exprlang.evaluate(self._x_ast, {"t": t})
-        out[..., 1] = exprlang.evaluate(self._y_ast, {"t": t})
+        out[..., 0] = exprlang.evaluate(self._x_expr, {"t": t})
+        out[..., 1] = exprlang.evaluate(self._y_expr, {"t": t})
         return out
 
     def velocity(self, t):

@@ -16,12 +16,16 @@ the derivative of a complex step (see ``ParametricCurve.velocity``); real
 arguments call the numpy function unchanged.
 The grammar is Python's arithmetic with ``^`` for ``**``, so Python's own
 parser reads it; the grammar above stays the specification of what is accepted.
+``parse`` checks the grammar and, in the same walk, builds the evaluating
+function once, as nested closures over the numpy calls; ``Expression.variables``
+names the variables the expression reads.
 """
 
 import ast
 import operator
 import re
 import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -84,15 +88,17 @@ _FUNCTIONS = {
     "max": (np.maximum, 2),
 }
 
-_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": np.true_divide,
-              "^": _power}
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: np.true_divide, ast.Pow: _power}
 _CONSTANTS = {"pi": np.pi, "e": np.e}
 _VARIABLES = ("x", "y", "t")
 
 
-# AST nodes are plain tuples:
-#   ("num", value) ("var", name) ("const", name)
-#   ("neg", a) ("bin", op, a, b) ("call", name, args)
+class Expression(NamedTuple):
+    """A parsed expression: its function of the bindings, and the variables it reads."""
+
+    function: Callable
+    variables: frozenset
 
 
 # NUMBER; Python itself rejects an integer with a leading zero, such as 007
@@ -101,13 +107,12 @@ _NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 _BLANK = re.compile(r"\s")
 # Python's ** and every character the grammar has no use for
 _FOREIGN = re.compile(r"\*\*|[^0-9A-Za-z_.+\-*/^(),\s]")
-_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
-# deepest tree parse accepts, so _eval and free_variables recurse no further
+# deepest tree parse accepts, so the evaluating closures recurse no further
 _MAX_DEPTH = 200
 
 
 def parse(src):
-    """Parse an expression source string into an AST."""
+    """Parse an expression source string into an ``Expression``."""
     if not isinstance(src, str):
         raise InvalidArgumentError("expression must be a string, got %r" % (src,))
     bad = _FOREIGN.search(src)
@@ -119,7 +124,8 @@ def parse(src):
             # a parser warning, say on '1if', fails the parse instead of escaping
             warnings.simplefilter("error")
             tree = ast.parse(body, mode="eval").body
-        return _tree(tree, body, 1)
+        variables = set()
+        return Expression(_compile(tree, body, 1, variables), frozenset(variables))
     except SyntaxError as err:
         raise ParseError(err.msg, _offset(src, err.offset)) from None
     except (RecursionError, MemoryError):
@@ -137,26 +143,42 @@ def _reject(message, node):
     return SyntaxError(message, ("<expr>", 1, node.col_offset + 1, None))
 
 
-def _tree(node, body, depth):
-    """The tuple AST of a Python expression node; SyntaxError outside the grammar."""
+def _apply(fn, args):
+    """The function of the bindings that applies fn to the values of args."""
+    if len(args) == 1:
+        (f,) = args
+        return lambda b: fn(f(b))
+    f, g = args
+    return lambda b: fn(f(b), g(b))
+
+
+def _compile(node, body, depth, variables):
+    """The function of a Python expression node; SyntaxError outside the grammar.
+
+    The names of the variables it reads are added to the set variables.
+    """
     if depth > _MAX_DEPTH:
         raise _reject("expression nested deeper than %d" % _MAX_DEPTH, node)
     kind = type(node)
-    if kind is ast.BinOp and type(node.op) in _BINARY:
-        return ("bin", _BINARY[type(node.op)],
-                _tree(node.left, body, depth + 1), _tree(node.right, body, depth + 1))
+    if kind is ast.BinOp and type(node.op) in _OPERATORS:
+        return _apply(_OPERATORS[type(node.op)], [_compile(a, body, depth + 1, variables)
+                                                  for a in (node.left, node.right)])
     if kind is ast.UnaryOp and type(node.op) is ast.USub:
-        return ("neg", _tree(node.operand, body, depth + 1))
+        return _apply(operator.neg, [_compile(node.operand, body, depth + 1, variables)])
     if kind is ast.Constant:
         number = body[node.col_offset:node.end_col_offset]
         if _NUMBER.fullmatch(number):
-            return ("num", float(number))
+            value = float(number)
+            return lambda b: value
     elif kind is ast.Name:
-        if node.id in _VARIABLES:
-            return ("var", node.id)
-        if node.id in _CONSTANTS:
-            return ("const", node.id)
-        raise _reject("unknown identifier %r" % node.id, node)
+        name = node.id
+        if name in _VARIABLES:
+            variables.add(name)
+            return lambda b: b[name]
+        if name in _CONSTANTS:
+            value = _CONSTANTS[name]
+            return lambda b: value
+        raise _reject("unknown identifier %r" % name, node)
     elif kind is ast.Call and type(node.func) is ast.Name:
         name, args = node.func.id, node.args
         if name not in _FUNCTIONS:
@@ -164,65 +186,36 @@ def _tree(node, body, depth):
         # (sin)(x), sin(x,) and sin(^x), that is sin(**x), are Python only
         if (node.func.col_offset == node.col_offset and not node.keywords
                 and not body[:node.end_col_offset - 1].rstrip().endswith(",")):
-            arity = _FUNCTIONS[name][1]
+            fn, arity = _FUNCTIONS[name]
             if len(args) != arity:
                 raise _reject("%s takes %d argument(s), got %d" % (name, arity, len(args)), node)
-            return ("call", name, tuple(_tree(a, body, depth + 1) for a in args))
+            return _apply(fn, [_compile(a, body, depth + 1, variables) for a in args])
     raise _reject("%s is not in the expression grammar" % type(node).__name__, node)
 
 
-def free_variables(expr):
-    kind = expr[0]
-    if kind == "var":
-        return {expr[1]}
-    if kind == "neg":
-        return free_variables(expr[1])
-    if kind == "bin":
-        return free_variables(expr[2]) | free_variables(expr[3])
-    if kind == "call":
-        return set().union(*map(free_variables, expr[2]))
-    return set()
-
-
 def evaluate(expr, bindings):
-    """Evaluate an AST with the given variable bindings.
+    """Evaluate a parsed expression with the given variable bindings.
 
     Domain errors and division by zero produce non-finite values rather
     than exceptions; integration-time code is responsible for rejecting
     them.
     """
-    missing = free_variables(expr) - set(bindings)
+    missing = expr.variables.difference(bindings)
     if missing:
         raise InvalidArgumentError("missing bindings for %s" % sorted(missing))
     with np.errstate(all="ignore"):
-        return _eval(expr, bindings)
-
-
-def _eval(e, b):
-    kind = e[0]
-    if kind == "num":
-        return e[1]
-    if kind == "var":
-        return b[e[1]]
-    if kind == "const":
-        return _CONSTANTS[e[1]]
-    if kind == "neg":
-        return -_eval(e[1], b)
-    if kind == "bin":
-        return _OPERATORS[e[1]](_eval(e[2], b), _eval(e[3], b))
-    fn = _FUNCTIONS[e[1]][0]
-    return fn(*(_eval(a, b) for a in e[2]))
+        return expr.function(bindings)
 
 
 def compile_field(src):
     """Parse a two-variable expression into a callable f(x, y)."""
-    ast = parse(src)
-    extra = free_variables(ast) - {"x", "y"}
+    expr = parse(src)
+    extra = expr.variables - {"x", "y"}
     if extra:
         raise InvalidArgumentError("field expression may only use x and y, found %s" % sorted(extra))
 
     def field(x, y):
-        val = evaluate(ast, {"x": x, "y": y})
+        val = evaluate(expr, {"x": x, "y": y})
         # constants must still broadcast over point arrays
         return np.broadcast_to(val, np.broadcast(np.asarray(x), np.asarray(y)).shape)
 

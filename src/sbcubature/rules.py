@@ -23,6 +23,7 @@ Two constructions, chosen by (n, eta) alone:
   ``N0`` = 192 is where the two build times cross (about 6 ms each).
 """
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gamma
@@ -130,19 +131,27 @@ def _gauss_unit(n, eta):
     return Rule1D(nodes=nodes, weights=weights)
 
 
+def _rule_size(n):
+    """n as an int >= 1; numpy integers pass, while 2.5, True and NaN do not."""
+    try:
+        size = operator.index(n)
+    except TypeError:
+        size = 0
+    if size < 1 or isinstance(n, bool):
+        raise InvalidArgumentError("rule size must be an integer >= 1, got %r" % (n,))
+    return size
+
+
 def gauss_legendre(n):
     """n-point Gauss-Legendre rule on [0,1]."""
-    if n < 1:
-        raise InvalidArgumentError("rule size must be >= 1, got %r" % (n,))
-    return _gauss_unit(int(n), 0.0)
+    return _gauss_unit(_rule_size(n), 0.0)
 
 
 def gauss_jacobi_unit(n, eta):
     """n-point Gauss rule on [0,1] against the weight xi**eta, eta > -1."""
-    if n < 1:
-        raise InvalidArgumentError("rule size must be >= 1, got %r" % (n,))
+    n = _rule_size(n)
     if not eta > -1.0:
         raise InvalidArgumentError(
             "weight exponent must exceed -1 for an integrable weight, got %r" % (eta,)
         )
-    return _gauss_unit(int(n), float(eta))
+    return _gauss_unit(n, float(eta))

@@ -25,11 +25,15 @@ class BoundaryLoop(Region):
 
     Convexity is advisory: a warning, not an error, since mildly nonconvex
     loops merely degrade kernel positivity near the boundary.  The closed
-    polygon through 128 positions per curve, t = k/128, must turn left at
-    every sample, cross(E_k, E_k+1) >= -1e-12 scale |E_k| for its secants
-    E, and wind once: its turning angles sum to 2 pi within pi.  The test
-    is linear in the number of samples, and it samples no velocity, so an
-    infinite endpoint velocity does not matter here.
+    polygon through 128 positions P per curve, t = k/128, must turn left at
+    every sample, cross(E_k, E_k+1) >= -1e-14 max(scale, |P|.max()) |E_k|
+    for its secants E, and wind once: its turning angles sum to 2 pi within
+    pi.  The tolerance grows with the largest coordinate, as the round-off of
+    the positions does: on convex polygons, Bezier and parametric loops up
+    to 1e4 scale from the origin that round-off stayed below
+    1e-15 |P|.max(), so such a loop passes.
+    The test is linear in the number of samples, and it samples no velocity,
+    so an infinite endpoint velocity does not matter here.
     """
 
     def __init__(self, curves):
@@ -40,7 +44,8 @@ class BoundaryLoop(Region):
         F = np.roll(E, -1, axis=0)
         cross = E[:, 0] * F[:, 1] - E[:, 1] * F[:, 0]
         dot = E[:, 0] * F[:, 0] + E[:, 1] * F[:, 1]
-        right_turn = cross < -1e-12 * self.scale() * np.hypot(E[:, 0], E[:, 1])
+        tol = 1e-14 * max(self.scale(), np.abs(P).max())
+        right_turn = cross < -tol * np.hypot(E[:, 0], E[:, 1])
         if right_turn.any() or abs(np.arctan2(cross, dot).sum() - 2.0 * np.pi) > np.pi:
             warnings.warn("boundary loop does not look convex", stacklevel=2)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbcubature import exprlang
-from sbcubature.exprlang import ParseError, evaluate, free_variables, parse
+from sbcubature.exprlang import ParseError, evaluate, parse
 
 
 def ev(src, **b):
@@ -107,7 +107,10 @@ def test_offsets_index_the_source():
 
 
 def test_blanks_separate_tokens():
-    assert parse("x\n+\ty\r-\x0bt\xa0*\x0c2") == parse("x + y - t * 2")
+    b = {"x": np.array([0.3, -1.7]), "y": np.array([2.5, 0.75]), "t": np.array([-0.45, 1.3])}
+    blanks, spaces = parse("x\n+\ty\r-\x0bt\xa0*\x0c2"), parse("x + y - t * 2")
+    assert blanks.variables == spaces.variables == {"x", "y", "t"}
+    assert evaluate(blanks, b).tobytes() == evaluate(spaces, b).tobytes()
 
 
 # forms Python's parser reads but the grammar does not admit
@@ -142,7 +145,10 @@ def test_nesting_limit():
     limit = exprlang._MAX_DEPTH
     for make in (lambda k: "+".join(["x"] * k), lambda k: "-" * (k - 1) + "x",
                  lambda k: "sin(" * (k - 1) + "x" + ")" * (k - 1)):
-        assert free_variables(parse(make(limit))) == {"x"}
+        expr = parse(make(limit))
+        assert expr.variables == {"x"}
+        # the evaluating closures recurse once per level
+        assert np.isfinite(evaluate(expr, {"x": np.array([0.5, -2.0])})).all()
         with pytest.raises(ParseError):
             parse(make(limit + 1))
 

@@ -125,13 +125,19 @@ def test_large_legendre_rules_need_no_eigensolver(monkeypatch):
         gauss_jacobi_unit(300, -0.5)
 
 
-def test_invalid_args():
-    with pytest.raises(InvalidArgumentError):
-        gauss_legendre(0)
+def test_invalid_args(unit_square):
     with pytest.raises(InvalidArgumentError):
         gauss_jacobi_unit(4, -1.0)
+    # a size that is not an integer is an error, not truncated
+    for n in (0, 2.5, 2.0, True, np.nan):
+        with pytest.raises(InvalidArgumentError):
+            gauss_legendre(n)
+        with pytest.raises(InvalidArgumentError):
+            gauss_jacobi_unit(n, 0.5)
     with pytest.raises(InvalidArgumentError):
-        gauss_jacobi_unit(0, 0.5)
+        generate_rule(unit_square, CenterPolicy.VERTEX_AVERAGE, 2.7, 1.5)
+    assert gauss_legendre(np.int64(3)) is gauss_legendre(3)
+    assert gauss_jacobi_unit(np.int32(3), 0.5) is gauss_jacobi_unit(3, 0.5)
 
 
 # The tensor product of a radial and a t-rule is built by the scaled
