@@ -279,24 +279,6 @@ def lookup(name):
     )
 
 
-def function_names():
-    return sorted(_FUNCTIONS)
-
-
-def geometry_names():
-    return sorted(_GEOMETRIES)
-
-
-def rescaled_polygon(name):
-    """Polygon translated/scaled into the largest subset of the unit square."""
-    geom = lookup(name)
-    reg = geom.make()
-    v = reg.vertices
-    lo = v.min(axis=0)
-    span = (v.max(axis=0) - lo).max()
-    return polygon((v - lo) / span)
-
-
 # ---------------------------------------------------------------------------
 # crack-tip enriched bilinear element integrands
 
@@ -321,17 +303,6 @@ class BilinearElement:
         s, t = _XI_SIGNS[:, 0:1], _XI_SIGNS[:, 1:2]
         self.a0, self.a1, self.a2, self.a3 = (
             0.25 * (w * self.nodes).sum(axis=0) for w in (1.0, s, t, s * t)
-        )
-
-    def to_physical(self, xi, eta):
-        return np.stack(self._map(xi, eta), axis=-1)
-
-    def _map(self, xi, eta):
-        a0, a1, a2, a3 = self.a0, self.a1, self.a2, self.a3
-        xe = xi * eta
-        return (
-            a0[0] + a1[0] * xi + a2[0] * eta + a3[0] * xe,
-            a0[1] + a1[1] * xi + a2[1] * eta + a3[1] * xe,
         )
 
     def _jacobian(self, xi, eta):

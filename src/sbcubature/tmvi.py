@@ -20,6 +20,10 @@ from .errors import InvalidArgumentError
 from .region import Region, decompose
 
 
+# Step in t of the secants that meet at each curve junction in the convexity test
+_JUNCTION_STEP = 2.0**-20
+
+
 class BoundaryLoop(Region):
     """Closed counterclockwise convex chain of curves.
 
@@ -32,6 +36,12 @@ class BoundaryLoop(Region):
     the positions does: on convex polygons, Bezier and parametric loops up
     to 1e4 scale from the origin that round-off stayed below
     1e-15 |P|.max(), so such a loop passes.
+    A reflex corner at a curve junction can be narrower than the turn
+    between two of those samples, so each curve's last secant over the step
+    _JUNCTION_STEP in t must also turn left into the next curve's first,
+    with the longer of the two secants in place of |E_k|: next to an
+    endpoint of zero velocity a secant is far shorter than its neighbour, and
+    its direction carries the positions' round-off.
     The test is linear in the number of samples, and it samples no velocity,
     so an infinite endpoint velocity does not matter here.
     """
@@ -46,7 +56,15 @@ class BoundaryLoop(Region):
         dot = E[:, 0] * F[:, 0] + E[:, 1] * F[:, 1]
         tol = 1e-14 * max(self.scale(), np.abs(P).max())
         right_turn = cross < -tol * np.hypot(E[:, 0], E[:, 1])
-        if right_turn.any() or abs(np.arctan2(cross, dot).sum() - 2.0 * np.pi) > np.pi:
+        # the last secant of curve i into the first of curve i+1
+        h = _JUNCTION_STEP
+        J = sample_chain(self.curves, np.array([0.0, h, 1.0 - h, 1.0]), velocity=False)[0]
+        E = J[:, 3] - J[:, 2]
+        F = np.roll(J[:, 1] - J[:, 0], -1, axis=0)
+        longer = np.maximum(np.hypot(E[:, 0], E[:, 1]), np.hypot(F[:, 0], F[:, 1]))
+        right_turn_at_junction = E[:, 0] * F[:, 1] - E[:, 1] * F[:, 0] < -tol * longer
+        if (right_turn.any() or right_turn_at_junction.any()
+                or abs(np.arctan2(cross, dot).sum() - 2.0 * np.pi) > np.pi):
             warnings.warn("boundary loop does not look convex", stacklevel=2)
 
     def samples(self, n_t):
@@ -92,8 +110,9 @@ def egg_domain(a=4.0, b=5.0, r=1.0):
     return BoundaryLoop([EggCurve(a, b, r)])
 
 
-# Pairs per row block of _scaled_kernel: a few planes of this many doubles
-# stay in cache, and no (N, M) array is ever built.
+# Pairs per row block of _scaled_kernel: its four planes of this many doubles
+# (2 MB) are allocated once per call and stay in cache, and no (N, M) array
+# is ever built.
 _BLOCK_PAIRS = 2**16
 
 
@@ -106,8 +125,15 @@ def _scaled_kernel(loop, x, n_t, power, W):
     d out keeps every power at most 1, so nothing overflows for large
     powers, and K @ w has the sign of W_x.
 
-    The points are taken in row blocks of about _BLOCK_PAIRS pairs on
-    separate dx and dy planes, so memory does not grow with N.
+    The kernel works on squared distances r2 = ||c-x||^2: with
+    d2 = min r2 and q = d2 / r2, K = q^(power/2) (c-x).c'_perp, where the
+    cube (TMVI and p = 1) is q sqrt(q) and any other power one np.power.
+    d = sqrt(d2) is bit for bit the minimum of the distances, since a
+    correctly rounded sqrt is monotone, so the inside test on d is exact.
+
+    The points are taken in row blocks of about _BLOCK_PAIRS pairs on four
+    preallocated planes (dx, dy, the numerator and a temporary), so memory
+    does not grow with N.
     """
     C, R, _ = loop.samples(n_t)
     # contiguous planes: strided columns slow every block pass by 5-10%
@@ -115,21 +141,26 @@ def _scaled_kernel(loop, x, n_t, power, W):
     sums = np.empty((len(x), W.shape[1]))
     d = np.empty(len(x))
     rows = max(1, _BLOCK_PAIRS // len(Cx))
+    planes = np.empty((4, min(rows, len(x)), len(Cx)))
     for i in range(0, len(x), rows):
         xb = x[i:i + rows]
-        dx = Cx - xb[:, :1]
-        dy = Cy - xb[:, 1:]
-        num = dx * Rx
-        num += dy * Ry
-        dx *= dx
-        dy *= dy
-        dx += dy
-        dist = np.sqrt(dx, out=dx)
-        d[i:i + rows] = db = dist.min(axis=1)
+        dx, dy, num, tmp = planes[:, :len(xb)]
+        np.subtract(Cx, xb[:, :1], out=dx)
+        np.subtract(Cy, xb[:, 1:], out=dy)
+        np.multiply(dx, Rx, out=num)
+        num += np.multiply(dy, Ry, out=tmp)
+        r2 = np.multiply(dx, dx, out=dx)
+        r2 += np.multiply(dy, dy, out=dy)
+        d2 = r2.min(axis=1)
+        d[i:i + rows] = np.sqrt(d2)
         # a point on a sample divides 0/0; its NaN row is masked out
         with np.errstate(invalid="ignore"):
-            K = np.divide(db[:, None], dist, out=dist)
-        K **= power
+            q = np.divide(d2[:, None], r2, out=r2)
+        if power == 3.0:
+            K = np.sqrt(q, out=dy)
+            K *= q
+        else:
+            K = np.power(q, 0.5 * power, out=q)
         K *= num
         np.matmul(K, W, out=sums[i:i + rows])
     return sums, d

@@ -75,6 +75,36 @@ def exact_distance(loop, x):
     return best
 
 
+def function_names():
+    from sbcubature import testfns
+
+    return sorted(testfns._FUNCTIONS)
+
+
+def geometry_names():
+    from sbcubature import testfns
+
+    return sorted(testfns._GEOMETRIES)
+
+
+def rescaled_polygon(name):
+    """Polygon translated/scaled into the largest subset of the unit square."""
+    from sbcubature.region import polygon
+    from sbcubature.testfns import lookup
+
+    v = lookup(name).make().vertices
+    lo = v.min(axis=0)
+    span = (v.max(axis=0) - lo).max()
+    return polygon((v - lo) / span)
+
+
+def to_physical(element, xi, eta):
+    """Bilinear map x = a0 + a1 xi + a2 eta + a3 xi eta of a BilinearElement, shape (..., 2)."""
+    a0, a1, a2, a3 = element.a0, element.a1, element.a2, element.a3
+    xe = xi * eta
+    return np.stack([a0[k] + a1[k] * xi + a2[k] * eta + a3[k] * xe for k in (0, 1)], axis=-1)
+
+
 def greens_poly(vertices, monomials):
     return sum(c * greens_monomial(vertices, i, j) for (i, j), c in monomials.items())
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import own_samples
+from conftest import geometry_names, own_samples
 from sbcubature.curves import (
     Bezier,
     Curve,
@@ -22,7 +22,7 @@ from sbcubature.region import (
     resolve_center,
 )
 from sbcubature.sbc import integrate
-from sbcubature.testfns import geometry_names, lookup
+from sbcubature.testfns import lookup
 
 
 def area(region, x0, n_t=32):

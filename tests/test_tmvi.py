@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import exact_distance
 from sbcubature import tmvi
-from sbcubature.curves import ParametricCurve, Segment
+from sbcubature.curves import Bezier, ParametricCurve, Segment
 from sbcubature.errors import InvalidArgumentError
 from sbcubature.tmvi import (
     BoundaryLoop,
@@ -70,6 +70,25 @@ def test_convex_polygons_pass_and_a_dent_warns(v, i, depth):
     v[i] = mid - depth * (v[i] - mid)
     with pytest.warns(UserWarning, match="does not look convex"):
         polygon_loop(v)
+
+
+def bezier_chain_with_junction_turn(degrees):
+    """Two cubic Beziers around an oval; at (1, 0) the second turns by `degrees` into the first."""
+    a = np.radians(degrees)
+    handle = (1.0, 0.0) + 0.5 * np.array([-np.sin(a), np.cos(a)])
+    return [Bezier([(1, 0), handle, (-1, 1.5), (-1, 0)]),
+            Bezier([(-1, 0), (-1, -1.5), (1, -0.5), (1, 0)])]
+
+
+def test_narrow_reflex_corner_at_a_curve_junction_warns():
+    # -1.4 degrees is narrower than the turn between two of the 128 samples
+    # per curve near the junction, so the sampled polygon alone turns left there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        BoundaryLoop(bezier_chain_with_junction_turn(0.0))
+    for degrees in (-1.4, -0.5):
+        with pytest.warns(UserWarning, match="does not look convex"):
+            BoundaryLoop(bezier_chain_with_junction_turn(degrees))
 
 
 def test_convexity_check_is_linear_in_memory():
@@ -260,25 +279,67 @@ def test_kernel_values_do_not_depend_on_the_block_size(monkeypatch, name):
             assert np.abs(other - values).max() <= tol
 
 
-@pytest.mark.parametrize("name", sorted(LOOPS))
-def test_kernel_matches_a_whole_grid_reference(name):
-    # the (N, M) kernel from hypot and einsum, d factored out as in the library
-    loop = LOOPS[name]()
-    x = interior_points(loop, 15)
-    C, R, w = loop.samples(128)
+def whole_grid_reference(loop, x, n_t, power, W):
+    """The (N, M) kernel sums from hypot and einsum, d factored out as in the library."""
+    C, R, _ = loop.samples(n_t)
     diff = C[None, :, :] - x[:, None, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
     d = dist.min(axis=1)[:, None]
     num = np.einsum("nmi,mi->nm", diff, R)
+    return ((d / dist) ** power * num) @ W, d[:, 0]
+
+
+LP_POWERS = (1.0, 2.0, 2.5, 10.0, 100.0, 1000.0)
+
+
+@pytest.mark.parametrize("name", sorted(LOOPS))
+def test_kernel_matches_a_whole_grid_reference(name):
+    # TMVI and p = 1 take the cube q sqrt(q) of q = d^2 / ||c-x||^2; every
+    # other p, integer or not, takes np.power(q, (2 + p) / 2)
+    loop = LOOPS[name]()
+    x = interior_points(loop, 15)
+    C, _, w = loop.samples(128)
     gC = linear_g(C[:, 0], C[:, 1])
-    K = (d / dist) ** 3 * num
-    want = (K * gC) @ w / (K @ w)
+    sums, d = whole_grid_reference(loop, x, 128, 3.0, np.column_stack([w, gC * w]))
+    want = sums[:, 1] / sums[:, 0]
     got = tmvi_eval_many(loop, linear_g, x, 128)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(gC).max()
-    for p in (1.0, 10.0, 100.0):
-        S = ((d / dist) ** (2.0 + p) * num) @ w
-        want = d[:, 0] ** ((2.0 + p) / p) * S ** (-1.0 / p)
+    for p in LP_POWERS:
+        S = whole_grid_reference(loop, x, 128, 2.0 + p, w[:, None])[0][:, 0]
+        want = d ** ((2.0 + p) / p) * S ** (-1.0 / p)
         np.testing.assert_allclose(lp_distance_many(loop, x, p, 128), want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [None] + list(LP_POWERS))
+def test_kernel_mask_and_distance_on_a_box_grid_over_the_egg(p):
+    # exterior, near-boundary and interior points: the inside mask is the
+    # reference's, d = sqrt(min r2) is the minimum of the distances bit for
+    # bit, and the values inside match the reference's
+    loop = egg_domain()
+    n_t = 256
+    (x_lo, y_lo), (x_hi, y_hi) = loop.bbox()
+    X, Y = np.meshgrid(np.linspace(x_lo - 0.05, x_hi + 0.05, 61),
+                       np.linspace(y_lo - 0.05, y_hi + 0.05, 61))
+    C, R, w = loop.samples(n_t)
+    normal = 1e-6 * R[::16] / np.hypot(R[::16, 0], R[::16, 1])[:, None]
+    x = np.vstack([np.column_stack([X.ravel(), Y.ravel()]), C[::16] - normal, C[::16] + normal])
+    power = 3.0 if p is None else 2.0 + p
+    W = np.column_stack([w, linear_g(C[:, 0], C[:, 1]) * w]) if p is None else w[:, None]
+    d = tmvi._scaled_kernel(loop, x, n_t, power, W)[1]
+    want_sums, want_d = whole_grid_reference(loop, x, n_t, power, W)
+    diff = C[None, :, :] - x[:, None, :]
+    np.testing.assert_array_equal(d, np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2).min(axis=1))
+    want_inside = (want_d > 1e-9 * loop.scale()) & (want_sums[:, 0] > 0.0)
+    S = want_sums[want_inside, 0]
+    if p is None:
+        values, inside = evaluate_masked(loop, x, n_t, g=linear_g)
+        want = want_sums[want_inside, 1] / S
+    else:
+        values, inside = evaluate_masked(loop, x, n_t, p=p)
+        want = want_d[want_inside] ** ((2.0 + p) / p) * S ** (-1.0 / p)
+    np.testing.assert_array_equal(inside, want_inside)
+    assert 0 < inside.sum() < len(x)
+    assert np.abs(values[inside] - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_evaluate_masked_takes_one_point_or_n_by_2():
