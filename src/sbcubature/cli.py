@@ -133,9 +133,23 @@ def _center_policy(arg, default):
     return _center(arg)
 
 
+def _check_mode_flags(args):
+    """Reject each optional flag that integrate's mode would drop."""
+    if args.hni is not None:
+        mode, takes = "--hni (HNI, center at the origin)", ()
+    elif args.beta is not None:
+        mode, takes = "--beta (singular rule, center at --xc)", ("beta", "xc", "radial", "t_transform")
+    else:
+        mode, takes = "neither --hni nor --beta (regular rule)", ("center",)
+    for name in ("center", "beta", "xc", "radial", "t_transform"):
+        if getattr(args, name) is not None and name not in takes:
+            raise InvalidArgumentError("integrate with %s does not take --%s"
+                                       % (mode, name.replace("_", "-")))
+
+
 def cmd_integrate(args):
+    _check_mode_flags(args)
     region, policy = load_domain(args.domain)
-    policy = _center_policy(args.center, policy)
     f = load_function(args.function)
     if args.hni is not None:
         hf = hni.HomogeneousField(f, args.hni)
@@ -148,14 +162,14 @@ def cmd_integrate(args):
             r2 = (np.asarray(x) - xc[0]) ** 2 + (np.asarray(y) - xc[1]) ** 2
             return f(x, y) * r2 ** (0.5 * beta)
 
-        radial = _parse_radial(args.radial, beta)
-        tt = None if args.t_transform == "none" else args.t_transform
+        radial = _parse_radial(args.radial or "none", beta)
+        tt = None if args.t_transform in (None, "none") else args.t_transform
         spec = singular.SingularSpec(xc=tuple(xc), radial=radial, t_transform=tt)
         value = singular.integrate_singular(
             region, singular.SplitIntegrand(g, beta), spec, args.n_xi, args.n_t
         )
     else:
-        value = sbc.integrate(region, policy, f, args.n_xi, args.n_t)
+        value = sbc.integrate(region, _center_policy(args.center, policy), f, args.n_xi, args.n_t)
     print(fmt(value))
 
 
@@ -247,8 +261,9 @@ def build_parser():
     _add_center_flag(p)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--xc", type=float, nargs=2, default=None)
-    p.add_argument("--radial", default="none", help="none | gsb[:alpha] | jacobi")
-    p.add_argument("--t-transform", default="none", choices=["none", "r1", "r2", "r3"])
+    p.add_argument("--radial", default=None, help="none | gsb[:alpha] | jacobi (default: none)")
+    p.add_argument("--t-transform", default=None, choices=["none", "r1", "r2", "r3"],
+                   help="(default: none)")
     p.add_argument("--hni", type=float, default=None, metavar="Q",
                    help="treat the field as homogeneous of degree Q")
     p.set_defaults(func=cmd_integrate)

@@ -8,7 +8,7 @@ class InvalidArgumentError(ValueError):
 class EvaluationError(RuntimeError):
     """Raised when an integrand produces a non-finite value.
 
-    Carries the offending physical point in ``point``.
+    Carries the offending physical point in ``point``, a tuple of floats.
     """
 
     def __init__(self, message, point=None):

@@ -70,13 +70,9 @@ def _golub_welsch(n, eta):
     """Nodes and weights on [0,1] from the eigen-decomposition of the
     symmetric Jacobi matrix, then the affine map [-1,1] -> [0,1]."""
     alpha, beta, mu0 = _jacobi_recurrence(n, eta)
-    if n == 1:
-        x = alpha.copy()
-        w = np.array([mu0])
-    else:
-        T = np.diag(alpha) + np.diag(np.sqrt(beta[1:]), -1) + np.diag(np.sqrt(beta[1:]), 1)
-        x, v = np.linalg.eigh(T)
-        w = mu0 * v[0, :] ** 2
+    T = np.diag(alpha) + np.diag(np.sqrt(beta[1:]), -1) + np.diag(np.sqrt(beta[1:]), 1)
+    x, v = np.linalg.eigh(T)
+    w = mu0 * v[0, :] ** 2
     return 0.5 * (x + 1.0), w * 2.0 ** (-(eta + 1.0))
 
 

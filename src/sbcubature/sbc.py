@@ -50,15 +50,20 @@ class CubatureRule:
 
     def __call__(self, f):
         """Apply the rule to a scalar field f(x, y)."""
-        vals = np.asarray(f(self.points[:, 0], self.points[:, 1]), dtype=float)
-        if not np.isfinite(vals).all():
-            i = int(np.argmax(~np.isfinite(vals)))
-            raise EvaluationError(
-                "integrand is not finite at (%r, %r)"
-                % (self.points[i, 0], self.points[i, 1]),
-                point=tuple(self.points[i]),
-            )
-        return float(np.dot(self.weights, vals))
+        return float(np.dot(self.weights, field_values(f, self.points)))
+
+
+def field_values(f, points):
+    """Values of the scalar field f(x, y) at points (N, 2), all finite.
+
+    Raises EvaluationError at the first point with a non-finite value; its
+    ``point`` is that point as a tuple of floats.
+    """
+    vals = np.asarray(f(points[:, 0], points[:, 1]), dtype=float)
+    if not np.isfinite(vals).all():
+        point = tuple(float(v) for v in points[int(np.argmax(~np.isfinite(vals)))])
+        raise EvaluationError("integrand is not finite at (%r, %r)" % point, point=point)
+    return vals
 
 
 def curve_samples(region, x0, t):

@@ -11,8 +11,14 @@ xi-power (handled by a radial strategy) and a smooth boundary factor
   is a positive integer.
 * ``GAUSS_JACOBI`` — absorb xi^(1-beta) into a Gauss-Jacobi weight.
 
+Every strategy takes beta in (0, 2), where xi^(1-beta) is integrable.  A
+numerator that vanishes at xc to order k, g = ||x - xc||^k h, is passed
+as h with beta - k.
+
 For polygon edges, three reparametrizations of the tangential coordinate
-cancel the (ell^2 + tau^2)^(-beta/2) near-singularity for beta = 1, 2, 3.
+soften the (ell^2 + tau^2)^(-beta/2) near-singularity: r1 cancels it at
+beta = 1, and r2 and r3 are the maps that cancel it at beta = 2 and 3,
+used here for beta < 2 like r1.
 They only move each edge's t-nodes along the edge: every rule samples its
 boundary through ``sbc.curve_samples`` (one node row per edge here), which
 also decides which edges count, and its t-weights are
@@ -174,20 +180,15 @@ def _radial_rule(radial, beta, n_xi):
 
 
 def generate_singular_rule(region, spec, beta, n_xi, n_t):
-    """Cubature rule for integrands g / ||x - xc||^beta; apply it to g alone.
+    """Cubature rule for integrands g / ||x - xc||^beta, 0 < beta < 2; apply it to g alone.
 
     The singular power is folded into the weights, so the returned rule is
     applied to the smooth numerator only.  With a t-transform every edge is
     sampled at its own row of nodes; an edge that xc sees edge-on (see
     ``sbc.curve_samples``) is skipped with one warning per edge.
     """
-    if spec.t_transform in ("r2", "r3"):
-        if not 0.0 < beta <= 3.0:
-            raise InvalidArgumentError("beta must lie in (0, 3] with r2/r3")
-    elif not 0.0 < beta < 2.0:
-        raise InvalidArgumentError(
-            "beta must lie in (0, 2) for an integrable singularity"
-        )
+    if not 0.0 < beta < 2.0:
+        raise InvalidArgumentError("beta must lie in (0, 2) for an integrable singularity")
     x0 = np.asarray(spec.xc, dtype=float)
     if not np.isfinite(x0).all():
         raise InvalidArgumentError("singularity xc %s is not finite" % x0.tolist())

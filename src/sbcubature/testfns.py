@@ -264,8 +264,6 @@ _register_geom("deltoid", _deltoid_region)
 _register_geom("circle", _circle_region)
 _register_geom("egg", egg_domain)
 
-POLYGON_NAMES = ("convex_quad", "convex_hexagon", "nonconvex_quad", "nonconvex_star")
-
 
 def lookup(name):
     """Registered function or geometry; raises NotFoundError with the catalog."""

@@ -18,6 +18,7 @@ from . import rules
 from .curves import Curve, _check_t, sample_chain
 from .errors import InvalidArgumentError
 from .region import Region, decompose
+from .sbc import field_values
 
 
 # Step in t of the secants that meet at each curve junction in the convexity test
@@ -170,9 +171,11 @@ def evaluate_masked(loop, x, n_t=256, g=None, p=None):
     """Values and inside mask at points x, one (2,) point or (N,2), from one kernel pass.
 
     With boundary data g, the mean value interpolant (kernel power 3); with
-    p, the Lp-distance field (kernel power 2 + p).  Points outside the loop
-    or within 1e-9 scale of its boundary get NaN and mask False; final
-    values are computed only for the points inside.
+    p, the Lp-distance field (kernel power 2 + p).  g must be finite at
+    every boundary sample, or EvaluationError names the first sample where
+    it is not.  Points outside the loop or within 1e-9 scale of its
+    boundary get NaN and mask False; final values are computed only for
+    the points inside.
     """
     if (g is None) == (p is None):
         raise InvalidArgumentError("give boundary data g or a power p, not both")
@@ -188,7 +191,7 @@ def evaluate_masked(loop, x, n_t=256, g=None, p=None):
     if g is None:
         W = w[:, None]
     else:
-        W = np.column_stack([w, np.asarray(g(C[:, 0], C[:, 1]), dtype=float) * w])
+        W = np.column_stack([w, field_values(g, C) * w])
     sums, d = _scaled_kernel(loop, x, n_t, 3.0 if p is None else 2.0 + p, W)
     S = sums[:, 0]
     inside = (d > 1e-9 * loop.scale()) & (S > 0.0)

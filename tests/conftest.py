@@ -75,6 +75,9 @@ def exact_distance(loop, x):
     return best
 
 
+POLYGON_NAMES = ("convex_quad", "convex_hexagon", "nonconvex_quad", "nonconvex_star")
+
+
 def function_names():
     from sbcubature import testfns
 

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import exact_distance, greens_poly, rescaled_polygon
+from conftest import POLYGON_NAMES, exact_distance, greens_poly, rescaled_polygon
 from sbcubature.hni import HomogeneousField, hni_integrate
 from sbcubature.region import CenterPolicy
 from sbcubature.rules import gauss_jacobi_unit
@@ -24,7 +24,7 @@ from sbcubature.singular import (
     integrate_singular,
     t_transform_bounds,
 )
-from sbcubature.testfns import POLYGON_NAMES, lookup, xfem_integrands
+from sbcubature.testfns import lookup, xfem_integrands
 from sbcubature.tmvi import (
     egg_domain,
     lp_distance_many,

@@ -55,6 +55,20 @@ def test_nonfinite_integrand_exit_3(square_file, capsys):
     assert "evaluation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["integrate", "builtin:egg", "expr:ln(x)", "4", "4"],
+    ["tmvi", "builtin:egg", "expr:ln(x)", "--grid", "3"],
+], ids=["integrate", "tmvi"])
+def test_nonfinite_field_exit_3_naming_the_point(capsys, argv):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("evaluation error: integrand is not finite at (")
+    x, y = (float(v) for v in err[err.index("(") + 1:-1].split(", "))
+    assert x < 0.0 and np.isfinite(y)
+
+
 def test_rule_csv(square_file, capsys):
     code, out = run(capsys, ["rule", square_file, "1", "1"])
     assert code == 0
@@ -290,11 +304,45 @@ def test_bad_domain_or_center_exits_2(tmp_path, capsys, doc, args):
     ["distfield", "builtin:egg", "--p", "1", "--grid", "0"],
     ["distfield", "builtin:egg", "--p", "1", "--grid", "-3"],
     ["tmvi", "builtin:egg", "expr:1", "--grid", "0"],
+    ["integrate", "builtin:T3", "expr:1/((x-0.5)^2+(y+0.1)^2)^1.25", "16", "32",
+     "--beta", "2.5", "--xc", "0.5", "-0.1", "--t-transform", "r2"],
+    ["integrate", "builtin:T3", "expr:1/((x-0.5)^2+(y+0.1)^2)", "16", "32",
+     "--beta", "2", "--xc", "0.5", "-0.1", "--t-transform", "r2"],
+    ["integrate", "builtin:T3", "expr:1/((x-0.5)^2+(y+0.1)^2)^1.5", "16", "32",
+     "--beta", "3", "--xc", "0.5", "-0.1", "--t-transform", "r2"],
+    ["integrate", "builtin:T3", "expr:1/((x-0.5)^2+(y+0.1)^2)^1.5", "16", "32",
+     "--beta", "3", "--xc", "0.5", "-0.1", "--t-transform", "r3"],
 ], ids=["radial-gsb-x", "reference-abc", "xc-nan", "hni-inf", "p-nan", "p-inf", "radial-gsb-nan",
-        "radial-gsb-inf", "reference-nan", "grid-0", "grid-negative", "tmvi-grid-0"])
+        "radial-gsb-inf", "reference-nan", "grid-0", "grid-negative", "tmvi-grid-0", "beta-2.5-r2",
+        "beta-2-r2", "beta-3-r2", "beta-3-r3"])
 def test_bad_number_exits_2(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags, dropped", [
+    (["--xc", "0", "0", "--t-transform", "r1"], "--xc"),
+    (["--radial", "jacobi"], "--radial"),
+    (["--t-transform", "r1"], "--t-transform"),
+    (["--t-transform", "none"], "--t-transform"),
+    (["--hni", "0", "--beta", "0.5"], "--beta"),
+    (["--hni", "0", "--center", "origin"], "--center"),
+    (["--hni", "0", "--xc", "0", "0"], "--xc"),
+    (["--beta", "0.5", "--center", "origin"], "--center"),
+], ids=["xc", "radial", "t-transform", "t-transform-none", "hni-beta", "hni-center", "hni-xc",
+        "beta-center"])
+def test_integrate_rejects_a_flag_its_mode_drops(capsys, flags, dropped):
+    assert main(["integrate", "builtin:T3", "builtin:fS1", "8", "8"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: integrate with ")
+    assert captured.err.strip().endswith("does not take " + dropped)
+
+
+def test_integrate_takes_center_without_hni_or_beta(capsys):
+    code, out = run(capsys, ["integrate", "builtin:T3", "expr:1", "2", "4", "--center", "origin"])
+    _, ref = run(capsys, ["integrate", "builtin:T3", "expr:1", "2", "4"])
+    assert code == 0 and float(out) == pytest.approx(float(ref), rel=1e-14)
 
 
 @pytest.mark.parametrize("argv", [

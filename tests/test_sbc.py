@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import greens_poly, own_samples
+from conftest import POLYGON_NAMES, greens_poly, own_samples
 from sbcubature.curves import Bezier, Curve, Segment
 from sbcubature.errors import EvaluationError
 from sbcubature.hni import HomogeneousField, hni_integrate
@@ -14,7 +14,7 @@ from sbcubature.sbc import (
     min_orders_polygon,
 )
 from sbcubature.singular import GAUSS_JACOBI, SingularSpec, generate_singular_rule
-from sbcubature.testfns import _POLY_MONOMIALS, POLYGON_NAMES, lookup
+from sbcubature.testfns import _POLY_MONOMIALS, lookup
 
 
 def segment_triangle_rule(t, s, w_s):
@@ -184,6 +184,18 @@ def test_nonfinite_integrand_reports_point(unit_square):
     with pytest.raises(EvaluationError) as e, np.errstate(divide="ignore", invalid="ignore"):
         integrate(unit_square, CenterPolicy.VERTEX_AVERAGE, lambda x, y: 1.0 / (x - x), 2, 2)
     assert e.value.point is not None
+
+
+def test_evaluation_error_names_its_point_as_python_floats():
+    rule = generate_rule(lookup("egg").make(), CenterPolicy.VERTEX_AVERAGE, 4, 4)
+    with pytest.raises(EvaluationError) as e, np.errstate(invalid="ignore"):
+        rule(lambda x, y: np.log(x))
+    point = e.value.point
+    assert type(point) is tuple and [type(v) for v in point] == [float, float]
+    assert point[0] < 0.0 and point in {tuple(p) for p in rule.points.tolist()}
+    message = str(e.value)
+    assert "np.float64" not in message
+    assert tuple(float(v) for v in message[message.index("(") + 1:-1].split(", ")) == point
 
 
 def test_rule_weight_sum_matches_area_for_curved_region():

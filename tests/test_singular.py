@@ -23,8 +23,6 @@ from sbcubature.singular import (
 )
 from sbcubature.testfns import lookup, xfem_integrands
 
-ORIGIN_SPEC = SingularSpec(xc=(0.0, 0.0))
-
 
 def ones(x, y):
     return np.ones_like(np.asarray(x, dtype=float))
@@ -381,12 +379,17 @@ def test_t_transform_requires_segments():
 
 
 def test_beta_range_validation(unit_square):
-    with pytest.raises(InvalidArgumentError):
-        integrate_singular(unit_square, SplitIntegrand(ones, 2.5), ORIGIN_SPEC, 4, 4)
-    # beta in (2,3] allowed with the bounded tangential transforms
-    spec = SingularSpec(xc=(-1.0, -1.0), t_transform="r2")
-    v = integrate_singular(unit_square, SplitIntegrand(ones, 2.5), spec, 16, 32)
-    assert np.isfinite(v)
+    # one range, 0 < beta < 2, for every radial strategy and t-transform: the
+    # radial factor xi^(1 - beta) is not integrable beyond it, and the plain
+    # radial rule would fold it into weights whose sums grow with n
+    for beta in (2.0, 2.5, 3.0):
+        for radial in (None, GeneralizedSB(1.0), GAUSS_JACOBI):
+            for tt in (None, "r1", "r2", "r3"):
+                spec = SingularSpec(xc=(-1.0, -1.0), radial=radial, t_transform=tt)
+                with pytest.raises(InvalidArgumentError, match=r"beta must lie in \(0, 2\)"):
+                    generate_singular_rule(unit_square, spec, beta, 16, 32)
+                with pytest.raises(InvalidArgumentError, match=r"beta must lie in \(0, 2\)"):
+                    integrate_singular(unit_square, SplitIntegrand(ones, beta), spec, 16, 32)
 
 
 @pytest.mark.parametrize("d", [1e-3, 1e-2, 1e-1])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import function_names, geometry_names, rescaled_polygon, to_physical
+from conftest import POLYGON_NAMES, function_names, geometry_names, rescaled_polygon, to_physical
 from sbcubature import testfns
 from sbcubature.errors import EvaluationError, NotFoundError
 from sbcubature.region import Region
@@ -20,7 +20,6 @@ from sbcubature.singular import (
     select_alpha,
 )
 from sbcubature.testfns import (
-    POLYGON_NAMES,
     _XFEM_NODES,
     BilinearElement,
     NamedFunction,

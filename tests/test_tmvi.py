@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import exact_distance
 from sbcubature import tmvi
 from sbcubature.curves import Bezier, ParametricCurve, Segment
-from sbcubature.errors import InvalidArgumentError
+from sbcubature.errors import EvaluationError, InvalidArgumentError
 from sbcubature.tmvi import (
     BoundaryLoop,
     EggCurve,
@@ -380,3 +380,13 @@ def test_point_on_a_sample_is_masked_without_a_warning():
             assert np.isnan(values[0]) and np.isfinite(values[1])
             one, _ = evaluate_masked(loop, on_sample, 64, **field)
             assert np.isnan(one[0])
+
+
+def test_non_finite_boundary_data_is_an_evaluation_error():
+    loop = egg_domain()
+    samples = {tuple(c) for c in loop.samples(256)[0].tolist()}
+    for call in (lambda g: tmvi_eval_many(loop, g, [[0.0, 0.0]]),
+                 lambda g: evaluate_masked(loop, [[0.0, 0.0], [5.0, 5.0]], g=g)):
+        with pytest.raises(EvaluationError) as e, np.errstate(invalid="ignore"):
+            call(lambda x, y: np.log(x))
+        assert e.value.point in samples and e.value.point[0] < 0.0
