@@ -55,22 +55,6 @@ def _build_curve(spec):
     return cls(*(spec[k] for k in keys))
 
 
-def _center(strategy, index=None, point=None):
-    """CenterPolicy of a domain file's "x0" object or of the --center flag."""
-    if strategy in ("origin", "vertex_average"):
-        return CenterPolicy(strategy)
-    if strategy == "vertex":
-        # int() would truncate 1.7 and read true as 1
-        if isinstance(index, bool) or isinstance(index, float) and not index.is_integer():
-            raise InvalidArgumentError("vertex index must be an integer, got %r" % (index,))
-        return CenterPolicy.vertex(_number(int, index, "vertex index"))
-    if strategy == "custom":
-        if not isinstance(point, (list, tuple)) or len(point) != 2:
-            raise InvalidArgumentError("center strategy 'custom' needs a point x, y")
-        return CenterPolicy.custom([_number(float, v, "center coordinate") for v in point])
-    raise InvalidArgumentError("unknown center strategy %r" % (strategy,))
-
-
 def load_domain(path):
     """Parse a JSON domain file into (Region, CenterPolicy)."""
     if path.startswith("builtin:"):
@@ -86,7 +70,7 @@ def load_domain(path):
     region = Region([_build_curve(c) for c in doc["curves"]])
     x0 = doc.get("x0", {"strategy": "vertex_average"})
     _check_keys(x0, "x0", {"strategy"}, {"index", "point"})
-    return region, _center(x0["strategy"], x0.get("index"), x0.get("point"))
+    return region, CenterPolicy(**x0)
 
 
 def load_function(spec):
@@ -127,10 +111,10 @@ def _center_policy(arg, default):
         return default
     strategy, _, rest = arg.partition(":")
     if strategy == "vertex":
-        return _center(strategy, index=rest)
+        return CenterPolicy.vertex(_number(float, rest, "vertex index"))
     if strategy == "custom":
-        return _center(strategy, point=rest.split(","))
-    return _center(arg)
+        return CenterPolicy.custom([_number(float, v, "center coordinate") for v in rest.split(",")])
+    return CenterPolicy(arg)
 
 
 def _check_mode_flags(args):
@@ -145,6 +129,8 @@ def _check_mode_flags(args):
         if getattr(args, name) is not None and name not in takes:
             raise InvalidArgumentError("integrate with %s does not take --%s"
                                        % (mode, name.replace("_", "-")))
+    if args.hni is not None and args.n_xi != 1:  # the one radial node s = 1
+        raise InvalidArgumentError("integrate with %s takes n_xi 1, got %d" % (mode, args.n_xi))
 
 
 def cmd_integrate(args):
@@ -152,21 +138,18 @@ def cmd_integrate(args):
     region, policy = load_domain(args.domain)
     f = load_function(args.function)
     if args.hni is not None:
-        hf = hni.HomogeneousField(f, args.hni)
-        value = hni.hni_integrate(region, hf, args.n_t)
+        value = hni.hni_integrate(region, hni.HomogeneousField(f, args.hni), args.n_t)
     elif args.beta is not None:
-        beta = args.beta
-        xc = np.array(args.xc if args.xc is not None else (0.0, 0.0))
+        tt = None if args.t_transform in (None, "none") else args.t_transform
+        radial = _parse_radial(args.radial or "none", args.beta)
+        spec = singular.SingularSpec(xc=args.xc or (0.0, 0.0), radial=radial, t_transform=tt)
 
         def g(x, y):
-            r2 = (np.asarray(x) - xc[0]) ** 2 + (np.asarray(y) - xc[1]) ** 2
-            return f(x, y) * r2 ** (0.5 * beta)
+            r2 = (np.asarray(x) - spec.xc[0]) ** 2 + (np.asarray(y) - spec.xc[1]) ** 2
+            return f(x, y) * r2 ** (0.5 * args.beta)
 
-        radial = _parse_radial(args.radial or "none", beta)
-        tt = None if args.t_transform in (None, "none") else args.t_transform
-        spec = singular.SingularSpec(xc=tuple(xc), radial=radial, t_transform=tt)
         value = singular.integrate_singular(
-            region, singular.SplitIntegrand(g, beta), spec, args.n_xi, args.n_t
+            region, singular.SplitIntegrand(g, args.beta), spec, args.n_xi, args.n_t
         )
     else:
         value = sbc.integrate(region, _center_policy(args.center, policy), f, args.n_xi, args.n_t)
@@ -175,8 +158,7 @@ def cmd_integrate(args):
 
 def cmd_rule(args):
     region, policy = load_domain(args.domain)
-    policy = _center_policy(args.center, policy)
-    rule = sbc.generate_rule(region, policy, args.n_xi, args.n_t)
+    rule = sbc.generate_rule(region, _center_policy(args.center, policy), args.n_xi, args.n_t)
     print("x,y,w")
     for (x, y), w in zip(rule.points, rule.weights):
         print("%s,%s,%s" % (fmt(x), fmt(y), fmt(w)))

@@ -1,23 +1,38 @@
 """Closed planar regions bounded by an ordered counterclockwise chain of curves."""
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Segment, sample_chain
+from .curves import Segment, _floats, sample_chain
 from .errors import InvalidArgumentError
 
 
 @dataclass(frozen=True)
 class CenterPolicy:
-    """Scaling-center selection: 'origin', 'vertex_average', 'vertex', 'custom'."""
+    """Scaling center, checked when built: 'origin', 'vertex_average', 'vertex', 'custom'."""
 
     strategy: str
-    index: int = 0
-    point: tuple = (0.0, 0.0)
+    index: int = None
+    point: tuple = None
 
-    ORIGIN = None  # populated below
-    VERTEX_AVERAGE = None
+    def __post_init__(self):
+        if self.strategy not in ("origin", "vertex_average", "vertex", "custom"):
+            raise InvalidArgumentError("unknown center strategy %r" % (self.strategy,))
+        wants = {"vertex": "index", "custom": "point"}.get(self.strategy)
+        for k in ("index", "point"):
+            if (getattr(self, k) is None) == (k == wants):
+                raise InvalidArgumentError("center strategy %r %s %s" % (
+                    self.strategy, "needs" if k == wants else "takes no", k))
+        if wants == "index":
+            i = self.index  # int() alone would truncate 1.7 and read True as 1
+            if isinstance(i, bool) or not isinstance(i, numbers.Real) or i % 1:
+                raise InvalidArgumentError("vertex index must be an integer, got %r" % (i,))
+            object.__setattr__(self, "index", int(i))
+        if wants == "point":
+            object.__setattr__(self, "point", finite_point(self.point, "custom center point"))
 
     @staticmethod
     def vertex(i):
@@ -25,7 +40,15 @@ class CenterPolicy:
 
     @staticmethod
     def custom(p):
-        return CenterPolicy("custom", point=(float(p[0]), float(p[1])))
+        return CenterPolicy("custom", point=p)
+
+
+def finite_point(value, what):
+    """value as a tuple of two finite floats, or InvalidArgumentError naming what."""
+    p = _floats(value, what)
+    if p.shape != (2,) or not all(map(math.isfinite, p.tolist())):
+        raise InvalidArgumentError("%s must be two finite numbers, got %r" % (what, value))
+    return tuple(p.tolist())
 
 
 CenterPolicy.ORIGIN = CenterPolicy("origin")
@@ -103,19 +126,12 @@ def resolve_center(region, policy):
         return np.zeros(2)
     if policy.strategy == "vertex_average":
         return region.vertices.mean(axis=0)
-    if policy.strategy == "vertex":
-        i = policy.index
-        if not 0 <= i < len(region.curves):
-            raise InvalidArgumentError(
-                "vertex index %d out of range for %d curves" % (i, len(region.curves))
-            )
-        return region.vertices[i]
     if policy.strategy == "custom":
-        x0 = np.asarray(policy.point, dtype=float)
-        if not np.isfinite(x0).all():
-            raise InvalidArgumentError("custom center %s is not finite" % x0.tolist())
-        return x0
-    raise InvalidArgumentError("unknown center strategy %r" % (policy.strategy,))
+        return np.array(policy.point)
+    if not 0 <= policy.index < len(region.curves):
+        raise InvalidArgumentError("vertex index %d out of range for %d curves"
+                                   % (policy.index, len(region.curves)))
+    return region.vertices[policy.index]
 
 
 def decompose(region, x0, t):

@@ -36,6 +36,7 @@ import numpy as np
 from . import rules
 from .curves import Segment
 from .errors import InvalidArgumentError
+from .region import finite_point
 from .sbc import assemble_rule, curve_samples
 
 
@@ -49,11 +50,14 @@ GAUSS_JACOBI = "gauss-jacobi"
 
 @dataclass(frozen=True)
 class SingularSpec:
-    """Singularity location plus the chosen radial and tangential strategies."""
+    """Singularity location (two finite numbers) plus the radial and tangential strategies."""
 
     xc: tuple
     radial: object = None          # None | GeneralizedSB(alpha) | GAUSS_JACOBI
     t_transform: object = None     # None | "r1" | "r2" | "r3"
+
+    def __post_init__(self):
+        object.__setattr__(self, "xc", finite_point(self.xc, "singularity xc"))
 
 
 @dataclass(frozen=True)
@@ -189,9 +193,7 @@ def generate_singular_rule(region, spec, beta, n_xi, n_t):
     """
     if not 0.0 < beta < 2.0:
         raise InvalidArgumentError("beta must lie in (0, 2) for an integrable singularity")
-    x0 = np.asarray(spec.xc, dtype=float)
-    if not np.isfinite(x0).all():
-        raise InvalidArgumentError("singularity xc %s is not finite" % x0.tolist())
+    x0 = np.array(spec.xc)
     s_nodes, s_weights = _radial_rule(spec.radial, beta, n_xi)
     t_rule = rules.gauss_legendre(n_t)
     t, tw = t_rule.nodes, t_rule.weights

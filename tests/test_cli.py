@@ -388,3 +388,101 @@ def test_center_flag_and_domain_x0_give_the_same_rule(tmp_path, capsys, square_f
     _, by_file = run(capsys, ["rule", _domain_file(tmp_path, x0=x0), "3", "4"])
     assert by_flag == by_file
     assert len(by_flag.splitlines()) > 1
+
+
+@pytest.mark.parametrize("x0, message", [
+    ({"strategy": "vertex", "index": True}, "vertex index must be an integer"),
+    ({"strategy": "vertex", "index": 1.7}, "vertex index must be an integer"),
+    ({"strategy": "vertex", "index": -0.5}, "vertex index must be an integer"),
+    ({"strategy": "vertex", "index": "2"}, "vertex index must be an integer"),
+    ({"strategy": "vertex"}, "center strategy 'vertex' needs index"),
+    ({"strategy": "origin", "point": [1, 2]}, "center strategy 'origin' takes no point"),
+    ({"strategy": "vertex_average", "index": 0}, "center strategy 'vertex_average' takes no index"),
+    ({"strategy": "vertex", "index": 1, "point": [1, 2]}, "center strategy 'vertex' takes no point"),
+    ({"strategy": "custom", "index": 1, "point": [1, 2]}, "center strategy 'custom' takes no index"),
+    ({"strategy": "custom", "point": [0.5, 0.5, 9.0]}, "custom center point must be two finite"),
+    ({"strategy": "custom", "point": "ab"}, "custom center point must be numbers"),
+    ({"strategy": ["origin"]}, "unknown center strategy"),
+], ids=["vertex-bool", "vertex-fraction", "vertex-negative-fraction", "vertex-string",
+        "vertex-without-index", "origin-with-point", "vertex-average-with-index",
+        "vertex-with-point", "custom-with-index", "custom-three-coordinates", "custom-text",
+        "strategy-list"])
+def test_domain_x0_is_checked_by_center_policy(tmp_path, capsys, x0, message):
+    assert main(["rule", _domain_file(tmp_path, x0=x0), "2", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rule", "builtin:T3", "2", "2", "--center", "vertex:1.7"], "vertex index must be an integer"),
+    (["rule", "builtin:T3", "2", "2", "--center", "vertex:x"], "vertex index must be a number"),
+    (["rule", "builtin:T3", "2", "2", "--center", "vertex:3"], "vertex index 3 out of range"),
+    (["rule", "builtin:T3", "2", "2", "--center", "custom:0.5,0.5,9"],
+     "custom center point must be two finite numbers"),
+    (["rule", "builtin:T3", "2", "2", "--center", "custom:inf,0"],
+     "custom center point must be two finite numbers"),
+    (["rule", "builtin:T3", "2", "2", "--center", "origin:1"], "unknown center strategy 'origin:1'"),
+    (["integrate", "builtin:T3", "expr:1", "2", "2", "--center", "centroid"],
+     "unknown center strategy 'centroid'"),
+    (["integrate", "builtin:T3", "builtin:fS1", "2", "2", "--beta", "0.5", "--xc", "0", "inf"],
+     "singularity xc must be two finite numbers"),
+], ids=["vertex-fraction", "vertex-text", "vertex-range", "custom-three-coordinates", "custom-inf",
+        "origin-with-argument", "unknown", "xc-inf"])
+def test_center_flags_exit_2_with_the_library_message(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message)
+
+
+@pytest.mark.parametrize("n_xi, code, out", [("0", 2, ""), ("1", 0, "48.700000000000024\n"),
+                                             ("7", 2, "")])
+def test_hni_takes_n_xi_1_only(capsys, n_xi, code, out):
+    argv = ["integrate", "builtin:convex_quad", "expr:x^2*y", n_xi, "4", "--hni", "3"]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    if code:
+        assert captured.err.startswith("error: integrate with --hni") and "takes n_xi 1" in captured.err
+
+
+@pytest.mark.parametrize("sweep", [["--sweep", "t"], []], ids=["t", "both-by-default"])
+def test_convergence_sweep_t_and_both(capsys, sweep):
+    code, out = run(capsys, ["convergence", "builtin:bezier", "builtin:fC2", "2", "12"] + sweep)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "n,abs_err,rel_err" and len(lines) == 1 + 11
+    errs = {int(r.split(",")[0]): float(r.split(",")[2]) for r in lines[1:]}
+    assert sorted(errs) == list(range(2, 13))
+    assert errs[2] > 1e-3
+    assert max(errs[n] for n in (10, 11, 12)) <= 1e-13
+
+
+@pytest.mark.parametrize("argv, domain, message", [
+    (["integrate", "{}", "expr:1", "2", "2"], {"curves": []}, "region needs at least one curve"),
+    (["integrate", "{}", "expr:1", "2", "2"], {"curves": {"type": "segment"}},
+     "domain 'curves' must be a list"),
+    (["integrate", "{}", "expr:1", "2", "2"], [SQUARE], "domain must be a JSON object"),
+    (["integrate", "builtin:T3", "x^2", "2", "2"], None, "function spec must start with"),
+    (["integrate", "builtin:T3", "builtin:T3", "2", "2"], None, "'builtin:T3' is not a function"),
+    (["integrate", "builtin:fF1", "expr:1", "2", "2"], None, "'builtin:fF1' is not a geometry"),
+    (["integrate", "builtin:T3", "builtin:fS1", "2", "8", "--beta", "0.5", "--radial", "gauss"],
+     None, "unknown radial strategy 'gauss'"),
+], ids=["no-curves", "curves-not-a-list", "file-not-an-object", "function-without-prefix",
+        "geometry-as-function", "function-as-domain", "unknown-radial"])
+def test_bad_domain_function_or_radial_exits_2(tmp_path, capsys, argv, domain, message):
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(domain))
+    assert main([a.format(path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message)
+
+
+def test_an_integral_float_vertex_index_is_that_vertex(tmp_path, capsys, square_file):
+    _, ref = run(capsys, ["rule", square_file, "3", "4", "--center", "vertex:2"])
+    code, by_flag = run(capsys, ["rule", square_file, "3", "4", "--center", "vertex:2.0"])
+    _, by_file = run(capsys, ["rule", _domain_file(tmp_path, x0={"strategy": "vertex", "index": 2.0}),
+                              "3", "4"])
+    assert code == 0 and by_flag == by_file == ref

@@ -44,6 +44,45 @@ def test_resolve_center(unit_square):
         resolve_center(unit_square, CenterPolicy.vertex(4))
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: CenterPolicy.vertex(True), "vertex index"),
+    (lambda: CenterPolicy.vertex(np.bool_(True)), "vertex index"),
+    (lambda: CenterPolicy.vertex(1.7), "vertex index"),
+    (lambda: CenterPolicy.vertex(-0.5), "vertex index"),
+    (lambda: CenterPolicy.vertex(np.nan), "vertex index"),
+    (lambda: CenterPolicy.vertex("2"), "vertex index"),
+    (lambda: CenterPolicy("vertex"), "needs index"),
+    (lambda: CenterPolicy("origin", point=(3, 4)), "takes no point"),
+    (lambda: CenterPolicy("vertex_average", index=0), "takes no index"),
+    (lambda: CenterPolicy("vertex", index=1, point=(3, 4)), "takes no point"),
+    (lambda: CenterPolicy("custom", index=1, point=(3, 4)), "takes no index"),
+    (lambda: CenterPolicy("custom"), "needs point"),
+    (lambda: CenterPolicy.custom((0.5, 0.5, 9.0)), "center point"),
+    (lambda: CenterPolicy.custom((0.5,)), "center point"),
+    (lambda: CenterPolicy.custom(("a", "b")), "center point"),
+    (lambda: CenterPolicy.custom((0.5, np.inf)), "center point"),
+    (lambda: CenterPolicy("centroid"), "center strategy"),
+    (lambda: CenterPolicy(["origin"]), "center strategy"),
+], ids=["vertex-bool", "vertex-numpy-bool", "vertex-fraction", "vertex-negative-fraction",
+        "vertex-nan", "vertex-text", "vertex-without-index", "origin-with-point",
+        "vertex-average-with-index", "vertex-with-point", "custom-with-index",
+        "custom-without-point", "custom-three-coordinates", "custom-one-coordinate",
+        "custom-text", "custom-inf", "unknown-strategy", "strategy-list"])
+def test_center_policy_checks_itself_when_built(make, field):
+    with pytest.raises(InvalidArgumentError, match=field):
+        make()
+
+
+def test_center_policy_stores_an_int_index_and_a_float_point():
+    for i in (2, np.int64(2), 2.0, np.float32(2.0)):
+        policy = CenterPolicy.vertex(i)
+        assert policy == CenterPolicy("vertex", index=2) and type(policy.index) is int
+    policy = CenterPolicy.custom(np.array([3, -1]))
+    assert policy.point == (3.0, -1.0) and all(type(v) is float for v in policy.point)
+    assert hash(policy) == hash(CenterPolicy.custom((3.0, -1.0)))
+    assert (CenterPolicy.ORIGIN.index, CenterPolicy.ORIGIN.point) == (None, None)
+
+
 def test_vertex_average_of_builtin_curved_region():
     reg = lookup("bezier").make()
     x0 = resolve_center(reg, CenterPolicy.VERTEX_AVERAGE)

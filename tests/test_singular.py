@@ -406,3 +406,16 @@ def test_nearly_singular_exterior_center_converges(unit_square, d):
 def test_non_finite_singularity_is_rejected(unit_square, xc):
     with pytest.raises(InvalidArgumentError):
         generate_singular_rule(unit_square, SingularSpec(xc=xc), 0.5, 3, 3)
+
+
+@pytest.mark.parametrize("xc", [0.3, (0.3,), (0, 0, 5), ("a", "b"), None, np.zeros((2, 2))],
+                         ids=["scalar", "one", "three", "text", "none", "matrix"])
+def test_singular_spec_checks_xc_when_built(xc):
+    with pytest.raises(InvalidArgumentError, match="singularity xc"):
+        SingularSpec(xc=xc)
+
+
+def test_singular_spec_stores_xc_as_two_floats():
+    spec = SingularSpec(xc=np.array([0, 1]), radial=GAUSS_JACOBI)
+    assert spec.xc == (0.0, 1.0) and all(type(v) is float for v in spec.xc)
+    assert hash(spec) == hash(SingularSpec((0.0, 1.0), GAUSS_JACOBI))
