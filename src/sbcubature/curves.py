@@ -25,9 +25,16 @@ def _check_t(t):
 
 
 def _floats(value, what):
-    """value as a float array, or InvalidArgumentError when it is not numeric."""
+    """value as a float array, or InvalidArgumentError when it is not numeric.
+
+    Text is not a number here, though numpy would convert "0.5".
+    """
     try:
-        return np.asarray(value, dtype=float)
+        raw = np.asarray(value)
+        if raw.dtype.kind in "SU" or raw.dtype.kind == "O" and any(
+                isinstance(v, (str, bytes)) for v in raw.flat):
+            raise TypeError
+        return np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
         raise InvalidArgumentError("%s must be numbers, got %r" % (what, value)) from None
 

@@ -25,6 +25,8 @@ also decides which edges count, and its t-weights are
 w dt/dtau~ * (C - xc).c'_perp * ||C - xc||^-beta.
 """
 
+import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -44,6 +46,11 @@ from .sbc import assemble_rule, curve_samples
 class GeneralizedSB:
     alpha: float
 
+    def __post_init__(self):
+        a = self.alpha
+        if isinstance(a, bool) or not isinstance(a, numbers.Real) or not 0 < a < math.inf:
+            raise InvalidArgumentError("generalized-SB alpha must be positive and finite")
+
 
 GAUSS_JACOBI = "gauss-jacobi"
 
@@ -58,6 +65,13 @@ class SingularSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "xc", finite_point(self.xc, "singularity xc"))
+        r, t = self.radial, self.t_transform
+        # str first: == on an array would be elementwise
+        if not (r is None or isinstance(r, GeneralizedSB)
+                or isinstance(r, str) and r == GAUSS_JACOBI):
+            raise InvalidArgumentError("unknown radial strategy %r" % (r,))
+        if not (t is None or isinstance(t, str) and t in ("r1", "r2", "r3")):
+            raise InvalidArgumentError("unknown t-transform %r" % (t,))
 
 
 @dataclass(frozen=True)
@@ -172,15 +186,11 @@ def _radial_rule(radial, beta, n_xi):
         return r1.nodes, r1.weights * r1.nodes ** (1.0 - beta)
     if isinstance(radial, GeneralizedSB):
         a = radial.alpha
-        if not 0 < a < np.inf:
-            raise InvalidArgumentError("generalized-SB alpha must be positive and finite")
         eta = radial_exponent(beta, a)
         r1 = rules.gauss_legendre(n_xi)
         return r1.nodes ** a, r1.weights * a * r1.nodes ** eta
-    if radial == GAUSS_JACOBI:
-        r1 = rules.gauss_jacobi_unit(n_xi, radial_exponent(beta, 1.0))
-        return r1.nodes, r1.weights
-    raise InvalidArgumentError("unknown radial strategy %r" % (radial,))
+    r1 = rules.gauss_jacobi_unit(n_xi, radial_exponent(beta, 1.0))  # GAUSS_JACOBI
+    return r1.nodes, r1.weights
 
 
 def generate_singular_rule(region, spec, beta, n_xi, n_t):

@@ -10,6 +10,9 @@ and the Lp-distance field is psi = (1/W_p)^(1/p) with the kernel power
 of a convex counterclockwise loop.
 """
 
+import contextvars
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -111,10 +114,22 @@ def egg_domain(a=4.0, b=5.0, r=1.0):
     return BoundaryLoop([EggCurve(a, b, r)])
 
 
-# Pairs per row block of _scaled_kernel: its four planes of this many doubles
-# (2 MB) are allocated once per call and stay in cache, and no (N, M) array
-# is ever built.
+# Pairs per row block of _scaled_kernel: each span's four planes of this many
+# doubles (2 MB) are allocated once per call and stay in cache, and no (N, M)
+# array is ever built.
 _BLOCK_PAIRS = 2**16
+# Cap on the spans of one _scaled_kernel call, so that its planes stay within
+# this many times 2 MB on any host
+_MAX_SPANS = 4
+
+
+def _span_count(blocks):
+    """Spans for this many row blocks: one per CPU the process may use, at most _MAX_SPANS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, blocks, _MAX_SPANS))
 
 
 def _scaled_kernel(loop, x, n_t, power, W):
@@ -134,7 +149,17 @@ def _scaled_kernel(loop, x, n_t, power, W):
 
     The points are taken in row blocks of about _BLOCK_PAIRS pairs on four
     preallocated planes (dx, dy, the numerator and a temporary), so memory
-    does not grow with N.
+    does not grow with N.  The blocks are cut into k spans of whole blocks,
+    k = min(CPUs this process may run on, blocks, _MAX_SPANS), each with
+    its own planes, k x 2 MB in all, allocated here before any span runs.
+    The calling thread runs span 0 and one thread per other span runs the
+    rest; the numpy calls of a block release the GIL.  Every thread is
+    joined before the call returns or raises, and an exception in any span
+    reaches the caller.  Every block starts at a multiple of its row count
+    in every span, so each is the same matmul as in one span, and the
+    result is bit for bit that of one thread.  With one span no thread is
+    started.  Plain threads, not concurrent.futures: importing that module
+    would cost each CLI run about 8 ms.
     """
     C, R, _ = loop.samples(n_t)
     # contiguous planes: strided columns slow every block pass by 5-10%
@@ -142,28 +167,55 @@ def _scaled_kernel(loop, x, n_t, power, W):
     sums = np.empty((len(x), W.shape[1]))
     d = np.empty(len(x))
     rows = max(1, _BLOCK_PAIRS // len(Cx))
-    planes = np.empty((4, min(rows, len(x)), len(Cx)))
-    for i in range(0, len(x), rows):
-        xb = x[i:i + rows]
-        dx, dy, num, tmp = planes[:, :len(xb)]
-        np.subtract(Cx, xb[:, :1], out=dx)
-        np.subtract(Cy, xb[:, 1:], out=dy)
-        np.multiply(dx, Rx, out=num)
-        num += np.multiply(dy, Ry, out=tmp)
-        r2 = np.multiply(dx, dx, out=dx)
-        r2 += np.multiply(dy, dy, out=dy)
-        d2 = r2.min(axis=1)
-        d[i:i + rows] = np.sqrt(d2)
-        # a point on a sample divides 0/0; its NaN row is masked out
-        with np.errstate(invalid="ignore"):
-            q = np.divide(d2[:, None], r2, out=r2)
-        if power == 3.0:
-            K = np.sqrt(q, out=dy)
-            K *= q
-        else:
-            K = np.power(q, 0.5 * power, out=q)
-        K *= num
-        np.matmul(K, W, out=sums[i:i + rows])
+    blocks = range(0, len(x), rows)
+    k = _span_count(len(blocks))
+    spans = [blocks[len(blocks) * j // k:len(blocks) * (j + 1) // k] for j in range(k)]
+    planes = np.empty((k, 4, min(rows, len(x)), len(Cx)))
+
+    def kernel_rows(span, span_planes):
+        for i in span:
+            xb = x[i:i + rows]
+            dx, dy, num, tmp = span_planes[:, :len(xb)]
+            np.subtract(Cx, xb[:, :1], out=dx)
+            np.subtract(Cy, xb[:, 1:], out=dy)
+            np.multiply(dx, Rx, out=num)
+            num += np.multiply(dy, Ry, out=tmp)
+            r2 = np.multiply(dx, dx, out=dx)
+            r2 += np.multiply(dy, dy, out=dy)
+            d2 = r2.min(axis=1)
+            d[i:i + rows] = np.sqrt(d2)
+            # a point on a sample divides 0/0; its NaN row is masked out
+            with np.errstate(invalid="ignore"):
+                q = np.divide(d2[:, None], r2, out=r2)
+            if power == 3.0:
+                K = np.sqrt(q, out=dy)
+                K *= q
+            else:
+                K = np.power(q, 0.5 * power, out=q)
+            K *= num
+            np.matmul(K, W, out=sums[i:i + rows])
+
+    threads, errors = [], []
+
+    def run(span, span_planes):
+        try:
+            kernel_rows(span, span_planes)
+        except Exception as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    try:
+        for span, span_planes in zip(spans[1:], planes[1:]):
+            # in a copy of the caller's context, so its np.errstate holds there too
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(run, span, span_planes))
+            thread.start()
+            threads.append(thread)
+        kernel_rows(spans[0], planes[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return sums, d
 
 

@@ -279,12 +279,16 @@ def _domain_file(tmp_path, **changes):
         ({}, ["--center", "custom:nan,0"]),
         ({"x0": {"strategy": "vertex", "index": 1.7}}, []),
         ({"x0": {"strategy": "vertex", "index": True}}, []),
+        ({"curves": [{"type": "segment", "from": ["0", "0"], "to": [1, 0]}]
+          + SQUARE["curves"][1:]}, []),
+        ({"x0": {"strategy": "custom", "point": ["0.5", "1"]}}, []),
     ],
     ids=["x0-vertex-without-index", "segment-without-to", "curve-as-list",
          "x0-custom-one-coordinate", "center-custom-one-coordinate", "center-vertex-abc",
          "segment-from-string", "bezier-non-number", "rational-weight-non-number",
          "parametric-x-number", "segment-nan", "parametric-nan", "center-custom-nan",
-         "x0-vertex-fraction", "x0-vertex-bool"],
+         "x0-vertex-fraction", "x0-vertex-bool", "segment-from-numeric-text",
+         "x0-custom-numeric-text"],
 )
 def test_bad_domain_or_center_exits_2(tmp_path, capsys, doc, args):
     assert main(["rule", _domain_file(tmp_path, **doc), "2", "2"] + args) == 2
@@ -382,6 +386,7 @@ def test_deep_expression_exits_2(capsys, src):
     ("vertex_average", {"strategy": "vertex_average"}),
     ("vertex:2", {"strategy": "vertex", "index": 2}),
     ("custom:0.3,-0.25", {"strategy": "custom", "point": [0.3, -0.25]}),
+    ("custom:0.5,1", {"strategy": "custom", "point": [0.5, 1]}),
 ])
 def test_center_flag_and_domain_x0_give_the_same_rule(tmp_path, capsys, square_file, center, x0):
     _, by_flag = run(capsys, ["rule", square_file, "3", "4", "--center", center])
@@ -427,8 +432,10 @@ def test_domain_x0_is_checked_by_center_policy(tmp_path, capsys, x0, message):
      "unknown center strategy 'centroid'"),
     (["integrate", "builtin:T3", "builtin:fS1", "2", "2", "--beta", "0.5", "--xc", "0", "inf"],
      "singularity xc must be two finite numbers"),
+    (["integrate", "builtin:T3", "builtin:fS1", "2", "8", "--beta", "0.5", "--radial", "gsb:-1"],
+     "generalized-SB alpha must be positive and finite"),
 ], ids=["vertex-fraction", "vertex-text", "vertex-range", "custom-three-coordinates", "custom-inf",
-        "origin-with-argument", "unknown", "xc-inf"])
+        "origin-with-argument", "unknown", "xc-inf", "radial-gsb-negative"])
 def test_center_flags_exit_2_with_the_library_message(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()

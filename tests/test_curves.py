@@ -69,6 +69,21 @@ def test_rational_validation():
         RationalBezier([(0, 0), (1, 1)], [1.0, -1.0])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Segment(("0", "0"), ("1", "0")),
+    lambda: Segment((0, 0), (b"1", 0)),
+    lambda: Segment(np.array(["0", 0], dtype=object), (1, 0)),
+    lambda: Bezier([(0, 0), ("0.5", "1"), (1, 0)]),
+    lambda: RationalBezier([(0, 0), (0.5, "1"), (1, 0)], [1, 1, 1]),
+    lambda: RationalBezier([(0, 0), (0.5, 1), (1, 0)], [1, "2", 1]),
+], ids=["segment", "segment-bytes", "segment-object-array", "bezier", "rational-points",
+        "rational-weights"])
+def test_numeric_text_is_not_a_coordinate(make):
+    # numpy would read "0.5" as 0.5; a curve takes numbers only
+    with pytest.raises(InvalidArgumentError, match="must be numbers"):
+        make()
+
+
 DELTOID_X = "(1+2*cos(2*pi/3*t))^2/12"
 DELTOID_Y = "(1+2*sin(2*pi/3*t)-4*sin(4*pi/3*t))/6"
 

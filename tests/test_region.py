@@ -60,6 +60,7 @@ def test_resolve_center(unit_square):
     (lambda: CenterPolicy.custom((0.5, 0.5, 9.0)), "center point"),
     (lambda: CenterPolicy.custom((0.5,)), "center point"),
     (lambda: CenterPolicy.custom(("a", "b")), "center point"),
+    (lambda: CenterPolicy.custom(("0.5", "1")), "center point"),
     (lambda: CenterPolicy.custom((0.5, np.inf)), "center point"),
     (lambda: CenterPolicy("centroid"), "center strategy"),
     (lambda: CenterPolicy(["origin"]), "center strategy"),
@@ -67,7 +68,7 @@ def test_resolve_center(unit_square):
         "vertex-nan", "vertex-text", "vertex-without-index", "origin-with-point",
         "vertex-average-with-index", "vertex-with-point", "custom-with-index",
         "custom-without-point", "custom-three-coordinates", "custom-one-coordinate",
-        "custom-text", "custom-inf", "unknown-strategy", "strategy-list"])
+        "custom-text", "custom-numeric-text", "custom-inf", "unknown-strategy", "strategy-list"])
 def test_center_policy_checks_itself_when_built(make, field):
     with pytest.raises(InvalidArgumentError, match=field):
         make()

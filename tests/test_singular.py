@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -408,8 +409,9 @@ def test_non_finite_singularity_is_rejected(unit_square, xc):
         generate_singular_rule(unit_square, SingularSpec(xc=xc), 0.5, 3, 3)
 
 
-@pytest.mark.parametrize("xc", [0.3, (0.3,), (0, 0, 5), ("a", "b"), None, np.zeros((2, 2))],
-                         ids=["scalar", "one", "three", "text", "none", "matrix"])
+@pytest.mark.parametrize("xc", [0.3, (0.3,), (0, 0, 5), ("a", "b"), ("0.3", "0.3"), None,
+                                np.zeros((2, 2))],
+                         ids=["scalar", "one", "three", "text", "numeric-text", "none", "matrix"])
 def test_singular_spec_checks_xc_when_built(xc):
     with pytest.raises(InvalidArgumentError, match="singularity xc"):
         SingularSpec(xc=xc)
@@ -419,3 +421,33 @@ def test_singular_spec_stores_xc_as_two_floats():
     spec = SingularSpec(xc=np.array([0, 1]), radial=GAUSS_JACOBI)
     assert spec.xc == (0.0, 1.0) and all(type(v) is float for v in spec.xc)
     assert hash(spec) == hash(SingularSpec((0.0, 1.0), GAUSS_JACOBI))
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0, 0.0, np.nan, np.inf, True, np.bool_(True), "2", None],
+                         ids=["negative", "zero", "zero-float", "nan", "inf", "bool", "numpy-bool",
+                              "text", "none"])
+def test_generalized_sb_checks_alpha_when_built(alpha):
+    with pytest.raises(InvalidArgumentError, match="generalized-SB alpha must be positive and finite"):
+        GeneralizedSB(alpha)
+
+
+@pytest.mark.parametrize("strategies, message", [
+    ({"radial": "gauss"}, "unknown radial strategy 'gauss'"),
+    ({"radial": 2.0}, "unknown radial strategy 2.0"),
+    ({"radial": np.array(["gauss-jacobi"])}, "unknown radial strategy array"),
+    ({"t_transform": "r9"}, "unknown t-transform 'r9'"),
+    ({"t_transform": "R1"}, "unknown t-transform 'R1'"),
+    ({"t_transform": 1}, "unknown t-transform 1"),
+    ({"t_transform": ["r1"]}, "unknown t-transform"),
+], ids=["radial-name", "radial-number", "radial-array", "t-transform-name", "t-transform-case",
+        "t-transform-number", "t-transform-list"])
+def test_singular_spec_checks_its_strategies_when_built(strategies, message):
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        SingularSpec((0.1, 0.1), **strategies)
+
+
+def test_singular_spec_takes_every_strategy():
+    for radial in (None, GAUSS_JACOBI, GeneralizedSB(2), GeneralizedSB(np.float64(0.5))):
+        for t_transform in (None, "r1", "r2", "r3"):
+            spec = SingularSpec((0.1, 0.1), radial=radial, t_transform=t_transform)
+            assert (spec.radial, spec.t_transform) == (radial, t_transform)

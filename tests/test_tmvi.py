@@ -1,3 +1,6 @@
+import os
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -277,6 +280,112 @@ def test_kernel_values_do_not_depend_on_the_block_size(monkeypatch, name):
             other, other_inside = evaluate_masked(loop, x, 128, **field)
             np.testing.assert_array_equal(other_inside, inside)
             assert np.abs(other - values).max() <= tol
+
+
+def block_rows(loop, n_t):
+    return max(1, tmvi._BLOCK_PAIRS // len(loop.samples(n_t)[0]))
+
+
+def many_block_points(loop, n_t, blocks=9):
+    """Interior points for `blocks` row blocks of the kernel, the last one partial."""
+    rows = block_rows(loop, n_t)
+    x = interior_points(loop, int(np.ceil(np.sqrt(blocks * rows))))
+    return x[:(blocks - 1) * rows + rows // 2]
+
+
+@pytest.mark.parametrize("name", sorted(LOOPS))
+def test_kernel_gives_the_bits_of_one_call_per_block(name):
+    # a many-block call runs its blocks in spans on several threads where the
+    # host has several CPUs; a one-block call runs on the calling thread
+    loop = LOOPS[name]()
+    n_t = 128
+    x = many_block_points(loop, n_t)
+    rows = block_rows(loop, n_t)
+    blocks = range(0, len(x), rows)
+    assert len(blocks) >= 8
+    C, _, w = loop.samples(n_t)
+    for field in ({"g": linear_g}, {"p": 1.0}, {"p": 10.0}, {"p": 100.0}):
+        values, inside = evaluate_masked(loop, x, n_t, **field)
+        parts = [evaluate_masked(loop, x[i:i + rows], n_t, **field) for i in blocks]
+        assert values.tobytes() == np.concatenate([v for v, _ in parts]).tobytes()
+        assert inside.tobytes() == np.concatenate([m for _, m in parts]).tobytes()
+        if "g" in field:
+            power, W = 3.0, np.column_stack([w, linear_g(C[:, 0], C[:, 1]) * w])
+        else:
+            power, W = 2.0 + field["p"], w[:, None]
+        sums, d = tmvi._scaled_kernel(loop, x, n_t, power, W)
+        parts = [tmvi._scaled_kernel(loop, x[i:i + rows], n_t, power, W) for i in blocks]
+        assert sums.tobytes() == np.concatenate([s for s, _ in parts]).tobytes()
+        assert d.tobytes() == np.concatenate([d_ for _, d_ in parts]).tobytes()
+
+
+def test_four_spans_on_any_host_give_the_same_bits(monkeypatch):
+    # a host with many CPUs cuts 9 blocks into the cap of 4 spans, spans 1-3
+    # on three threads, here with more threads than this host may have cores
+    # and a thread switch every microsecond
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    loop = hexagon_loop()
+    x = many_block_points(loop, 128)
+    rows = block_rows(loop, 128)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        values, inside = evaluate_masked(loop, x, 128, p=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    parts = [evaluate_masked(loop, x[i:i + rows], 128, p=10.0) for i in range(0, len(x), rows)]
+    assert values.tobytes() == np.concatenate([v for v, _ in parts]).tobytes()
+    assert inside.tobytes() == np.concatenate([m for _, m in parts]).tobytes()
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Every thread started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    return started
+
+
+def test_kernel_threads_live_only_for_the_call(started_threads):
+    loop = hexagon_loop()
+    x = many_block_points(loop, 128)
+    before = threading.active_count()
+    for field in ({"g": linear_g}, {"p": 10.0}):
+        evaluate_masked(loop, x, 128, **field)
+    assert threading.active_count() == before
+    assert not any(t.is_alive() for t in started_threads)
+    # one thread per span but the caller's, spans = min(CPUs, blocks, 4)
+    assert len(started_threads) == 2 * (tmvi._span_count(9) - 1)
+
+
+def test_an_empty_or_one_block_call_starts_no_thread(started_threads):
+    loop = hexagon_loop()
+    x = many_block_points(loop, 128)
+    for field in ({"g": linear_g}, {"p": 10.0}):
+        evaluate_masked(loop, np.empty((0, 2)), 128, **field)
+        evaluate_masked(loop, x[:1], 128, **field)
+        evaluate_masked(loop, x[:block_rows(loop, 128)], 128, **field)
+    assert started_threads == []
+
+
+def test_every_span_runs_under_the_callers_errstate():
+    # only the last block holds a point off the circle's center, where
+    # q^501 underflows; the center itself has q = 1 to every sample
+    loop = circle_loop()
+    rows = block_rows(loop, 128)
+    x = np.zeros((8 * rows, 2))
+    x[-1] = (0.99, 0.0)
+    before = threading.active_count()
+    assert evaluate_masked(loop, x, 128, p=999.0)[1].all()
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+        evaluate_masked(loop, x, 128, p=999.0)
+    assert threading.active_count() == before
 
 
 def whole_grid_reference(loop, x, n_t, power, W):
