@@ -114,22 +114,22 @@ def egg_domain(a=4.0, b=5.0, r=1.0):
     return BoundaryLoop([EggCurve(a, b, r)])
 
 
-# Pairs per row block of _scaled_kernel: each span's four planes of this many
-# doubles (2 MB) are allocated once per call and stay in cache, and no (N, M)
-# array is ever built.
+# Pairs per row block of _scaled_kernel: each thread's four planes of this
+# many doubles (2 MB) are allocated once per call and stay in cache, and no
+# (N, M) array is ever built.
 _BLOCK_PAIRS = 2**16
-# Cap on the spans of one _scaled_kernel call, so that its planes stay within
-# this many times 2 MB on any host
-_MAX_SPANS = 4
+# Cap on the threads of one _scaled_kernel call, so that its planes stay
+# within this many times 2 MB on any host
+_MAX_THREADS = 4
 
 
-def _span_count(blocks):
-    """Spans for this many row blocks: one per CPU the process may use, at most _MAX_SPANS."""
+def _thread_count(blocks):
+    """Threads for this many row blocks: one per CPU the process may use, at most _MAX_THREADS."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, blocks, _MAX_SPANS))
+    return max(1, min(cpus, blocks, _MAX_THREADS))
 
 
 def _scaled_kernel(loop, x, n_t, power, W):
@@ -149,17 +149,20 @@ def _scaled_kernel(loop, x, n_t, power, W):
 
     The points are taken in row blocks of about _BLOCK_PAIRS pairs on four
     preallocated planes (dx, dy, the numerator and a temporary), so memory
-    does not grow with N.  The blocks are cut into k spans of whole blocks,
-    k = min(CPUs this process may run on, blocks, _MAX_SPANS), each with
-    its own planes, k x 2 MB in all, allocated here before any span runs.
-    The calling thread runs span 0 and one thread per other span runs the
-    rest; the numpy calls of a block release the GIL.  Every thread is
-    joined before the call returns or raises, and an exception in any span
-    reaches the caller.  Every block starts at a multiple of its row count
-    in every span, so each is the same matmul as in one span, and the
-    result is bit for bit that of one thread.  With one span no thread is
-    started.  Plain threads, not concurrent.futures: importing that module
-    would cost each CLI run about 8 ms.
+    does not grow with N.  The blocks run on k threads, the calling thread
+    and k - 1 started here, k = min(CPUs this process may run on, blocks,
+    _MAX_THREADS), each with its own planes, k x 2 MB in all, allocated
+    here before any thread starts; the numpy calls of a block release the
+    GIL.  Each thread takes the next unclaimed block until none is left, so
+    a thread slowed by other load on its CPU runs fewer blocks instead of
+    holding up the call, and the call never waits for more than the blocks
+    in flight.  Every thread is joined before the call returns or raises,
+    and an exception in any thread reaches the caller.  Every block starts
+    at a multiple of its row count whichever thread runs it, so each is
+    the same matmul as in one thread, and the result is bit for bit that
+    of one thread.  With one thread none is started.  Plain threads, not
+    concurrent.futures: importing that module would cost each CLI run
+    about 8 ms.
     """
     C, R, _ = loop.samples(n_t)
     # contiguous planes: strided columns slow every block pass by 5-10%
@@ -168,14 +171,20 @@ def _scaled_kernel(loop, x, n_t, power, W):
     d = np.empty(len(x))
     rows = max(1, _BLOCK_PAIRS // len(Cx))
     blocks = range(0, len(x), rows)
-    k = _span_count(len(blocks))
-    spans = [blocks[len(blocks) * j // k:len(blocks) * (j + 1) // k] for j in range(k)]
+    k = _thread_count(len(blocks))
     planes = np.empty((k, 4, min(rows, len(x)), len(Cx)))
+    # every thread takes the next unclaimed block until none is left; the
+    # lock makes each claim one step, so no block is skipped or run twice
+    starts, claim = iter(blocks), threading.Lock()
 
-    def kernel_rows(span, span_planes):
-        for i in span:
+    def kernel_rows(own_planes):
+        while True:
+            with claim:
+                i = next(starts, None)
+            if i is None:
+                return
             xb = x[i:i + rows]
-            dx, dy, num, tmp = span_planes[:, :len(xb)]
+            dx, dy, num, tmp = own_planes[:, :len(xb)]
             np.subtract(Cx, xb[:, :1], out=dx)
             np.subtract(Cy, xb[:, 1:], out=dy)
             np.multiply(dx, Rx, out=num)
@@ -197,20 +206,20 @@ def _scaled_kernel(loop, x, n_t, power, W):
 
     threads, errors = [], []
 
-    def run(span, span_planes):
+    def run(own_planes):
         try:
-            kernel_rows(span, span_planes)
+            kernel_rows(own_planes)
         except Exception as exc:  # raised again in the calling thread
             errors.append(exc)
 
     try:
-        for span, span_planes in zip(spans[1:], planes[1:]):
+        for own_planes in planes[1:]:
             # in a copy of the caller's context, so its np.errstate holds there too
             thread = threading.Thread(target=contextvars.copy_context().run,
-                                      args=(run, span, span_planes))
+                                      args=(run, own_planes))
             thread.start()
             threads.append(thread)
-        kernel_rows(spans[0], planes[0])
+        kernel_rows(planes[0])
     finally:
         for thread in threads:
             thread.join()

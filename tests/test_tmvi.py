@@ -295,8 +295,8 @@ def many_block_points(loop, n_t, blocks=9):
 
 @pytest.mark.parametrize("name", sorted(LOOPS))
 def test_kernel_gives_the_bits_of_one_call_per_block(name):
-    # a many-block call runs its blocks in spans on several threads where the
-    # host has several CPUs; a one-block call runs on the calling thread
+    # a many-block call runs its blocks on several threads where the host has
+    # several CPUs; a one-block call runs on the calling thread
     loop = LOOPS[name]()
     n_t = 128
     x = many_block_points(loop, n_t)
@@ -319,10 +319,10 @@ def test_kernel_gives_the_bits_of_one_call_per_block(name):
         assert d.tobytes() == np.concatenate([d_ for _, d_ in parts]).tobytes()
 
 
-def test_four_spans_on_any_host_give_the_same_bits(monkeypatch):
-    # a host with many CPUs cuts 9 blocks into the cap of 4 spans, spans 1-3
-    # on three threads, here with more threads than this host may have cores
-    # and a thread switch every microsecond
+def test_four_threads_on_any_host_give_the_same_bits(monkeypatch):
+    # a host with many CPUs runs 9 blocks on the cap of 4 threads, the caller
+    # and three started ones, here with more threads than this host may have
+    # cores and a thread switch every microsecond
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     loop = hexagon_loop()
     x = many_block_points(loop, 128)
@@ -360,8 +360,8 @@ def test_kernel_threads_live_only_for_the_call(started_threads):
         evaluate_masked(loop, x, 128, **field)
     assert threading.active_count() == before
     assert not any(t.is_alive() for t in started_threads)
-    # one thread per span but the caller's, spans = min(CPUs, blocks, 4)
-    assert len(started_threads) == 2 * (tmvi._span_count(9) - 1)
+    # min(CPUs, blocks, 4) threads per call, the caller's among them
+    assert len(started_threads) == 2 * (tmvi._thread_count(9) - 1)
 
 
 def test_an_empty_or_one_block_call_starts_no_thread(started_threads):
@@ -374,7 +374,7 @@ def test_an_empty_or_one_block_call_starts_no_thread(started_threads):
     assert started_threads == []
 
 
-def test_every_span_runs_under_the_callers_errstate():
+def test_every_thread_runs_under_the_callers_errstate():
     # only the last block holds a point off the circle's center, where
     # q^501 underflows; the center itself has q = 1 to every sample
     loop = circle_loop()
