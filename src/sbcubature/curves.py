@@ -27,12 +27,15 @@ def _check_t(t):
 def _floats(value, what):
     """value as a float array, or InvalidArgumentError when it is not numeric.
 
-    Text is not a number here, though numpy would convert "0.5".
+    Text and booleans are not numbers here, though numpy would convert "0.5"
+    and read True as 1, also beside numbers as in [False, 0].
     """
     try:
         raw = np.asarray(value)
-        if raw.dtype.kind in "SU" or raw.dtype.kind == "O" and any(
-                isinstance(v, (str, bytes)) for v in raw.flat):
+        # an array keeps its dtype; the items of a list are checked one by one
+        items = raw if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
+        if raw.dtype.kind in "SUb" or items.dtype.kind == "O" and any(
+                isinstance(v, (str, bytes, bool, np.bool_)) for v in items.flat):
             raise TypeError
         return np.asarray(raw, dtype=float)
     except (TypeError, ValueError):

@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,10 @@ def finite_point(value, what):
 CenterPolicy.ORIGIN = CenterPolicy("origin")
 CenterPolicy.VERTEX_AVERAGE = CenterPolicy("vertex_average")
 
+# Bytes of boundary samples one Region keeps (Region.boundary_samples), the
+# oldest entry evicted first: 11 curves take 0.73 MB at every n <= 64
+_SAMPLE_BUDGET = 2**21
+
 
 class Region:
     """Counterclockwise chain of curves; end of each curve meets the next start.
@@ -63,14 +68,15 @@ class Region:
     (per coordinate); gaps and non-finite samples are a hard error.
     Orientation is not checked at construction (signed area needs an
     integration rule), but downstream results are signed, so a clockwise
-    chain yields negative area.
+    chain yields negative area.  The curves are a tuple, fixed at
+    construction, so the boundary samples the region caches cannot go stale.
     """
 
     def __init__(self, curves):
-        curves = list(curves)
+        curves = tuple(curves)
         if not curves:
             raise InvalidArgumentError("region needs at least one curve")
-        self.curves = curves
+        self._curves = curves
         # positions only: a velocity may be infinite at an endpoint
         pts = check_finite(sample_chain(curves, np.linspace(0.0, 1.0, 64), velocity=False)[0])
         self._bbox = (pts.min(axis=(0, 1)), pts.max(axis=(0, 1)))
@@ -91,6 +97,29 @@ class Region:
             if isinstance(c, Segment) and np.hypot(*(c.b - c.a)) == 0.0:
                 raise InvalidArgumentError("zero-length segment in boundary chain")
         self._starts = starts
+        # id(t) -> (t, C, N, speed, bytes), oldest first; the entry holds t,
+        # so no other array can take its id while the entry lives.  A chain of
+        # segments is sampled in one a + t d pass, too cheap to be worth its
+        # 32 bytes per node and curve
+        self._keeps_samples = not all(type(c) is Segment for c in curves)
+        self._samples = {}
+        self._sample_bytes = 0
+        self._samples_lock = threading.Lock()
+
+    def __getstate__(self):
+        # a lock cannot be pickled, and the samples are keyed by the ids of
+        # this process's node arrays: a copy starts with none
+        state = dict(self.__dict__, _samples={}, _sample_bytes=0)
+        del state["_samples_lock"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _samples_lock=threading.Lock())
+
+    @property
+    def curves(self):
+        """The boundary curves, a tuple in chain order."""
+        return self._curves
 
     @property
     def vertices(self):
@@ -104,6 +133,61 @@ class Region:
     def scale(self):
         """Bounding-box diagonal, used for relative tolerances."""
         return self._scale
+
+    def boundary_samples(self, t):
+        """C = c_i(t), c_i'_perp and each curve's max|c_i'_perp| at nodes t, read-only.
+
+        t is either the nodes (n,) shared by all m curves or one row of nodes
+        per curve (m, n).  The curves are sampled in one pass per curve class
+        (``sample_chain``); c_i'_perp = (c_i2', -c_i1') is the outward normal
+        times |c_i'| on a counterclockwise chain.  Shapes are (m, n, 2),
+        (m, n, 2) and (m,), in chain order, and each row holds the same values
+        as the curve's own position and velocity give.  A non-finite C is an
+        InvalidArgumentError naming the curve's chain index, and so is a
+        non-finite c_i'_perp at a node strictly inside (0, 1), where a NaN
+        would pass every sign and skip test unseen; c_i' may be infinite at
+        an endpoint, as for t^0.5 at t = 0.
+
+        None of this depends on a scaling center, so the region keeps it,
+        keyed by identity, for a read-only node array that owns its data and
+        is taken never to change, such as the Gauss nodes: a second call
+        with the same array evaluates no curve.  Other nodes (writable
+        arrays, views, lists) are sampled at every call, and an error is
+        never kept.  At most _SAMPLE_BUDGET bytes are kept, the oldest entry
+        evicted first; a larger entry is returned and not kept.  A chain of
+        exact Segments keeps nothing (a tmvi.BoundaryLoop keeps them all the
+        same): it is sampled in one a + t d pass at every call, the same
+        pass that fills an entry.
+        """
+        entry = self._samples.get(id(t))
+        if entry is not None:
+            return entry[1:4]
+        C, V = sample_chain(self._curves, t)
+        N = V[..., ::-1] * (1.0, -1.0)
+        check_finite(C)
+        if not np.isfinite(N).all():
+            nodes = np.asarray(t, dtype=float)
+            inner = ((nodes > 0.0) & (nodes < 1.0))[..., None]
+            check_finite(np.where(inner, N, 0.0), "has a non-finite velocity at a node in (0, 1)")
+        speed = np.hypot(N[..., 0], N[..., 1]).max(axis=1, initial=0.0)
+        for a in (C, N, speed):
+            a.setflags(write=False)
+        if (self._keeps_samples and isinstance(t, np.ndarray) and t.flags.owndata
+                and not t.flags.writeable):
+            self._keep((t, C, N, speed, C.nbytes + N.nbytes + speed.nbytes))
+        return C, N, speed
+
+    def _keep(self, entry):
+        t, size = entry[0], entry[4]
+        if size > _SAMPLE_BUDGET:
+            return
+        with self._samples_lock:  # another thread may fill or evict meanwhile
+            if id(t) in self._samples:
+                return
+            while self._sample_bytes + size > _SAMPLE_BUDGET:
+                self._sample_bytes -= self._samples.pop(next(iter(self._samples)))[4]
+            self._samples[id(t)] = entry
+            self._sample_bytes += size
 
 
 def check_finite(a, what="is not finite on [0, 1]"):
@@ -138,26 +222,22 @@ def decompose(region, x0, t):
     """The curved triangles spanned by x0 and each boundary curve, sampled at t.
 
     t is either the nodes (n,) shared by all m curves or one row of nodes
-    per curve (m, n).  The curves are sampled in one pass per curve class
-    (``sample_chain``: segments together, Bezier and rational Bezier curves
-    by degree, any other curve on its own row); the result is C = c_i(t),
-    c_i'_perp = (c_i2', -c_i1') (the outward normal times |c_i'| on a
-    counterclockwise chain) and (C - x0).c_i'_perp, the t-part of the scaled
-    boundary Jacobian, in chain order, with shapes (m, n, 2), (m, n, 2) and
-    (m, n).  Each row holds the same values as the curve's own position and
-    velocity give.  A non-finite C is an InvalidArgumentError naming the
-    curve's chain index, and so is a non-finite c_i'_perp at a node strictly
-    inside (0, 1): a NaN there would pass every sign and skip test unseen.
-    c_i' may be infinite at an endpoint, as for t^0.5 at t = 0.
+    per curve (m, n).  Returns C = c_i(t), c_i'_perp = (c_i2', -c_i1') and
+    (C - x0).c_i'_perp, the t-part of the scaled boundary Jacobian, in chain
+    order, with shapes (m, n, 2), (m, n, 2) and (m, n).  C and c_i'_perp are
+    ``region.boundary_samples(t)``, read-only and kept by the region (not
+    by a chain of segments) for a read-only node array such as the Gauss
+    nodes, so only the last product is computed per center; it is a new
+    array.  Non-finite samples raise as
+    ``Region.boundary_samples`` describes.
     """
-    C, V = sample_chain(region.curves, t)
-    N = V[..., ::-1] * (1.0, -1.0)
-    check_finite(C)
-    if not np.isfinite(N).all():
-        t = np.asarray(t, dtype=float)
-        inner = ((t > 0.0) & (t < 1.0))[..., None]
-        check_finite(np.where(inner, N, 0.0), "has a non-finite velocity at a node in (0, 1)")
-    return C, N, np.einsum("...i,...i->...", C - np.asarray(x0, dtype=float), N)
+    C, N, _ = region.boundary_samples(t)
+    return C, N, jacobian_t(C, N, x0)
+
+
+def jacobian_t(C, N, x0):
+    """(C - x0).N per node: the t-part of the scaled boundary Jacobian, a new array."""
+    return np.einsum("...i,...i->...", C - np.asarray(x0, dtype=float), N)
 
 
 def is_star_convex(region, x0):

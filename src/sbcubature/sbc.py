@@ -7,14 +7,18 @@ the unit square maps onto it via
 
 and summing the per-triangle tensor-rule integrals gives the region
 integral.  Every rule family is built the same way: ``curve_samples``
-(through ``region.decompose``) gives C = c(t) and (C - x0).c'_perp as
-(curve, node) arrays at the t-nodes, shared by all curves or one row per
-curve, in one pass per curve class (all segments at once, Bezier and
-rational Bezier curves by degree, any other curve on its own), and drops
-the curves x0 sees edge-on; the family turns these into t-weights, and
-``assemble_rule`` takes the tensor product with a radial rule (nodes s in
-[0, 1], weights w_s) in one broadcast.  The families differ only in their
-radial rule and their t-nodes:
+gives C = c(t) and (C - x0).c'_perp as (curve, node) arrays at the
+t-nodes, shared by all curves or one row per curve, and drops the curves
+x0 sees edge-on.  C and c'_perp do not depend on x0: they come from
+``Region.boundary_samples``, which samples the curves in one pass per curve
+class (all segments at once, Bezier and rational Bezier curves by degree,
+any other curve on its own) and keeps them, read-only, for the Gauss
+nodes, so a second rule at the same n_t evaluates no curve and only the
+product with C - x0 is new (a Region of segments keeps nothing and is
+sampled again in one a + t d pass).  The family turns these into
+t-weights, and ``assemble_rule`` takes the tensor product with a radial
+rule (nodes s in [0, 1], weights w_s) in one broadcast.  The families
+differ only in their radial rule and their t-nodes:
 
 * regular (``generate_rule``): Gauss-Legendre nodes xi, weights w_xi * xi;
 * singular (``singular.generate_singular_rule``): the three radial
@@ -34,7 +38,7 @@ import numpy as np
 
 from . import rules
 from .errors import EvaluationError, InvalidArgumentError
-from .region import decompose, resolve_center
+from .region import jacobian_t, resolve_center
 
 
 @dataclass(frozen=True)
@@ -72,11 +76,14 @@ def curve_samples(region, x0, t):
     t is the nodes (n,) shared by every curve or one row per curve (m, n).
     A curve is skipped when max|(c - x0).c'_perp| <= 1e-14 * scale * max|c'|:
     x0 lies on it (or on its supporting line), so its triangle has no area.
-    C and perp are ``decompose``'s arrays with the skipped rows masked out.
+    C, c'_perp and max|c'| are ``region.boundary_samples(t)``, which the
+    region keeps for the Gauss nodes, so each call computes only
+    (C - x0).c'_perp (``region.jacobian_t``, as ``decompose`` does); C and
+    perp have the skipped rows masked out.
     """
-    C, N, perp = decompose(region, x0, t)
-    tol = 1e-14 * region.scale()
-    keep = np.abs(perp).max(axis=1) > tol * np.hypot(N[..., 0], N[..., 1]).max(axis=1)
+    C, N, speed = region.boundary_samples(t)
+    perp = jacobian_t(C, N, x0)
+    keep = np.abs(perp).max(axis=1) > 1e-14 * region.scale() * speed
     if keep.all():
         return np.arange(len(keep)), C, perp
     return np.flatnonzero(keep), C[keep], perp[keep]

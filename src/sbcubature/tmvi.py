@@ -20,7 +20,7 @@ import numpy as np
 from . import rules
 from .curves import Curve, _check_t, sample_chain
 from .errors import InvalidArgumentError
-from .region import Region, decompose
+from .region import Region
 from .sbc import field_values
 
 
@@ -52,7 +52,9 @@ class BoundaryLoop(Region):
 
     def __init__(self, curves):
         super().__init__(curves)
-        self._sample_cache = {}
+        # a loop is sampled at a few large n_t, each then read by many kernel
+        # calls, so it keeps its samples also as a chain of segments
+        self._keeps_samples = True
         P = sample_chain(self.curves, np.arange(128) / 128.0, velocity=False)[0].reshape(-1, 2)
         E = np.roll(P, -1, axis=0) - P
         F = np.roll(E, -1, axis=0)
@@ -72,15 +74,18 @@ class BoundaryLoop(Region):
             warnings.warn("boundary loop does not look convex", stacklevel=2)
 
     def samples(self, n_t):
-        """Per-loop cached (points, rotated velocities, weights) at n_t per curve."""
-        cached = self._sample_cache.get(n_t)
-        if cached is not None:
-            return cached
+        """Points C, rotated velocities c'_perp and t-weights at n_t Gauss nodes per curve.
+
+        Shapes (m n_t, 2), (m n_t, 2) and (m n_t,), curve by curve in chain
+        order, all read-only.  C and c'_perp are views of the region's own
+        ``boundary_samples`` at the Gauss nodes, so every call after the
+        first at this n_t evaluates no curve, a chain of segments included.
+        """
         t_rule = rules.gauss_legendre(n_t)
-        C, R, _ = decompose(self, np.zeros(2), t_rule.nodes)
+        C, R, _ = self.boundary_samples(t_rule.nodes)
         w = np.tile(t_rule.weights, len(self.curves))
-        self._sample_cache[n_t] = (C.reshape(-1, 2), R.reshape(-1, 2), w)
-        return self._sample_cache[n_t]
+        w.setflags(write=False)
+        return C.reshape(-1, 2), R.reshape(-1, 2), w
 
 
 class EggCurve(Curve):

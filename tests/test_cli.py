@@ -282,13 +282,19 @@ def _domain_file(tmp_path, **changes):
         ({"curves": [{"type": "segment", "from": ["0", "0"], "to": [1, 0]}]
           + SQUARE["curves"][1:]}, []),
         ({"x0": {"strategy": "custom", "point": ["0.5", "1"]}}, []),
+        ({"curves": [{"type": "segment", "from": [False, False], "to": [1, 0]}]
+          + SQUARE["curves"][1:]}, []),
+        ({"curves": [{"type": "segment", "from": [0, 0], "to": [True, 0]}]
+          + SQUARE["curves"][1:]}, []),
+        ({"x0": {"strategy": "custom", "point": [True, False]}}, []),
     ],
     ids=["x0-vertex-without-index", "segment-without-to", "curve-as-list",
          "x0-custom-one-coordinate", "center-custom-one-coordinate", "center-vertex-abc",
          "segment-from-string", "bezier-non-number", "rational-weight-non-number",
          "parametric-x-number", "segment-nan", "parametric-nan", "center-custom-nan",
          "x0-vertex-fraction", "x0-vertex-bool", "segment-from-numeric-text",
-         "x0-custom-numeric-text"],
+         "x0-custom-numeric-text", "segment-from-bool", "segment-to-bool-beside-a-number",
+         "x0-custom-bool"],
 )
 def test_bad_domain_or_center_exits_2(tmp_path, capsys, doc, args):
     assert main(["rule", _domain_file(tmp_path, **doc), "2", "2"] + args) == 2

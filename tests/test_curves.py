@@ -84,6 +84,25 @@ def test_numeric_text_is_not_a_coordinate(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Segment((True, False), (1, 0)),
+    lambda: Segment((0, 0), (1, False)),
+    lambda: Segment(np.array([False, False]), (1, 0)),
+    lambda: Segment(np.array([0.0, np.bool_(True)], dtype=object), (1, 0)),
+    lambda: Bezier([(0, 0), (0.5, True), (1, 0)]),
+    lambda: Bezier(np.ones((3, 2), dtype=bool)),
+    lambda: RationalBezier([(0, 0), (0.5, 1), (True, 0)], [1, 1, 1]),
+    lambda: RationalBezier([(0, 0), (0.5, 1), (1, 0)], [1, True, 1]),
+    lambda: RationalBezier([(0, 0), (0.5, 1), (1, 0)], np.array([True, True, True])),
+], ids=["segment", "segment-beside-a-number", "segment-bool-array", "segment-object-array",
+        "bezier", "bezier-bool-array", "rational-points", "rational-weights",
+        "rational-weights-bool-array"])
+def test_a_boolean_is_not_a_coordinate(make):
+    # numpy would read True as 1.0, even beside numbers as in [1, False]
+    with pytest.raises(InvalidArgumentError, match="must be numbers"):
+        make()
+
+
 DELTOID_X = "(1+2*cos(2*pi/3*t))^2/12"
 DELTOID_Y = "(1+2*sin(2*pi/3*t)-4*sin(4*pi/3*t))/6"
 

@@ -62,13 +62,17 @@ def test_resolve_center(unit_square):
     (lambda: CenterPolicy.custom(("a", "b")), "center point"),
     (lambda: CenterPolicy.custom(("0.5", "1")), "center point"),
     (lambda: CenterPolicy.custom((0.5, np.inf)), "center point"),
+    (lambda: CenterPolicy.custom((True, False)), "center point"),
+    (lambda: CenterPolicy.custom((0.5, False)), "center point"),
+    (lambda: CenterPolicy.custom(np.array([True, True])), "center point"),
     (lambda: CenterPolicy("centroid"), "center strategy"),
     (lambda: CenterPolicy(["origin"]), "center strategy"),
 ], ids=["vertex-bool", "vertex-numpy-bool", "vertex-fraction", "vertex-negative-fraction",
         "vertex-nan", "vertex-text", "vertex-without-index", "origin-with-point",
         "vertex-average-with-index", "vertex-with-point", "custom-with-index",
         "custom-without-point", "custom-three-coordinates", "custom-one-coordinate",
-        "custom-text", "custom-numeric-text", "custom-inf", "unknown-strategy", "strategy-list"])
+        "custom-text", "custom-numeric-text", "custom-inf", "custom-bool",
+        "custom-bool-beside-a-number", "custom-bool-array", "unknown-strategy", "strategy-list"])
 def test_center_policy_checks_itself_when_built(make, field):
     with pytest.raises(InvalidArgumentError, match=field):
         make()
@@ -98,6 +102,8 @@ def test_decompose_counts(unit_square):
     C, N, perp = decompose(unit_square, x0, t)
     assert C.shape == N.shape == (4, 5, 2)
     assert perp.shape == (4, 5)
+    for region in (unit_square, lookup("bezier").make()):  # a chain of segments, and curves
+        assert [a.shape for a in decompose(region, x0, np.empty(0))] == [(4, 0, 2), (4, 0, 2), (4, 0)]
     for i, c in enumerate(unit_square.curves):
         for got, want in zip((C[i], N[i], perp[i]), own_samples(c, t, x0)):
             np.testing.assert_array_equal(got, want)
@@ -342,7 +348,7 @@ def test_region_endpoints_are_each_curves_start_and_end():
 
 
 def test_open_chain_reports_the_gap_between_curve_ends():
-    curves = curve_chain(KINDS).curves
+    curves = list(curve_chain(KINDS).curves)  # Region.curves is a tuple
     curves[-1] = Segment(curves[-1].position(0.0), curves[0].position(0.0) + np.array([0.0, 1e-3]))
     gap = max(np.abs(a.position(1.0) - b.position(0.0)).max()
               for a, b in zip(curves, curves[1:] + curves[:1]))
@@ -406,3 +412,204 @@ def test_non_finite_geometry_and_center_are_rejected(unit_square):
         polygon([(np.nan, 0), (1, 0), (1, 1)])
     with pytest.raises(InvalidArgumentError):
         resolve_center(unit_square, CenterPolicy.custom((0.5, np.inf)))
+
+
+class CountingSegment(Segment):
+    """A segment that counts its evaluations; as a subclass it is sampled on its own row."""
+
+    def __init__(self, a, b):
+        super().__init__(a, b)
+        self.calls = 0
+
+    def position(self, t):
+        self.calls += 1
+        return super().position(t)
+
+    def velocity(self, t):
+        self.calls += 1
+        return super().velocity(t)
+
+
+def counting_square():
+    v = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    region = Region([CountingSegment(v[i], v[(i + 1) % 4]) for i in range(4)])
+    return region, lambda: sum(c.calls for c in region.curves)
+
+
+def read_only_nodes(*t):
+    t = np.array(t, dtype=float)
+    t.setflags(write=False)
+    return t
+
+
+def test_region_curves_are_a_tuple():
+    curves = [Segment((0, 0), (1, 0)), Segment((1, 0), (0, 1)), Segment((0, 1), (0, 0))]
+    region = Region(iter(curves))
+    assert region.curves == tuple(curves)
+    curves.pop()
+    assert len(region.curves) == 3
+    with pytest.raises(AttributeError):
+        region.curves = curves
+
+
+def test_boundary_samples_cannot_be_written():
+    from sbcubature.rules import gauss_legendre
+
+    region = lookup("bezier").make()
+    # the Gauss nodes are kept by the region, other nodes are not: both read-only
+    for t in (gauss_legendre(8).nodes, np.linspace(0.0, 1.0, 8)):
+        C, N, perp = decompose(region, np.array([0.5, 0.5]), t)
+        for a in (C, N) + region.boundary_samples(t)[2:]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 9.0
+        perp[0, 0] = 9.0  # the center's product is the caller's own
+        assert decompose(region, np.array([0.5, 0.5]), t)[2][0, 0] != 9.0
+
+
+def test_read_only_nodes_are_sampled_once_and_other_nodes_every_time():
+    region, calls = counting_square()
+    x0 = np.array([0.25, 0.5])
+    t = read_only_nodes(0.25, 0.5)
+    first = decompose(region, x0, t)
+    n = calls()
+    for x in (x0, np.array([3.0, -1.0])):
+        again = decompose(region, x, t)
+        assert calls() == n
+        for got, want in zip(again, decompose(counting_square()[0], x, t.copy())):
+            np.testing.assert_array_equal(got, want)
+    assert again[0] is first[0]
+    for other in (t.copy(), t.view(), [0.25, 0.5]):  # writable, a view, a list
+        decompose(region, x0, other)
+        assert calls() == n + 8
+        n = calls()
+
+
+def test_a_writable_node_array_is_never_kept():
+    region, _ = counting_square()
+    t = np.array([0.25, 0.5])
+    view = t.view()
+    view.setflags(write=False)  # read-only, but its data is t's
+    for nodes in (t, view):
+        t[:] = 0.25, 0.5
+        decompose(region, np.zeros(2), nodes)
+        t[0] = 0.75
+        C, N, perp = decompose(region, np.zeros(2), nodes)
+        for i, c in enumerate(region.curves):
+            for got, want in zip((C[i], N[i], perp[i]), own_samples(c, t, np.zeros(2))):
+                np.testing.assert_array_equal(got, want)
+
+
+def test_a_non_finite_velocity_raises_on_every_call():
+    from sbcubature.rules import gauss_legendre
+
+    region = Region([ParametricCurve("t + 0*atan2(t-0.5, t-0.5)", "0"), Segment((1, 0), (1, 1)),
+                     Segment((1, 1), (0, 1)), Segment((0, 1), (0, 0))])
+    for _ in range(3):
+        with pytest.raises(InvalidArgumentError, match="curve 0 has a non-finite velocity"):
+            region.boundary_samples(gauss_legendre(5).nodes)
+        with pytest.raises(InvalidArgumentError, match="curve 0 has a non-finite velocity"):
+            integrate(region, CenterPolicy.VERTEX_AVERAGE, lambda x, y: np.ones_like(x), 3, 5)
+        assert area(region, (0.5, 0.5), n_t=4) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_the_sample_budget_evicts_the_oldest_entry(monkeypatch):
+    import sbcubature.region as region_module
+
+    a, b, c = (read_only_nodes(0.25, v) for v in (0.5, 0.625, 0.75))
+    entry = 2 * (4 * 2 * 2 * 8) + 4 * 8  # C and N of 4 curves at 2 nodes, and max|N|
+    region, calls = counting_square()
+    monkeypatch.setattr(region_module, "_SAMPLE_BUDGET", 2 * entry)
+
+    def evaluates(t):
+        n = calls()
+        region.boundary_samples(t)
+        return calls() > n
+
+    assert evaluates(a) and evaluates(b)
+    assert not evaluates(a) and not evaluates(b)
+    assert evaluates(c)  # evicts a, the oldest, although a was read since b was kept
+    assert not evaluates(b) and not evaluates(c)
+    assert evaluates(a)  # evicts b
+    assert not evaluates(c) and evaluates(b)
+
+    monkeypatch.setattr(region_module, "_SAMPLE_BUDGET", entry - 1)
+    region, calls = counting_square()
+    assert evaluates(a) and evaluates(a)  # too large to keep, but returned
+    C, N, _ = region.boundary_samples(a)
+    np.testing.assert_array_equal(C[1], region.curves[1].position(a))
+
+
+def test_a_region_pickles_and_copies_without_its_samples(unit_square):
+    import copy
+    import pickle
+
+    from sbcubature.sbc import generate_rule
+    from sbcubature.tmvi import egg_domain
+
+    for region in (lookup("bezier").make(), unit_square, egg_domain()):
+        want = generate_rule(region, CenterPolicy.VERTEX_AVERAGE, 4, 6)
+        for twin in (pickle.loads(pickle.dumps(region)), copy.deepcopy(region)):
+            assert type(twin) is type(region) and twin._samples == {}
+            got = generate_rule(twin, CenterPolicy.VERTEX_AVERAGE, 4, 6)
+            np.testing.assert_array_equal(got.points, want.points)
+            np.testing.assert_array_equal(got.weights, want.weights)
+
+
+def test_threads_sharing_a_region_and_its_sample_budget(monkeypatch):
+    import sys
+    import threading
+
+    import sbcubature.region as region_module
+    from sbcubature.sbc import generate_rule
+
+    region = lookup("bezier").make()
+    orders = range(2, 14)
+    want = {n: generate_rule(lookup("bezier").make(), CenterPolicy.VERTEX_AVERAGE, 3, n)
+            for n in orders}
+    # room for about three of the twelve orders, so the threads evict all the time
+    monkeypatch.setattr(region_module, "_SAMPLE_BUDGET", 3 * 4 * 32 * 12)
+    errors = []
+
+    def work(k):
+        try:
+            for i in range(60):
+                n = orders[(7 * i + k) % len(orders)]
+                got = generate_rule(region, CenterPolicy.VERTEX_AVERAGE, 3, n)
+                np.testing.assert_array_equal(got.points, want[n].points)
+                np.testing.assert_array_equal(got.weights, want[n].weights)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    kept = region._samples.values()
+    assert region._sample_bytes == sum(e[4] for e in kept) <= region_module._SAMPLE_BUDGET
+
+
+class PlainSegment(Segment):
+    """A Segment subclass: Region samples it through its own methods and keeps it."""
+
+
+def test_a_chain_of_segments_keeps_no_samples():
+    from sbcubature.rules import gauss_legendre
+
+    v = [(0.0, 0.0), (3.0, 0.5), (2.0, 2.5), (-0.5, 1.0)]
+    segments = polygon(v)
+    plain = Region([PlainSegment(v[i], v[(i + 1) % 4]) for i in range(4)])
+    rows = np.array([[0.0, 0.3, 1.0], [0.1, 0.2, 0.9], [1e-13 + 1.0, 0.5, -1e-13], [0.25, 0.5, 0.75]])
+    rows.setflags(write=False)
+    for t in (gauss_legendre(5).nodes, rows) * 2:
+        for got, want in zip(segments.boundary_samples(t), plain.boundary_samples(t)):
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
+    assert segments._samples == {} and len(plain._samples) == 2

@@ -165,6 +165,34 @@ def test_each_curve_is_sampled_once_on_the_t_nodes(family):
         assert sorted(s.calls) == [("position", n_t), ("velocity", n_t)]
 
 
+def build(family, reg, k):
+    """The k-th rule of a family at n_t = 7, each k with its own center and radial order."""
+    center = tuple(reg.vertices.mean(axis=0) + 0.01 * k)
+    if family == "regular":
+        return generate_rule(reg, CenterPolicy.custom(center), 3 + k, 7)
+    if family == "singular":
+        return generate_singular_rule(reg, SingularSpec(xc=center, radial=GAUSS_JACOBI), 0.5, 3 + k, 7)
+    return hni_integrate(reg, HomogeneousField(lambda x, y: x * y + k * x * x, 2), 7)
+
+
+@pytest.mark.parametrize("family", ["regular", "singular", "hni"])
+def test_a_second_rule_at_the_same_n_t_evaluates_no_curve(family):
+    spies = [SpyCurve(c) for c in lookup("bezier").make().curves]
+    reg = Region(spies)
+    build(family, reg, 0)
+    for s in spies:
+        s.calls.clear()
+    for k in (0, 1):
+        got = build(family, reg, k)
+        assert all(s.calls == [] for s in spies)
+        want = build(family, Region(lookup("bezier").make().curves), k)
+        if family == "hni":
+            assert got == want
+        else:
+            for a in ("points", "weights", "curve_index"):
+                np.testing.assert_array_equal(getattr(got, a), getattr(want, a))
+
+
 def test_every_curve_skipped_gives_an_empty_rule():
     # x0 lies on both edges of this degenerate region, so no curve counts
     reg = Region([Segment((0, 0), (1, 0)), Segment((1, 0), (0, 0))])

@@ -477,6 +477,25 @@ def test_non_finite_velocity_at_a_node_is_rejected():
     assert lp_distance_many(loop, [(0.5, 0.5)], 1.0, 4)[0] > 0.0
 
 
+def test_samples_are_read_only_views_of_the_region_samples():
+    from sbcubature.rules import gauss_legendre
+
+    x = np.array([[0.5, 0.5], [0.25, 0.75]])
+    for loop in (polygon_loop([(0, 0), (2, 0), (2, 1), (0, 1)]), circle_loop()):
+        before = tmvi_eval_many(loop, linear_g, x, 64)
+        C, R, w = loop.samples(64)
+        for a in (C, R, w):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 9.0
+        np.testing.assert_array_equal(tmvi_eval_many(loop, linear_g, x, 64), before)
+        C2, N, _ = loop.boundary_samples(gauss_legendre(64).nodes)
+        np.testing.assert_array_equal(C, C2.reshape(-1, 2))
+        np.testing.assert_array_equal(R, N.reshape(-1, 2))
+        np.testing.assert_array_equal(w, np.tile(gauss_legendre(64).weights, len(loop.curves)))
+        # a loop keeps its samples, a chain of segments too, and samples are views of them
+        assert np.shares_memory(C, C2) and np.shares_memory(R, N)
+
+
 def test_point_on_a_sample_is_masked_without_a_warning():
     loop = egg_domain()
     on_sample = loop.samples(64)[0][3]
