@@ -15,9 +15,16 @@ class (all segments at once, Bezier and rational Bezier curves by degree,
 any other curve on its own) and keeps them, read-only, for the Gauss
 nodes, so a second rule at the same n_t evaluates no curve and only the
 product with C - x0 is new (a Region of segments keeps nothing and is
-sampled again in one a + t d pass).  The family turns these into
-t-weights, and ``assemble_rule`` takes the tensor product with a radial
-rule (nodes s in [0, 1], weights w_s) in one broadcast.  The families
+sampled again, all segments in one a + t d pass).  The family turns these
+into t-weights, and ``assemble_rule`` takes the tensor product with a
+radial rule (nodes s in [0, 1], weights w_s).
+
+The arithmetic on points, c'_perp and (C - x0).c'_perp runs on coordinate
+planes, one plane at a time: the arrays are (..., 2), and a numpy ufunc
+over them as they are runs its inner loop over that last axis of length 2,
+at a call overhead per pair of numbers, several times slower than one pass
+per plane.  Each element takes the same IEEE operations either way, so the
+results are bit for bit those of the broadcast forms.  The families
 differ only in their radial rule and their t-nodes:
 
 * regular (``generate_rule``): Gauss-Legendre nodes xi, weights w_xi * xi;
@@ -58,12 +65,20 @@ class CubatureRule:
 
 
 def field_values(f, points):
-    """Values of the scalar field f(x, y) at points (N, 2), all finite.
+    """Values of the scalar field f(x, y) at points (N, 2), all finite, shape (N,).
 
-    Raises EvaluationError at the first point with a non-finite value; its
+    f returns one value per point, or a single value (shape ()) for a
+    constant field; any other shape is an InvalidArgumentError, since it
+    would broadcast against the weights into a wrong number.  Raises
+    EvaluationError at the first point with a non-finite value; its
     ``point`` is that point as a tuple of floats.
     """
     vals = np.asarray(f(points[:, 0], points[:, 1]), dtype=float)
+    if vals.shape != (len(points),):
+        if vals.shape:
+            raise InvalidArgumentError("field values have shape %s, expected (%d,) or ()"
+                                       % (vals.shape, len(points)))
+        vals = np.full(len(points), vals)
     if not np.isfinite(vals).all():
         point = tuple(float(v) for v in points[int(np.argmax(~np.isfinite(vals)))])
         raise EvaluationError("integrand is not finite at (%r, %r)" % point, point=point)
@@ -94,10 +109,18 @@ def assemble_rule(idx, C, tw, x0, s, w_s):
 
     idx holds the source curve of each of the m rows.  The points are
     x0 + s * (C - x0) and the weights the outer product of t-weights and
-    w_s, ordered (curve, t-node, radial node).
+    w_s, ordered (curve, t-node, radial node).  The points are computed on
+    their (2, m, n, k) coordinate planes, one plane at a time (order "C"),
+    so that each inner loop runs over the radial nodes.
     """
+    x0 = np.asarray(x0, dtype=float)
+    D = np.subtract(C.transpose(2, 0, 1), x0[:, None, None], order="C")
+    points = np.empty(C.shape[:2] + (len(s), 2))
+    P = points.transpose(3, 0, 1, 2)
+    np.multiply(D[..., None], s, out=P, order="C")
+    np.add(P, x0[:, None, None, None], out=P, order="C")
     return CubatureRule(
-        points=(x0 + s[:, None] * (C[:, :, None, :] - x0)).reshape(-1, 2),
+        points=points.reshape(-1, 2),
         weights=(tw[:, :, None] * w_s).ravel(),
         curve_index=np.repeat(idx, tw.shape[1] * len(s)),
     )

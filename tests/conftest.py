@@ -30,6 +30,11 @@ def greens_monomial(vertices, i, j):
     return total
 
 
+def same_bits(got, want):
+    """Equal dtype, shape and bytes: unlike array_equal, -0.0 differs from 0.0 here."""
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def own_samples(curve, t, x0):
     """C = c(t), c'_perp = (c2', -c1') and (C - x0).c'_perp from the curve's own methods."""
     C = curve.position(t)

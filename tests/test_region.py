@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import geometry_names, own_samples
+from conftest import geometry_names, own_samples, same_bits
 from sbcubature.curves import (
     Bezier,
     Curve,
@@ -206,6 +206,25 @@ def test_decompose_matches_each_curve_at_its_own_node_row(kinds, bulge, x0, n, d
     for i, c in enumerate(region.curves):
         for got, want in zip((C[i], N[i], perp[i]), own_samples(c, t[i], x0)):
             np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(others=st.lists(st.sampled_from(KINDS), min_size=1, max_size=5),
+       bulge=st.floats(-0.3, 0.3), n=st.integers(1, 8), data=st.data())
+def test_boundary_samples_of_interleaved_segments_are_their_own_bits(others, bulge, n, data):
+    # a segment at every even chain index: the segment pass writes rows that are
+    # not adjacent, or the whole chain when every curve is a segment
+    kinds = [k for other in others for k in ("segment", other)]
+    region = curve_chain(kinds, bulge)
+    row = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    rows = np.array(data.draw(st.lists(row, min_size=len(kinds), max_size=len(kinds))))
+    for t in (rows, rows[0]):
+        C, N, _ = region.boundary_samples(t)
+        for i, c in enumerate(region.curves):
+            ti = t[i] if t.ndim == 2 else t
+            V = c.velocity(ti)
+            assert same_bits(C[i], c.position(ti))
+            assert same_bits(N[i], np.stack([V[:, 1], -V[:, 0]], axis=-1))
 
 
 def test_node_rows_must_match_the_chain(unit_square):

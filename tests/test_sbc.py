@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import POLYGON_NAMES, greens_poly, own_samples
+from conftest import POLYGON_NAMES, greens_poly, own_samples, same_bits
 from sbcubature.curves import Bezier, Curve, Segment
-from sbcubature.errors import EvaluationError
+from sbcubature.errors import EvaluationError, InvalidArgumentError
 from sbcubature.hni import HomogeneousField, hni_integrate
-from sbcubature.region import CenterPolicy, Region, polygon
+from sbcubature.region import CenterPolicy, Region, jacobian_t, polygon
 from sbcubature.sbc import (
     assemble_rule,
     generate_rule,
@@ -226,6 +228,27 @@ def test_evaluation_error_names_its_point_as_python_floats():
     assert tuple(float(v) for v in message[message.index("(") + 1:-1].split(", ")) == point
 
 
+def test_field_values_of_the_wrong_shape_are_rejected():
+    rule = generate_rule(lookup("convex_hexagon").make(), CenterPolicy.VERTEX_AVERAGE, 4, 4)
+    n = len(rule)
+    # an (N, 1) column would broadcast against the (N,) weights into a wrong number
+    for f, shape in ((lambda x, y: (1.0 + x)[:, None], (n, 1)),
+                     (lambda x, y: np.array([1.0]), (1,)),
+                     (lambda x, y: np.ones((2, n)), (2, n))):
+        with pytest.raises(InvalidArgumentError) as e:
+            rule(f)
+        assert str(e.value) == "field values have shape %s, expected (%d,) or ()" % (shape, n)
+
+
+def test_a_single_field_value_is_a_constant_field():
+    rule = generate_rule(lookup("bezier").make(), CenterPolicy.VERTEX_AVERAGE, 3, 8)
+    ones = rule(lambda x, y: np.ones_like(x))
+    assert rule(lambda x, y: 1.0) == ones
+    assert rule(lambda x, y: np.float64(2.5)) == rule(lambda x, y: np.full_like(x, 2.5))
+    with pytest.raises(EvaluationError), np.errstate(invalid="ignore"):
+        rule(lambda x, y: np.nan)
+
+
 def test_rule_weight_sum_matches_area_for_curved_region():
     reg = lookup("bezier").make()
     rule = generate_rule(reg, CenterPolicy.VERTEX_AVERAGE, 1, 3)
@@ -247,3 +270,49 @@ def test_deltoid_area_is_exact_to_round_off(n_t):
     area = integrate(lookup("deltoid").make(), CenterPolicy.VERTEX_AVERAGE,
                      lambda x, y: np.ones_like(x), 2, n_t)
     assert abs(area - np.pi / 9.0) <= 2e-15
+
+
+def planar_inputs(seed, m, n, x0_at):
+    """Samples C and N (m, n, 2) and a center x0, with exact zeros of both signs.
+
+    x0 lies inside the samples' box, outside it, or with them far from the
+    origin.  Some C coordinates equal x0's, and some N coordinates are +-0.0,
+    so products of -0.0 occur.
+    """
+    rng = np.random.default_rng(seed)
+    offset = rng.uniform(-1e7, 1e7, 2) if x0_at == "far" else np.zeros(2)
+    C = offset + rng.uniform(-1.0, 1.0, (m, n, 2))
+    x0 = offset + (rng.uniform(2.0, 4.0, 2) * rng.choice((-1.0, 1.0), 2) if x0_at == "outside"
+                   else rng.uniform(-0.5, 0.5, 2))
+    C = np.where(rng.random((m, n, 2)) < 0.2, x0, C)
+    N = np.where(rng.random((m, n, 2)) < 0.2, 0.0, rng.standard_normal((m, n, 2)))
+    return C, N * rng.choice((-1.0, 1.0), (m, n, 2)), x0, rng
+
+
+PLANAR = dict(m=st.integers(0, 12), n=st.integers(1, 70),
+              x0_at=st.sampled_from(("inside", "outside", "far")), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 50), **PLANAR)
+def test_assemble_rule_is_the_one_broadcast_bit_for_bit(m, n, k, x0_at, seed):
+    C, _, x0, rng = planar_inputs(seed, m, n, x0_at)
+    tw = rng.standard_normal((m, n))
+    s = np.where(rng.random(k) < 0.1, 0.0, rng.uniform(0.0, 1.0, k))
+    w_s = rng.uniform(0.0, 1.0, k)
+    idx = rng.permutation(20)[:m]
+    rule = assemble_rule(idx, C, tw, x0, s, w_s)
+    # the reference: the points as one broadcast over an innermost axis of length 2
+    want = (x0 + s[:, None] * (C[:, :, None, :] - x0)).reshape(-1, 2)
+    assert rule.points.flags.c_contiguous and same_bits(rule.points, want)
+    assert same_bits(rule.weights, (tw[:, :, None] * w_s).ravel())
+    assert np.issubdtype(rule.curve_index.dtype, np.integer)
+    np.testing.assert_array_equal(rule.curve_index, np.repeat(idx, n * k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**PLANAR)
+def test_jacobian_t_is_the_einsum_bit_for_bit(m, n, x0_at, seed):
+    C, N, x0, _ = planar_inputs(seed, m, n, x0_at)
+    got = jacobian_t(C, N, x0)
+    assert got.flags.writeable and same_bits(got, np.einsum("...i,...i->...", C - x0, N))

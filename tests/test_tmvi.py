@@ -510,6 +510,23 @@ def test_point_on_a_sample_is_masked_without_a_warning():
             assert np.isnan(one[0])
 
 
+def test_boundary_data_of_the_wrong_shape_is_rejected():
+    loop = hexagon_loop()
+    x = [[0.1, 0.2], [0.3, -0.1]]
+    linear = tmvi_eval_many(loop, lambda X, Y: 1 + 2 * X - Y, x, 128)
+    np.testing.assert_allclose(linear, [1.0, 1.7], rtol=1e-12)
+    # an (M, 1) column would broadcast against the M weights into an (M, M) array
+    for g, shape in ((lambda X, Y: (1 + 2 * X - Y)[:, None], "(768, 1)"),
+                     (lambda X, Y: np.array([1.0]), "(1,)")):
+        for call in (lambda: tmvi_eval_many(loop, g, x, 128),
+                     lambda: evaluate_masked(loop, x, 128, g=g)):
+            with pytest.raises(InvalidArgumentError) as e:
+                call()
+            assert str(e.value) == "field values have shape %s, expected (768,) or ()" % shape
+    # a single value is constant boundary data
+    np.testing.assert_allclose(tmvi_eval_many(loop, lambda X, Y: 2.5, x, 128), 2.5, rtol=1e-14)
+
+
 def test_non_finite_boundary_data_is_an_evaluation_error():
     loop = egg_domain()
     samples = {tuple(c) for c in loop.samples(256)[0].tolist()}
