@@ -186,15 +186,12 @@ def sample_chain(curves, t, velocity=True):
     t is either the shared nodes (n,) or one row of nodes per curve (m, n).
     Returns (C, V), each (m, n, 2) in chain order; V is None without
     ``velocity``.  t is checked once.  Curves of one exact class are
-    evaluated in one pass: every Segment as a + t d, one coordinate plane
-    at a time (a ufunc over the (g, n, 2) samples as they are would loop
-    over an innermost axis of length 2, several times slower), and every
-    Bezier or RationalBezier of one degree by one de Casteljau on the
-    stacked control points, each at its own row of t.  Any other curve, a
-    subclass of these included, is evaluated on its own row through its
-    position and velocity methods.  Every sample takes the same element-wise
-    operations as the curve's own methods, so the values are bit-identical
-    to them.
+    evaluated in one pass: every Segment as a + t d, and every Bezier or
+    RationalBezier of one degree by one de Casteljau on the stacked control
+    points, each at its own row of t.  Any other curve, a subclass of these
+    included, is evaluated on its own row through its position and velocity
+    methods.  Every sample takes the same element-wise operations as the
+    curve's own methods, so the values are bit-identical to them.
     """
     t = _check_t(t)
     m = len(curves)
@@ -222,18 +219,10 @@ def sample_chain(curves, t, velocity=True):
             rows = slice(None)  # one group holds the whole chain, in order
         tg = t if t.ndim == 1 else t[rows]
         if key is Segment:
-            # on the (2, g, n) coordinate planes; order "C" takes them one at a
-            # time, so each inner loop runs over the nodes
-            a = np.array([c.a for c in group]).T[:, :, None]
-            d = np.array([c.d for c in group]).T[:, :, None]
-            whole = isinstance(rows, slice)
-            P = np.multiply(tg, d, out=C.transpose(2, 0, 1) if whole else None, order="C")
-            np.add(P, a, out=P, order="C")
-            if not whole:
-                C[rows] = P.transpose(1, 2, 0)
+            d = np.array([c.d for c in group])[:, None]
+            C[rows] = np.array([c.a for c in group])[:, None] + tg[..., None] * d
             if velocity:
-                for k in (0, 1):
-                    V[rows, :, k] = d[k]
+                V[rows] = d
         elif key[0] is Bezier:
             C[rows] = _de_casteljau(np.array([c.control_points for c in group])[:, None], tg)
             if velocity:

@@ -55,9 +55,6 @@ def finite_point(value, what):
 CenterPolicy.ORIGIN = CenterPolicy("origin")
 CenterPolicy.VERTEX_AVERAGE = CenterPolicy("vertex_average")
 
-# Signs that turn the reversed planes of a velocity, (V_2, V_1), into c'_perp
-_FLIP = np.array([1.0, -1.0])[:, None, None]
-
 # Bytes of boundary samples one Region keeps (Region.boundary_samples), the
 # oldest entry evicted first: 11 curves take 0.73 MB at every n <= 64
 _SAMPLE_BUDGET = 2**21
@@ -102,8 +99,8 @@ class Region:
         self._starts = starts
         # id(t) -> (t, C, N, speed, bytes), oldest first; the entry holds t,
         # so no other array can take its id while the entry lives.  A chain of
-        # segments is sampled in one a + t d pass per coordinate plane, too
-        # cheap to be worth its 32 bytes per node and curve
+        # segments is sampled in one a + t d pass, too cheap to be worth its
+        # 32 bytes per node and curve
         self._keeps_samples = not all(type(c) is Segment for c in curves)
         self._samples = {}
         self._sample_bytes = 0
@@ -159,19 +156,14 @@ class Region:
         never kept.  At most _SAMPLE_BUDGET bytes are kept, the oldest entry
         evicted first; a larger entry is returned and not kept.  A chain of
         exact Segments keeps nothing (a tmvi.BoundaryLoop keeps them all the
-        same): it is sampled at every call by the same a + t d pass that
-        fills an entry.  That pass, and the turn of c' into c'_perp, run one
-        coordinate plane at a time: over the (m, n, 2) arrays as they are,
-        every ufunc would loop over an innermost axis of length 2, several
-        times slower, with the same values.
+        same): it is sampled in one a + t d pass at every call, the same
+        pass that fills an entry.
         """
         entry = self._samples.get(id(t))
         if entry is not None:
             return entry[1:4]
         C, V = sample_chain(self._curves, t)
-        # N = (V_2, -V_1) on the (2, m, n) coordinate planes, one at a time
-        N = np.empty_like(V)
-        np.multiply(V.transpose(2, 0, 1)[::-1], _FLIP, out=N.transpose(2, 0, 1), order="C")
+        N = V[..., ::-1] * (1.0, -1.0)
         check_finite(C)
         if not np.isfinite(N).all():
             nodes = np.asarray(t, dtype=float)
@@ -244,19 +236,8 @@ def decompose(region, x0, t):
 
 
 def jacobian_t(C, N, x0):
-    """(C - x0).N per node: the t-part of the scaled boundary Jacobian, a new array.
-
-    Computed on the (2, m, n) coordinate planes, one at a time.  The sum
-    starts from +0.0, as ``np.einsum("...i,...i->...", C - x0, N)`` does, so
-    it is bit for bit that einsum, also where both products are -0.0 (x0 on
-    the line of an axis-parallel edge).
-    """
-    x0 = np.asarray(x0, dtype=float)
-    D = np.subtract(C.transpose(2, 0, 1), x0[:, None, None], order="C")
-    np.multiply(D, N.transpose(2, 0, 1), out=D, order="C")
-    dot = np.add(D[0], 0.0)
-    dot += D[1]
-    return dot
+    """(C - x0).N per node: the t-part of the scaled boundary Jacobian, a new array."""
+    return np.einsum("...i,...i->...", C - np.asarray(x0, dtype=float), N)
 
 
 def is_star_convex(region, x0):

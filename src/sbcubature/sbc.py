@@ -15,17 +15,19 @@ class (all segments at once, Bezier and rational Bezier curves by degree,
 any other curve on its own) and keeps them, read-only, for the Gauss
 nodes, so a second rule at the same n_t evaluates no curve and only the
 product with C - x0 is new (a Region of segments keeps nothing and is
-sampled again, all segments in one a + t d pass).  The family turns these
-into t-weights, and ``assemble_rule`` takes the tensor product with a
-radial rule (nodes s in [0, 1], weights w_s).
+sampled again in one a + t d pass).  The family turns these into
+t-weights, and ``assemble_rule`` takes the tensor product with a radial
+rule (nodes s in [0, 1], weights w_s).
 
-The arithmetic on points, c'_perp and (C - x0).c'_perp runs on coordinate
-planes, one plane at a time: the arrays are (..., 2), and a numpy ufunc
-over them as they are runs its inner loop over that last axis of length 2,
-at a call overhead per pair of numbers, several times slower than one pass
-per plane.  Each element takes the same IEEE operations either way, so the
-results are bit for bit those of the broadcast forms.  The families
-differ only in their radial rule and their t-nodes:
+``assemble_rule`` computes the points x0 + s (C - x0) one coordinate plane
+at a time: the points are (..., 2), and a numpy ufunc over them as they
+are runs its inner loop over that last axis of length 2, at a call
+overhead per pair of numbers, several times slower on the m n k points of
+a rule than one pass per plane.  Each element takes the same IEEE
+operations either way, so the points are bit for bit those of the
+broadcast.
+
+The families differ only in their radial rule and their t-nodes:
 
 * regular (``generate_rule``): Gauss-Legendre nodes xi, weights w_xi * xi;
 * singular (``singular.generate_singular_rule``): the three radial

@@ -7,7 +7,7 @@ from conftest import POLYGON_NAMES, greens_poly, own_samples, same_bits
 from sbcubature.curves import Bezier, Curve, Segment
 from sbcubature.errors import EvaluationError, InvalidArgumentError
 from sbcubature.hni import HomogeneousField, hni_integrate
-from sbcubature.region import CenterPolicy, Region, jacobian_t, polygon
+from sbcubature.region import CenterPolicy, Region, polygon
 from sbcubature.sbc import (
     assemble_rule,
     generate_rule,
@@ -273,30 +273,24 @@ def test_deltoid_area_is_exact_to_round_off(n_t):
 
 
 def planar_inputs(seed, m, n, x0_at):
-    """Samples C and N (m, n, 2) and a center x0, with exact zeros of both signs.
+    """Samples C (m, n, 2) and a center x0, with some C coordinates equal to x0's.
 
     x0 lies inside the samples' box, outside it, or with them far from the
-    origin.  Some C coordinates equal x0's, and some N coordinates are +-0.0,
-    so products of -0.0 occur.
+    origin.
     """
     rng = np.random.default_rng(seed)
     offset = rng.uniform(-1e7, 1e7, 2) if x0_at == "far" else np.zeros(2)
     C = offset + rng.uniform(-1.0, 1.0, (m, n, 2))
     x0 = offset + (rng.uniform(2.0, 4.0, 2) * rng.choice((-1.0, 1.0), 2) if x0_at == "outside"
                    else rng.uniform(-0.5, 0.5, 2))
-    C = np.where(rng.random((m, n, 2)) < 0.2, x0, C)
-    N = np.where(rng.random((m, n, 2)) < 0.2, 0.0, rng.standard_normal((m, n, 2)))
-    return C, N * rng.choice((-1.0, 1.0), (m, n, 2)), x0, rng
-
-
-PLANAR = dict(m=st.integers(0, 12), n=st.integers(1, 70),
-              x0_at=st.sampled_from(("inside", "outside", "far")), seed=st.integers(0, 2**32 - 1))
+    return np.where(rng.random((m, n, 2)) < 0.2, x0, C), x0, rng
 
 
 @settings(max_examples=60, deadline=None)
-@given(k=st.integers(1, 50), **PLANAR)
+@given(m=st.integers(0, 12), n=st.integers(1, 70), k=st.integers(1, 50),
+       x0_at=st.sampled_from(("inside", "outside", "far")), seed=st.integers(0, 2**32 - 1))
 def test_assemble_rule_is_the_one_broadcast_bit_for_bit(m, n, k, x0_at, seed):
-    C, _, x0, rng = planar_inputs(seed, m, n, x0_at)
+    C, x0, rng = planar_inputs(seed, m, n, x0_at)
     tw = rng.standard_normal((m, n))
     s = np.where(rng.random(k) < 0.1, 0.0, rng.uniform(0.0, 1.0, k))
     w_s = rng.uniform(0.0, 1.0, k)
@@ -308,11 +302,3 @@ def test_assemble_rule_is_the_one_broadcast_bit_for_bit(m, n, k, x0_at, seed):
     assert same_bits(rule.weights, (tw[:, :, None] * w_s).ravel())
     assert np.issubdtype(rule.curve_index.dtype, np.integer)
     np.testing.assert_array_equal(rule.curve_index, np.repeat(idx, n * k))
-
-
-@settings(max_examples=60, deadline=None)
-@given(**PLANAR)
-def test_jacobian_t_is_the_einsum_bit_for_bit(m, n, x0_at, seed):
-    C, N, x0, _ = planar_inputs(seed, m, n, x0_at)
-    got = jacobian_t(C, N, x0)
-    assert got.flags.writeable and same_bits(got, np.einsum("...i,...i->...", C - x0, N))
