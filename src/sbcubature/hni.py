@@ -11,11 +11,24 @@ with a one-node radial rule: s = 1 (the points are the boundary samples
 themselves) with weight 1/(2+q), the closed form of int_0^1 s^(1+q) ds.
 """
 
+import functools
+
 import numpy as np
 
 from . import rules
 from .errors import InvalidArgumentError
+from .region import finite_or_nan
 from .sbc import assemble_rule, curve_samples
+
+
+@functools.cache  # once, at the first field: importing numpy.random costs 11-18 ms
+def _check_points():
+    """Rows x, y of 16 points, four per quadrant, and their scale factors lambda, read-only."""
+    rng = np.random.default_rng(0)
+    signs = np.repeat([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)], 4, axis=0)
+    xyl = np.vstack([(signs * rng.uniform(0.2, 1.5, (16, 2))).T, rng.uniform(0.5, 2.0, 16)])
+    xyl.setflags(write=False)
+    return xyl
 
 
 class HomogeneousField:
@@ -28,14 +41,11 @@ class HomogeneousField:
     """
 
     def __init__(self, h, q):
-        if not -2.0 < q < np.inf:
+        if not finite_or_nan(q) > -2.0:
             raise InvalidArgumentError("homogeneity degree must be finite and exceed -2")
         self.h = h
         self.q = float(q)
-        rng = np.random.default_rng(0)
-        signs = np.repeat([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)], 4, axis=0)
-        x, y = (signs * rng.uniform(0.2, 1.5, (16, 2))).T
-        lam = rng.uniform(0.5, 2.0, 16)
+        x, y, lam = _check_points()
         with np.errstate(all="ignore"):
             lhs = np.asarray(self.h(lam * x, lam * y), dtype=float)
             rhs = lam**self.q * np.asarray(self.h(x, y), dtype=float)

@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -52,6 +53,14 @@ def finite_point(value, what):
     return tuple(p.tolist())
 
 
+def finite_or_nan(value):
+    """value as a float if it is a finite real number, else NaN, which fails every range check."""
+    if (isinstance(value, bool)  # True < 2 holds, and float(True) is 1.0
+            or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max):
+        return math.nan
+    return float(value)
+
+
 CenterPolicy.ORIGIN = CenterPolicy("origin")
 CenterPolicy.VERTEX_AVERAGE = CenterPolicy("vertex_average")
 
@@ -98,10 +107,7 @@ class Region:
                 raise InvalidArgumentError("zero-length segment in boundary chain")
         self._starts = starts
         # id(t) -> (t, C, N, speed, bytes), oldest first; the entry holds t,
-        # so no other array can take its id while the entry lives.  A chain of
-        # segments is sampled in one a + t d pass, too cheap to be worth its
-        # 32 bytes per node and curve
-        self._keeps_samples = not all(type(c) is Segment for c in curves)
+        # so no other array can take its id while the entry lives
         self._samples = {}
         self._sample_bytes = 0
         self._samples_lock = threading.Lock()
@@ -154,10 +160,7 @@ class Region:
         with the same array evaluates no curve.  Other nodes (writable
         arrays, views, lists) are sampled at every call, and an error is
         never kept.  At most _SAMPLE_BUDGET bytes are kept, the oldest entry
-        evicted first; a larger entry is returned and not kept.  A chain of
-        exact Segments keeps nothing (a tmvi.BoundaryLoop keeps them all the
-        same): it is sampled in one a + t d pass at every call, the same
-        pass that fills an entry.
+        evicted first; a larger entry is returned and not kept.
         """
         entry = self._samples.get(id(t))
         if entry is not None:
@@ -172,22 +175,16 @@ class Region:
         speed = np.hypot(N[..., 0], N[..., 1]).max(axis=1, initial=0.0)
         for a in (C, N, speed):
             a.setflags(write=False)
-        if (self._keeps_samples and isinstance(t, np.ndarray) and t.flags.owndata
-                and not t.flags.writeable):
-            self._keep((t, C, N, speed, C.nbytes + N.nbytes + speed.nbytes))
+        size = C.nbytes + N.nbytes + speed.nbytes
+        if (isinstance(t, np.ndarray) and t.flags.owndata and not t.flags.writeable
+                and size <= _SAMPLE_BUDGET):
+            with self._samples_lock:  # another thread may fill or evict meanwhile
+                if id(t) not in self._samples:
+                    while self._sample_bytes + size > _SAMPLE_BUDGET:
+                        self._sample_bytes -= self._samples.pop(next(iter(self._samples)))[4]
+                    self._samples[id(t)] = (t, C, N, speed, size)
+                    self._sample_bytes += size
         return C, N, speed
-
-    def _keep(self, entry):
-        t, size = entry[0], entry[4]
-        if size > _SAMPLE_BUDGET:
-            return
-        with self._samples_lock:  # another thread may fill or evict meanwhile
-            if id(t) in self._samples:
-                return
-            while self._sample_bytes + size > _SAMPLE_BUDGET:
-                self._sample_bytes -= self._samples.pop(next(iter(self._samples)))[4]
-            self._samples[id(t)] = entry
-            self._sample_bytes += size
 
 
 def check_finite(a, what="is not finite on [0, 1]"):
@@ -225,10 +222,9 @@ def decompose(region, x0, t):
     per curve (m, n).  Returns C = c_i(t), c_i'_perp = (c_i2', -c_i1') and
     (C - x0).c_i'_perp, the t-part of the scaled boundary Jacobian, in chain
     order, with shapes (m, n, 2), (m, n, 2) and (m, n).  C and c_i'_perp are
-    ``region.boundary_samples(t)``, read-only and kept by the region (not
-    by a chain of segments) for a read-only node array such as the Gauss
-    nodes, so only the last product is computed per center; it is a new
-    array.  Non-finite samples raise as
+    ``region.boundary_samples(t)``, read-only and kept by the region for a
+    read-only node array such as the Gauss nodes, so only the last product
+    is computed per center; it is a new array.  Non-finite samples raise as
     ``Region.boundary_samples`` describes.
     """
     C, N, _ = region.boundary_samples(t)

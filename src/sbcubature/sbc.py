@@ -14,8 +14,7 @@ x0 sees edge-on.  C and c'_perp do not depend on x0: they come from
 class (all segments at once, Bezier and rational Bezier curves by degree,
 any other curve on its own) and keeps them, read-only, for the Gauss
 nodes, so a second rule at the same n_t evaluates no curve and only the
-product with C - x0 is new (a Region of segments keeps nothing and is
-sampled again in one a + t d pass).  The family turns these into
+product with C - x0 is new.  The family turns these into
 t-weights, and ``assemble_rule`` takes the tensor product with a radial
 rule (nodes s in [0, 1], weights w_s).
 

@@ -25,8 +25,6 @@ also decides which edges count, and its t-weights are
 w dt/dtau~ * (C - xc).c'_perp * ||C - xc||^-beta.
 """
 
-import math
-import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -38,7 +36,7 @@ import numpy as np
 from . import rules
 from .curves import Segment
 from .errors import InvalidArgumentError
-from .region import finite_point
+from .region import finite_point, finite_or_nan
 from .sbc import assemble_rule, curve_samples
 
 
@@ -47,8 +45,7 @@ class GeneralizedSB:
     alpha: float
 
     def __post_init__(self):
-        a = self.alpha
-        if isinstance(a, bool) or not isinstance(a, numbers.Real) or not 0 < a < math.inf:
+        if not finite_or_nan(self.alpha) > 0:
             raise InvalidArgumentError("generalized-SB alpha must be positive and finite")
 
 
@@ -84,7 +81,7 @@ class SplitIntegrand:
 
 def select_alpha(beta):
     """Smallest positive integer alpha with alpha*(2 - beta) a positive integer."""
-    if not 0.0 < beta < 2.0:
+    if not 0.0 < finite_or_nan(beta) < 2.0:
         raise InvalidArgumentError("beta must lie in (0, 2), got %r" % (beta,))
     frac = Fraction(beta).limit_denominator(64)
     if abs(float(frac) - beta) > 1e-12:
@@ -100,8 +97,8 @@ def select_alpha(beta):
 
 def radial_exponent(beta, alpha=1.0):
     """Weight exponent eta = alpha*(2-beta) - 1 left in the radial direction."""
-    eta = alpha * (2.0 - beta) - 1.0
-    if eta <= -1.0:
+    eta = alpha * (2.0 - finite_or_nan(beta)) - 1.0
+    if not eta > -1.0:
         raise InvalidArgumentError(
             "alpha*(2-beta) must be positive for an integrable radial factor"
         )
@@ -201,7 +198,7 @@ def generate_singular_rule(region, spec, beta, n_xi, n_t):
     sampled at its own row of nodes; an edge that xc sees edge-on (see
     ``sbc.curve_samples``) is skipped with one warning per edge.
     """
-    if not 0.0 < beta < 2.0:
+    if not 0.0 < finite_or_nan(beta) < 2.0:
         raise InvalidArgumentError("beta must lie in (0, 2) for an integrable singularity")
     x0 = np.array(spec.xc)
     s_nodes, s_weights = _radial_rule(spec.radial, beta, n_xi)

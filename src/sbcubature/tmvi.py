@@ -20,7 +20,7 @@ import numpy as np
 from . import rules
 from .curves import Curve, _check_t, sample_chain
 from .errors import InvalidArgumentError
-from .region import Region
+from .region import Region, finite_or_nan
 from .sbc import field_values
 
 
@@ -52,9 +52,6 @@ class BoundaryLoop(Region):
 
     def __init__(self, curves):
         super().__init__(curves)
-        # a loop is sampled at a few large n_t, each then read by many kernel
-        # calls, so it keeps its samples also as a chain of segments
-        self._keeps_samples = True
         P = sample_chain(self.curves, np.arange(128) / 128.0, velocity=False)[0].reshape(-1, 2)
         E = np.roll(P, -1, axis=0) - P
         F = np.roll(E, -1, axis=0)
@@ -79,7 +76,7 @@ class BoundaryLoop(Region):
         Shapes (m n_t, 2), (m n_t, 2) and (m n_t,), curve by curve in chain
         order, all read-only.  C and c'_perp are views of the region's own
         ``boundary_samples`` at the Gauss nodes, so every call after the
-        first at this n_t evaluates no curve, a chain of segments included.
+        first at this n_t evaluates no curve.
         """
         t_rule = rules.gauss_legendre(n_t)
         C, R, _ = self.boundary_samples(t_rule.nodes)
@@ -137,14 +134,15 @@ def _thread_count(blocks):
     return max(1, min(cpus, blocks, _MAX_THREADS))
 
 
-def _scaled_kernel(loop, x, n_t, power, W):
+def _scaled_kernel(C, R, x, power, W):
     """Kernel sums K @ W (N, k) and each point's nearest-sample distance d (N,).
 
-    K = (c-x).c'_perp * (d / ||c-x||)^power at the M boundary samples for
-    points x (N,2); W (M, k) holds per-sample weights, such as the rule
-    weights w and g(c) w.  The kernel sum W_x = d^-power * (K @ w): factoring
-    d out keeps every power at most 1, so nothing overflows for large
-    powers, and K @ w has the sign of W_x.
+    K = (c-x).c'_perp * (d / ||c-x||)^power at the M boundary samples C and
+    c'_perp R, both (M, 2) (``BoundaryLoop.samples``), for points x (N,2);
+    W (M, k) holds per-sample weights, such as the rule weights w and g(c) w.
+    The kernel sum W_x = d^-power * (K @ w): factoring d out keeps every
+    power at most 1, so nothing overflows for large powers, and K @ w has
+    the sign of W_x.
 
     The kernel works on squared distances r2 = ||c-x||^2: with
     d2 = min r2 and q = d2 / r2, K = q^(power/2) (c-x).c'_perp, where the
@@ -169,7 +167,6 @@ def _scaled_kernel(loop, x, n_t, power, W):
     concurrent.futures: importing that module would cost each CLI run
     about 8 ms.
     """
-    C, R, _ = loop.samples(n_t)
     # contiguous planes: strided columns slow every block pass by 5-10%
     Cx, Cy, Rx, Ry = (np.ascontiguousarray(a) for a in (C[:, 0], C[:, 1], R[:, 0], R[:, 1]))
     sums = np.empty((len(x), W.shape[1]))
@@ -245,7 +242,7 @@ def evaluate_masked(loop, x, n_t=256, g=None, p=None):
     """
     if (g is None) == (p is None):
         raise InvalidArgumentError("give boundary data g or a power p, not both")
-    if p is not None and not 1 <= p < np.inf:
+    if p is not None and not finite_or_nan(p) >= 1:
         raise InvalidArgumentError("p must be finite and >= 1, got %r" % (p,))
     x = np.asarray(x, dtype=float)
     if x.shape == (2,):
@@ -253,12 +250,12 @@ def evaluate_masked(loop, x, n_t=256, g=None, p=None):
     if x.ndim != 2 or x.shape[1] != 2:
         raise InvalidArgumentError("points must be one (2,) point or an (N, 2) array, got shape %s"
                                    % (x.shape,))
-    C, _, w = loop.samples(n_t)
+    C, R, w = loop.samples(n_t)
     if g is None:
         W = w[:, None]
     else:
         W = np.column_stack([w, field_values(g, C) * w])
-    sums, d = _scaled_kernel(loop, x, n_t, 3.0 if p is None else 2.0 + p, W)
+    sums, d = _scaled_kernel(C, R, x, 3.0 if p is None else 2.0 + p, W)
     S = sums[:, 0]
     inside = (d > 1e-9 * loop.scale()) & (S > 0.0)
     values = np.full(len(x), np.nan)

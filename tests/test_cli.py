@@ -240,7 +240,7 @@ def test_grid_commands_run_one_kernel_pass(capsys, monkeypatch, argv):
     kernel = tmvi._scaled_kernel
 
     def spy(*args, **kwargs):
-        calls.append(len(args[1]))
+        calls.append(len(args[2]))
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(tmvi, "_scaled_kernel", spy)

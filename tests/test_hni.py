@@ -56,9 +56,27 @@ def test_homogeneity_spot_check_covers_every_quadrant():
     HomogeneousField(lambda x, y: np.asarray(x, dtype=float) ** 0.5 * y, 1.5)
 
 
+def test_importing_the_library_loads_no_numpy_random():
+    # every CLI run imports the library, and numpy.random takes 11-18 ms to
+    # import where numpy itself does not load it (numpy 2), so the spot check
+    # draws its points at the first field
+    import os
+    import subprocess
+    import sys
+
+    import sbcubature
+
+    src = os.path.dirname(os.path.dirname(sbcubature.__file__))
+    code = ("import sys, numpy; loaded = 'numpy.random' in sys.modules; import sbcubature.cli; "
+            "sys.exit(not loaded and 'numpy.random' in sys.modules)")
+    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src),
+                   timeout=60)
+
+
 def test_degree_bound():
-    with pytest.raises(InvalidArgumentError):
-        HomogeneousField(const, -2.0)
+    for q in (-2.0, True, "1"):
+        with pytest.raises(InvalidArgumentError):
+            HomogeneousField(const, q)
 
 
 def test_hni_is_the_one_node_radial_rule():

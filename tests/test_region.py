@@ -616,10 +616,10 @@ def test_threads_sharing_a_region_and_its_sample_budget(monkeypatch):
 
 
 class PlainSegment(Segment):
-    """A Segment subclass: Region samples it through its own methods and keeps it."""
+    """A Segment subclass: Region samples it through its own methods."""
 
 
-def test_a_chain_of_segments_keeps_no_samples():
+def test_a_chain_of_segments_keeps_its_samples():
     from sbcubature.rules import gauss_legendre
 
     v = [(0.0, 0.0), (3.0, 0.5), (2.0, 2.5), (-0.5, 1.0)]
@@ -627,8 +627,11 @@ def test_a_chain_of_segments_keeps_no_samples():
     plain = Region([PlainSegment(v[i], v[(i + 1) % 4]) for i in range(4)])
     rows = np.array([[0.0, 0.3, 1.0], [0.1, 0.2, 0.9], [1e-13 + 1.0, 0.5, -1e-13], [0.25, 0.5, 0.75]])
     rows.setflags(write=False)
-    for t in (gauss_legendre(5).nodes, rows) * 2:
-        for got, want in zip(segments.boundary_samples(t), plain.boundary_samples(t)):
+    for t in (gauss_legendre(5).nodes, rows):
+        first = segments.boundary_samples(t)
+        for got, want in zip(first, plain.boundary_samples(t)):
             np.testing.assert_array_equal(got, want)
             assert not got.flags.writeable
-    assert segments._samples == {} and len(plain._samples) == 2
+        # a second read returns the kept arrays themselves
+        assert all(a is b for a, b in zip(segments.boundary_samples(t), first))
+    assert len(segments._samples) == len(plain._samples) == 2

@@ -177,17 +177,34 @@ def build(family, reg, k):
     return hni_integrate(reg, HomogeneousField(lambda x, y: x * y + k * x * x, 2), 7)
 
 
-@pytest.mark.parametrize("family", ["regular", "singular", "hni"])
-def test_a_second_rule_at_the_same_n_t_evaluates_no_curve(family):
-    spies = [SpyCurve(c) for c in lookup("bezier").make().curves]
-    reg = Region(spies)
+@pytest.mark.parametrize("family, domain", [
+    pytest.param(family, domain, id=family if domain == "bezier" else family + "-" + domain)
+    for domain in ("bezier", "convex_hexagon") for family in ("regular", "singular", "hni")])
+def test_a_second_rule_at_the_same_n_t_evaluates_no_curve(monkeypatch, family, domain):
+    import sbcubature.region as region_module
+
+    # exact segments are sampled in a pass that calls no curve method, so
+    # the sampling passes are counted too
+    passes = []
+    sample_chain = region_module.sample_chain
+
+    def counted(*args, **kwargs):
+        passes.append(args[1])
+        return sample_chain(*args, **kwargs)
+
+    monkeypatch.setattr(region_module, "sample_chain", counted)
+    curves = lookup(domain).make().curves
+    spies = [SpyCurve(c) for c in curves] if domain == "bezier" else []
+    reg = Region(spies or curves)
     build(family, reg, 0)
     for s in spies:
         s.calls.clear()
+    passes.clear()
     for k in (0, 1):
         got = build(family, reg, k)
-        assert all(s.calls == [] for s in spies)
-        want = build(family, Region(lookup("bezier").make().curves), k)
+        assert all(s.calls == [] for s in spies) and passes == []
+        want = build(family, Region(lookup(domain).make().curves), k)
+        passes.clear()
         if family == "hni":
             assert got == want
         else:

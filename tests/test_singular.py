@@ -36,16 +36,18 @@ def test_select_alpha():
     assert select_alpha(4.0 / 3.0) == 3
     with pytest.raises(InvalidArgumentError):
         select_alpha(np.sqrt(2.0))
-    with pytest.raises(InvalidArgumentError):
-        select_alpha(2.0)
+    for beta in (2.0, True, "1"):
+        with pytest.raises(InvalidArgumentError):
+            select_alpha(beta)
 
 
 def test_radial_exponent():
     assert radial_exponent(1.0, 1.0) == pytest.approx(0.0)
     assert radial_exponent(0.5, 1.0) == pytest.approx(0.5)
     assert radial_exponent(1.8, 1.0) == pytest.approx(-0.8)
-    with pytest.raises(InvalidArgumentError):
-        radial_exponent(3.0, 1.0)
+    for beta in (3.0, True, "1"):
+        with pytest.raises(InvalidArgumentError):
+            radial_exponent(beta, 1.0)
 
 
 def test_gsb_map_and_jacobian():
@@ -382,8 +384,9 @@ def test_t_transform_requires_segments():
 def test_beta_range_validation(unit_square):
     # one range, 0 < beta < 2, for every radial strategy and t-transform: the
     # radial factor xi^(1 - beta) is not integrable beyond it, and the plain
-    # radial rule would fold it into weights whose sums grow with n
-    for beta in (2.0, 2.5, 3.0):
+    # radial rule would fold it into weights whose sums grow with n; a boolean
+    # or text is no beta, though True would pass as 1
+    for beta in (2.0, 2.5, 3.0, True, "1"):
         for radial in (None, GeneralizedSB(1.0), GAUSS_JACOBI):
             for tt in (None, "r1", "r2", "r3"):
                 spec = SingularSpec(xc=(-1.0, -1.0), radial=radial, t_transform=tt)

@@ -176,7 +176,7 @@ def test_evaluate_masked_leaves_outside_points_empty():
         np.testing.assert_array_equal(inside, [True, False, True, False])
         np.testing.assert_allclose(values[inside], inside_values, rtol=1e-15)
         assert np.all(np.isnan(values[~inside]))
-    for field in ({}, {"g": g, "p": 10.0}, {"p": 0.5}):
+    for field in ({}, {"g": g, "p": 10.0}, {"p": 0.5}, {"p": True}, {"p": "1"}):
         with pytest.raises(InvalidArgumentError):
             evaluate_masked(loop, x, **field)
 
@@ -303,7 +303,7 @@ def test_kernel_gives_the_bits_of_one_call_per_block(name):
     rows = block_rows(loop, n_t)
     blocks = range(0, len(x), rows)
     assert len(blocks) >= 8
-    C, _, w = loop.samples(n_t)
+    C, R, w = loop.samples(n_t)
     for field in ({"g": linear_g}, {"p": 1.0}, {"p": 10.0}, {"p": 100.0}):
         values, inside = evaluate_masked(loop, x, n_t, **field)
         parts = [evaluate_masked(loop, x[i:i + rows], n_t, **field) for i in blocks]
@@ -313,8 +313,8 @@ def test_kernel_gives_the_bits_of_one_call_per_block(name):
             power, W = 3.0, np.column_stack([w, linear_g(C[:, 0], C[:, 1]) * w])
         else:
             power, W = 2.0 + field["p"], w[:, None]
-        sums, d = tmvi._scaled_kernel(loop, x, n_t, power, W)
-        parts = [tmvi._scaled_kernel(loop, x[i:i + rows], n_t, power, W) for i in blocks]
+        sums, d = tmvi._scaled_kernel(C, R, x, power, W)
+        parts = [tmvi._scaled_kernel(C, R, x[i:i + rows], power, W) for i in blocks]
         assert sums.tobytes() == np.concatenate([s for s, _ in parts]).tobytes()
         assert d.tobytes() == np.concatenate([d_ for _, d_ in parts]).tobytes()
 
@@ -434,7 +434,7 @@ def test_kernel_mask_and_distance_on_a_box_grid_over_the_egg(p):
     x = np.vstack([np.column_stack([X.ravel(), Y.ravel()]), C[::16] - normal, C[::16] + normal])
     power = 3.0 if p is None else 2.0 + p
     W = np.column_stack([w, linear_g(C[:, 0], C[:, 1]) * w]) if p is None else w[:, None]
-    d = tmvi._scaled_kernel(loop, x, n_t, power, W)[1]
+    d = tmvi._scaled_kernel(C, R, x, power, W)[1]
     want_sums, want_d = whole_grid_reference(loop, x, n_t, power, W)
     diff = C[None, :, :] - x[:, None, :]
     np.testing.assert_array_equal(d, np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2).min(axis=1))
@@ -492,7 +492,7 @@ def test_samples_are_read_only_views_of_the_region_samples():
         np.testing.assert_array_equal(C, C2.reshape(-1, 2))
         np.testing.assert_array_equal(R, N.reshape(-1, 2))
         np.testing.assert_array_equal(w, np.tile(gauss_legendre(64).weights, len(loop.curves)))
-        # a loop keeps its samples, a chain of segments too, and samples are views of them
+        # a loop keeps its samples, and samples are views of them
         assert np.shares_memory(C, C2) and np.shares_memory(R, N)
 
 
