@@ -19,11 +19,17 @@ parser reads it; the grammar above stays the specification of what is accepted.
 ``parse`` checks the grammar and, in the same walk, builds the evaluating
 function once, as nested closures over the numpy calls; ``Expression.variables``
 names the variables the expression reads.
+An ``Expression`` is immutable and its function pure, so ``parse`` keeps the
+one it builds for each text, the last _PARSE_CACHE_SIZE texts used: a field
+or curve built again from a text seen before parses nothing.  A text that
+fails to parse is not kept and raises the same ``ParseError`` at every call.
 """
 
 import ast
+import functools
 import operator
 import re
+import threading
 import warnings
 from typing import Callable, NamedTuple
 
@@ -109,18 +115,32 @@ _BLANK = re.compile(r"\s")
 _FOREIGN = re.compile(r"\*\*|[^0-9A-Za-z_.+\-*/^(),\s]")
 # deepest tree parse accepts, so the evaluating closures recurse no further
 _MAX_DEPTH = 200
+# distinct texts whose Expression parse keeps, the least recently used dropped first
+_PARSE_CACHE_SIZE = 256
+# warnings.catch_warnings swaps the process-wide filter list, so two parses at
+# once could restore each other's "error" filter and leave it behind
+_WARNINGS_LOCK = threading.Lock()
 
 
 def parse(src):
-    """Parse an expression source string into an ``Expression``."""
-    if not isinstance(src, str):
+    """Parse an expression source string into an ``Expression``.
+
+    The Expression is built once per text and shared by every later call
+    with that text (see the module docstring).
+    """
+    if not isinstance(src, str):  # before the cache hashes it
         raise InvalidArgumentError("expression must be a string, got %r" % (src,))
+    return _parse(src)
+
+
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _parse(src):
     bad = _FOREIGN.search(src)
     if bad:
         raise ParseError("unexpected %r" % bad.group(), bad.start())
     body = _BLANK.sub(" ", src).strip().replace("^", "**")
     try:
-        with warnings.catch_warnings():
+        with _WARNINGS_LOCK, warnings.catch_warnings():
             # a parser warning, say on '1if', fails the parse instead of escaping
             warnings.simplefilter("error")
             tree = ast.parse(body, mode="eval").body

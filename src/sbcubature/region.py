@@ -160,7 +160,9 @@ class Region:
         with the same array evaluates no curve.  Other nodes (writable
         arrays, views, lists) are sampled at every call, and an error is
         never kept.  At most _SAMPLE_BUDGET bytes are kept, the oldest entry
-        evicted first; a larger entry is returned and not kept.
+        evicted first; a larger entry is returned and not kept.  A chain of
+        exact ``Segment`` curves keeps one c_i'_perp per edge, broadcast
+        over the nodes: the same values, in 16 bytes per edge.
         """
         entry = self._samples.get(id(t))
         if entry is not None:
@@ -175,9 +177,16 @@ class Region:
         speed = np.hypot(N[..., 0], N[..., 1]).max(axis=1, initial=0.0)
         for a in (C, N, speed):
             a.setflags(write=False)
-        size = C.nbytes + N.nbytes + speed.nbytes
-        if (isinstance(t, np.ndarray) and t.flags.owndata and not t.flags.writeable
-                and size <= _SAMPLE_BUDGET):
+        keeps = isinstance(t, np.ndarray) and t.flags.owndata and not t.flags.writeable
+        n_bytes = N.nbytes
+        if keeps and all(type(c) is Segment for c in self._curves):
+            # each row of a segment's c'_perp is one vector: keep it once per edge
+            edge = N[:, :1].copy()
+            edge.setflags(write=False)
+            N = np.broadcast_to(edge, N.shape)
+            n_bytes = edge.nbytes
+        size = C.nbytes + n_bytes + speed.nbytes
+        if keeps and size <= _SAMPLE_BUDGET:
             with self._samples_lock:  # another thread may fill or evict meanwhile
                 if id(t) not in self._samples:
                     while self._sample_bytes + size > _SAMPLE_BUDGET:

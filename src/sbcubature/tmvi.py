@@ -74,15 +74,19 @@ class BoundaryLoop(Region):
         """Points C, rotated velocities c'_perp and t-weights at n_t Gauss nodes per curve.
 
         Shapes (m n_t, 2), (m n_t, 2) and (m n_t,), curve by curve in chain
-        order, all read-only.  C and c'_perp are views of the region's own
+        order, all read-only.  They come from the region's own
         ``boundary_samples`` at the Gauss nodes, so every call after the
-        first at this n_t evaluates no curve.
+        first at this n_t evaluates no curve.  C is a view of them; c'_perp
+        is a view too, except for a loop of segments, which keeps one per
+        edge, and then it is a copy.
         """
         t_rule = rules.gauss_legendre(n_t)
         C, R, _ = self.boundary_samples(t_rule.nodes)
+        R = R.reshape(-1, 2)
         w = np.tile(t_rule.weights, len(self.curves))
-        w.setflags(write=False)
-        return C.reshape(-1, 2), R.reshape(-1, 2), w
+        for a in (R, w):
+            a.setflags(write=False)
+        return C.reshape(-1, 2), R, w
 
 
 class EggCurve(Curve):

@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbcubature import exprlang
+from sbcubature.curves import ParametricCurve
 from sbcubature.exprlang import ParseError, evaluate, parse
 
 
@@ -95,6 +98,79 @@ def test_compile_field_rejects_t():
         exprlang.compile_field("x + t")
     f = exprlang.compile_field("x*y")
     assert f(3.0, 4.0) == 12.0
+
+
+def test_a_text_is_parsed_once_and_its_expression_shared():
+    src = "sin(x)*exp(-y^2) + atan2(y, x) - pow(x, 3)"
+    expr = parse(src)
+    assert parse(src) is expr
+    fresh = exprlang._parse.__wrapped__(src)
+    assert fresh is not expr and fresh.variables == expr.variables
+    b = {"x": np.linspace(-2.0, 2.0, 41) + 1e-3j, "y": np.linspace(-1.0, 3.0, 41)}
+    got, want = evaluate(expr, b), evaluate(fresh, b)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_bad_text_raises_the_same_error_at_every_call():
+    for src, offset in (("x +", 3), ("sin(x) + q", 9), ("1 ** 2", 2)):
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(ParseError) as e:
+                parse(src)
+            assert e.value.offset == offset
+            messages.add(str(e.value))
+        assert len(messages) == 1
+    # not hashed: a list is a bad argument, not a TypeError from the cache
+    with pytest.raises(exprlang.InvalidArgumentError, match="must be a string"):
+        parse(["x"])
+
+
+def test_the_parse_cache_is_bounded():
+    bound = exprlang._PARSE_CACHE_SIZE
+    for k in range(bound + 1):
+        parse("x + %d" % k)
+    info = exprlang._parse.cache_info()
+    assert info.maxsize == bound and info.currsize == bound
+
+
+def test_a_curve_and_a_field_from_one_text_share_its_expression():
+    src = "0.25 + 0.5*pi"  # a constant is both a coordinate in t and a field in x, y
+    curve = ParametricCurve(src, "0")
+    before = exprlang._parse.cache_info()
+    field = exprlang.compile_field(src)
+    after = exprlang._parse.cache_info()
+    # the field parsed nothing: it took the curve's expression from the cache
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert curve._x_expr is parse(src)
+    np.testing.assert_array_equal(field(np.zeros(3), np.zeros(3)), curve.position(np.zeros(3))[:, 0])
+
+
+def test_parses_at_once_leave_the_warning_filters_as_they_were():
+    before = list(warnings.filters)
+    barrier = threading.Barrier(4)
+    errors = []
+
+    def work(k):
+        try:
+            barrier.wait()
+            for i in range(200):
+                parse("sin(x)^%d + %d*y/(1 + x^2)" % (k, i))
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside catch_warnings too
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert warnings.filters == before
 
 
 def test_offsets_index_the_source():

@@ -635,3 +635,25 @@ def test_a_chain_of_segments_keeps_its_samples():
         # a second read returns the kept arrays themselves
         assert all(a is b for a, b in zip(segments.boundary_samples(t), first))
     assert len(segments._samples) == len(plain._samples) == 2
+
+
+def test_a_chain_of_segments_keeps_one_normal_per_edge():
+    from sbcubature.rules import gauss_legendre
+
+    v = [(0.0, 0.0), (3.0, 0.5), (2.0, 2.5), (-0.5, 1.0)]
+    segments = polygon(v)
+    plain = Region([PlainSegment(v[i], v[(i + 1) % 4]) for i in range(4)])
+    t = gauss_legendre(64).nodes
+    C, N, speed = segments.boundary_samples(t)
+    # each edge's c'_perp is kept once and broadcast over the nodes
+    assert N.shape == (4, 64, 2) and N.strides[1] == 0 and not N.flags.writeable
+    x0 = (0.7, 0.4)
+    for got, want in zip(decompose(segments, x0, t), decompose(plain, x0, t)):
+        assert same_bits(np.ascontiguousarray(got), want)
+    assert segments._sample_bytes == C.nbytes + 4 * 16 + speed.nbytes
+    assert plain._sample_bytes == C.nbytes + N.nbytes + speed.nbytes
+    # nodes that are not kept, and a chain with a curve of another kind, keep every row
+    writable = t.copy()
+    assert segments.boundary_samples(writable)[1].strides[1] != 0
+    mixed = Region(list(segments.curves[:3]) + [Bezier([v[3], (-0.5, 0.0), v[0]])])
+    assert mixed.boundary_samples(t)[1].strides[1] != 0

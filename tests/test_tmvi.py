@@ -492,8 +492,9 @@ def test_samples_are_read_only_views_of_the_region_samples():
         np.testing.assert_array_equal(C, C2.reshape(-1, 2))
         np.testing.assert_array_equal(R, N.reshape(-1, 2))
         np.testing.assert_array_equal(w, np.tile(gauss_legendre(64).weights, len(loop.curves)))
-        # a loop keeps its samples, and samples are views of them
-        assert np.shares_memory(C, C2) and np.shares_memory(R, N)
+        # a loop keeps its samples and C is a view of them; R is a view too,
+        # but a copy for the polygon, whose segments keep one c'_perp per edge
+        assert np.shares_memory(C, C2) and np.shares_memory(R, N) != isinstance(loop.curves[0], Segment)
 
 
 def test_point_on_a_sample_is_masked_without_a_warning():
