@@ -19,12 +19,15 @@ t-weights, and ``assemble_rule`` takes the tensor product with a radial
 rule (nodes s in [0, 1], weights w_s).
 
 ``assemble_rule`` computes the points x0 + s (C - x0) one coordinate plane
-at a time: the points are (..., 2), and a numpy ufunc over them as they
-are runs its inner loop over that last axis of length 2, at a call
-overhead per pair of numbers, several times slower on the m n k points of
-a rule than one pass per plane.  Each element takes the same IEEE
-operations either way, so the points are bit for bit those of the
-broadcast.
+at a time, into one C-contiguous (2, m, n, k) array of planes, and the
+rule's (N, 2) ``points`` is a read-only view of it: each column is one
+contiguous plane, and ``CubatureRule.__call__`` hands every field the same
+two column arrays.  A numpy ufunc over (..., 2) points runs its inner loop
+over that last axis of length 2, at a call overhead per pair of numbers,
+several times slower on the m n k points of a rule than one pass per
+plane, and a field given strided columns is slower on every ufunc too.
+Each element takes the same IEEE operations either way, so the points are
+bit for bit those of the broadcast.
 
 The families differ only in their radial rule and their t-nodes:
 
@@ -40,6 +43,7 @@ the correct value.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil
 
 import numpy as np
@@ -62,26 +66,34 @@ class CubatureRule:
 
     def __call__(self, f):
         """Apply the rule to a scalar field f(x, y)."""
-        return float(np.dot(self.weights, field_values(f, self.points)))
+        return float(np.dot(self.weights, field_values(f, *self._columns)))
+
+    @cached_property
+    def _columns(self):
+        """The x and y columns of the points, built once: every field gets the same two arrays."""
+        return self.points[:, 0], self.points[:, 1]
 
 
-def field_values(f, points):
-    """Values of the scalar field f(x, y) at points (N, 2), all finite, shape (N,).
+def field_values(f, x, y):
+    """Values of the scalar field f(x, y) at the points (x, y), all finite, shape (N,).
 
-    f returns one value per point, or a single value (shape ()) for a
-    constant field; any other shape is an InvalidArgumentError, since it
-    would broadcast against the weights into a wrong number.  Raises
-    EvaluationError at the first point with a non-finite value; its
-    ``point`` is that point as a tuple of floats.
+    x and y are the (N,) coordinate columns.  f returns one value per
+    point, or a single value (shape ()) for a constant field; any other
+    shape is an InvalidArgumentError, since it would broadcast against the
+    weights into a wrong number.  Raises EvaluationError at the first point
+    with a non-finite value; its ``point`` is that point as a tuple of
+    floats.
     """
-    vals = np.asarray(f(points[:, 0], points[:, 1]), dtype=float)
-    if vals.shape != (len(points),):
+    n = len(x)
+    vals = np.asarray(f(x, y), dtype=float)
+    if vals.shape != (n,):
         if vals.shape:
             raise InvalidArgumentError("field values have shape %s, expected (%d,) or ()"
-                                       % (vals.shape, len(points)))
-        vals = np.full(len(points), vals)
+                                       % (vals.shape, n))
+        vals = np.full(n, vals)
     if not np.isfinite(vals).all():
-        point = tuple(float(v) for v in points[int(np.argmax(~np.isfinite(vals)))])
+        i = int(np.argmax(~np.isfinite(vals)))
+        point = (float(x[i]), float(y[i]))
         raise EvaluationError("integrand is not finite at (%r, %r)" % point, point=point)
     return vals
 
@@ -110,18 +122,19 @@ def assemble_rule(idx, C, tw, x0, s, w_s):
 
     idx holds the source curve of each of the m rows.  The points are
     x0 + s * (C - x0) and the weights the outer product of t-weights and
-    w_s, ordered (curve, t-node, radial node).  The points are computed on
-    their (2, m, n, k) coordinate planes, one plane at a time (order "C"),
-    so that each inner loop runs over the radial nodes.
+    w_s, ordered (curve, t-node, radial node).  The points are computed
+    into their C-contiguous (2, m, n, k) coordinate planes P, one plane at
+    a time, so that each inner loop runs over the radial nodes; P is made
+    read-only and ``points`` is the (N, 2) view ``P.reshape(2, -1).T``,
+    whose columns are contiguous.
     """
     x0 = np.asarray(x0, dtype=float)
     D = np.subtract(C.transpose(2, 0, 1), x0[:, None, None], order="C")
-    points = np.empty(C.shape[:2] + (len(s), 2))
-    P = points.transpose(3, 0, 1, 2)
-    np.multiply(D[..., None], s, out=P, order="C")
-    np.add(P, x0[:, None, None, None], out=P, order="C")
+    P = np.multiply(D[..., None], s, order="C")
+    P += x0[:, None, None, None]
+    P.setflags(write=False)
     return CubatureRule(
-        points=points.reshape(-1, 2),
+        points=P.reshape(2, -1).T,
         weights=(tw[:, :, None] * w_s).ravel(),
         curve_index=np.repeat(idx, tw.shape[1] * len(s)),
     )

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import Bezier, ParametricCurve, RationalBezier, Segment
-from .errors import NotFoundError
-from .region import Region, polygon
+from .errors import InvalidArgumentError, NotFoundError
+from .region import Region, finite_or_nan, polygon
 from .tmvi import egg_domain
 
 
@@ -292,8 +292,7 @@ class BilinearElement:
     """Four-node quadrilateral with the standard bilinear isoparametric map.
 
     The map is held in coefficient form x = a0 + a1*xi + a2*eta + a3*xi*eta,
-    so its value, Jacobian, inverse and shape functions are element-wise
-    expressions.
+    so its value, Jacobian and inverse are element-wise expressions.
     """
 
     def __init__(self, nodes):
@@ -344,22 +343,6 @@ class BilinearElement:
         det = ux * vy - vx * uy
         return xi - (vy * rx - vx * ry) / det, eta - (ux * ry - uy * rx) / det
 
-    def shape_functions(self, xi, eta):
-        """N_I and the physical gradients dN_I/dx, dN_I/dy at reference points.
-
-        Three arrays of shape (4,) + xi.shape, one row per node.
-        """
-        x_xi, x_eta, y_xi, y_eta, det = self._jacobian(xi, eta)
-        # rows of inv(J), J = d(x, y)/d(xi, eta): d(xi)/d(x, y), d(eta)/d(x, y)
-        xi_x, xi_y = y_eta / det, -x_eta / det
-        eta_x, eta_y = -y_xi / det, x_xi / det
-        s, t = (w.reshape((4,) + (1,) * np.ndim(xi)) for w in _XI_SIGNS.T)
-        fx = 1.0 + s * xi
-        fy = 1.0 + t * eta
-        n_xi = 0.25 * s * fy
-        n_eta = 0.25 * t * fx
-        return 0.25 * fx * fy, n_xi * xi_x + n_eta * eta_x, n_xi * xi_y + n_eta * eta_y
-
 
 # Element subregions with the discontinuity ray from the tip to the element's
 # edge at y = 0.5 inserted as vertices
@@ -370,38 +353,101 @@ _XFEM_SPLITS = {
 }
 
 
-# One process-wide entry (key, K) for the last point set, shared by the
-# closures of every xfem_integrands call: one entry per closure set would hold
-# the numerators of every set alive at once.  The key holds the element, the
-# tip and the bytes of x and y, so a point array changed in place never gets
-# a stale K; the entry is replaced whole, so a reader always sees a
-# consistent one.
+def _stiffness_matrix():
+    """M (16, 18) with K[i, j] = (M @ F)[4 i + j] for the features F of ``_crack_stiffness``.
+
+    With A = grad xi, B = grad eta and E = eta A + xi B, node I with signs
+    (s, t) has grad N_I = (s A + t B + s t E) / 4 and N_I = (1 + s xi + t eta
+    + s t xi eta) / 4.  So grad N_I . grad N_J is a fixed form in the six dot
+    products of A, B, E, and N_I (h . grad N_J) one in (1, xi, eta, xi eta)
+    times h.A, h.B, h.E.  Every entry is a multiple of 1/16, exact.
+    """
+    s, t = _XI_SIGNS.T
+    g = np.column_stack([s, t, s * t])                # grad N_I over (A, B, E)
+    n = np.column_stack([np.ones(4), s, t, s * t])    # N_I over (1, xi, eta, xi eta)
+    a, b = np.triu_indices(3)
+    grad = (g[:, None, a] * g[None, :, b] + g[:, None, b] * g[None, :, a]) * np.where(a == b, 0.5, 1.0)
+    conv = n[:, None, :, None] * g[None, :, None, :]
+    return np.hstack([grad.reshape(16, 6), conv.reshape(16, 12)]) / 16.0
+
+
+_STIFFNESS = _stiffness_matrix()
+
+
+def _frozen(a):
+    """a is a read-only array, and so is the array that owns its data."""
+    if not isinstance(a, np.ndarray) or a.flags.writeable:
+        return False
+    owner = a
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    return owner.base is None and not owner.flags.writeable
+
+
+# One process-wide entry (x, y, elem, xc, K) for the last point set, shared by
+# the closures of every xfem_integrands call: one entry per closure set would
+# hold the numerators of every set alive at once.  It is found by identity,
+# and kept only for read-only x and y (``_frozen``), which no write can change
+# under it, such as the coordinate columns of a rule; it is replaced whole, so
+# a reader always sees a consistent one.
 _last_stiffness = None
 
 
 def _crack_stiffness(elem, xc, x, y):
-    """All sixteen numerators K[i, j] at (x, y): read-only, shape (4, 4) + x.shape."""
+    """All sixteen numerators K[i, j] at (x, y): read-only, shape (4, 4) + x.shape.
+
+    K[i, j] = grad N_i . grad N_j r sin(theta/2) + N_i (h . grad N_j), with
+    h = (-sin(theta/2), cos(theta/2)) / 2, is ``_STIFFNESS`` @ F for 18
+    features F per point.
+    """
     global _last_stiffness
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    key = (elem, xc, x.shape, y.shape, x.tobytes(), y.tobytes())
     last = _last_stiffness
-    if last is not None and last[0] == key:
-        return last[1]
-    x, y = np.broadcast_arrays(x, y)
-    N, gx, gy = elem.shape_functions(*elem.to_reference(x, y))
-    rx = x - xc[0]
-    ry = y - xc[1]
-    th = np.arctan2(ry, rx)
-    s = np.sin(0.5 * th)
-    # sqrt(r)*dF/dx = -s/2, sqrt(r)*dF/dy = c/2, sqrt(r)*F = r*s
-    b = (-0.5 * s) * gx + (0.5 * np.cos(0.5 * th)) * gy
-    K = gx[:, None] * gx[None]
-    K += gy[:, None] * gy[None]
-    K *= np.hypot(rx, ry) * s
-    K += N[:, None] * b[None]
+    if last is not None and last[0] is x and last[1] is y and last[2] is elem and last[3] == xc:
+        return last[4]
+    px, py = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    shape = px.shape
+    px, py = px.ravel(), py.ravel()
+    xi, eta = elem.to_reference(px, py)
+    x_xi, x_eta, y_xi, y_eta, det = elem._jacobian(xi, eta)
+    # A = grad xi and B = grad eta are the rows of inv(J)
+    ax, ay = y_eta / det, x_eta / -det
+    bx, by = y_xi / -det, x_xi / det
+
+    def along_e(u, v, out):
+        """E.w = eta A.w + xi B.w from u = A.w and v = B.w."""
+        np.multiply(eta, u, out=out)
+        out += xi * v
+
+    rx = px - xc[0]
+    ry = py - xc[1]
+    half = 0.5 * np.arctan2(ry, rx)
+    s = np.sin(half)
+    # rows A.A, A.B, A.E, B.B, B.E, E.E times r sin(theta/2) = sqrt(r) F, then
+    # (1, xi, eta, xi eta) times h.A, h.B, h.E, where sqrt(r) grad F = h
+    F = np.empty((18, len(px)))
+    np.multiply(ax, ax, out=F[0])
+    F[0] += ay * ay
+    np.multiply(ax, bx, out=F[1])
+    F[1] += ay * by
+    np.multiply(bx, bx, out=F[3])
+    F[3] += by * by
+    along_e(F[0], F[1], out=F[2])
+    along_e(F[1], F[3], out=F[4])
+    along_e(F[2], F[4], out=F[5])
+    F[:6] *= np.hypot(rx, ry) * s
+    hx, hy = -0.5 * s, 0.5 * np.cos(half)
+    np.multiply(hx, ax, out=F[6])
+    F[6] += hy * ay
+    np.multiply(hx, bx, out=F[7])
+    F[7] += hy * by
+    along_e(F[6], F[7], out=F[8])
+    np.multiply(xi, F[6:9], out=F[9:12])
+    np.multiply(eta, F[6:9], out=F[12:15])
+    np.multiply(xi * eta, F[6:9], out=F[15:18])
+    K = (_STIFFNESS @ F).reshape((4, 4) + shape)
     K.setflags(write=False)
-    _last_stiffness = (key, K)
+    if _frozen(x) and _frozen(y):
+        _last_stiffness = (x, y, elem, xc, K)
     return K
 
 
@@ -415,18 +461,25 @@ def xfem_integrands(element, dx):
     gradient of N_J, where F = sqrt(r)*sin(theta/2) in polar coordinates
     about the crack tip (dx, 0.5).  Returned as smooth numerators g with
     the 1/sqrt(r) factor split off, i.e. the full integrand is
-    g(x, y) / ||x - xc||^(1/2), plus the split geometry and xc.
+    g(x, y) / ||x - xc||^(1/2), plus the split geometry and xc.  dx must
+    be a finite real number (not a boolean or text), else
+    InvalidArgumentError.
 
     The sixteen fields share one evaluation per point set: the first field
     applied to a set computes all sixteen numerators as one (4, 4, N) array,
     with the inverse bilinear map in closed form, and each field returns its
-    row of it while it is applied to the same points.  So the fast order is
-    all sixteen fields on one rule before the next rule; interleaving rules
-    recomputes the array on every call.
+    row of it while it is applied to the same x and y arrays.  The arrays
+    are recognised by identity, and only read-only ones whose data no
+    writable array owns are shared, such as the columns a ``CubatureRule``
+    hands its fields; writable arrays are evaluated afresh at every call.
+    So the fast order is all sixteen fields on one rule before the next
+    rule; interleaving rules recomputes the array on every call.
     """
     if element not in _XFEM_NODES:
         raise NotFoundError("unknown element %r" % (element,))
-    xc = (float(dx), 0.5)
+    xc = (finite_or_nan(dx), 0.5)
+    if np.isnan(xc[0]):
+        raise InvalidArgumentError("dx must be a finite number, got %r" % (dx,))
     elem = _XFEM_ELEMENTS[element]
 
     def numerator(i, j):

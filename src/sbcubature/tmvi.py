@@ -258,7 +258,7 @@ def evaluate_masked(loop, x, n_t=256, g=None, p=None):
     if g is None:
         W = w[:, None]
     else:
-        W = np.column_stack([w, field_values(g, C) * w])
+        W = np.column_stack([w, field_values(g, C[:, 0], C[:, 1]) * w])
     sums, d = _scaled_kernel(C, R, x, 3.0 if p is None else 2.0 + p, W)
     S = sums[:, 0]
     inside = (d > 1e-9 * loop.scale()) & (S > 0.0)

@@ -315,7 +315,9 @@ def test_assemble_rule_is_the_one_broadcast_bit_for_bit(m, n, k, x0_at, seed):
     rule = assemble_rule(idx, C, tw, x0, s, w_s)
     # the reference: the points as one broadcast over an innermost axis of length 2
     want = (x0 + s[:, None] * (C[:, :, None, :] - x0)).reshape(-1, 2)
-    assert rule.points.flags.c_contiguous and same_bits(rule.points, want)
+    assert same_bits(rule.points, want) and not rule.points.flags.writeable
+    # the (N, 2) points are a view of two contiguous coordinate planes
+    assert rule.points[:, 0].flags.c_contiguous and rule.points[:, 1].flags.c_contiguous
     assert same_bits(rule.weights, (tw[:, :, None] * w_s).ravel())
     assert np.issubdtype(rule.curve_index.dtype, np.integer)
     np.testing.assert_array_equal(rule.curve_index, np.repeat(idx, n * k))

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import POLYGON_NAMES, function_names, geometry_names, rescaled_polygon, to_physical
 from sbcubature import testfns
-from sbcubature.errors import EvaluationError, NotFoundError
-from sbcubature.region import Region
+from sbcubature.errors import EvaluationError, InvalidArgumentError, NotFoundError
+from sbcubature.region import Region, polygon
 from sbcubature.sbc import CubatureRule
 from sbcubature.singular import (
     GAUSS_JACOBI,
@@ -215,16 +215,6 @@ def _ref_crack_numerators(elem, xc, x, y):
     ])
 
 
-def test_bilinear_partition_of_unity():
-    elem = BilinearElement([(0, 0), (0.9, 0.1), (1.1, 0.9), (0, 1)])
-    xi = np.array([-0.7, 0.0, 0.4])
-    eta = np.array([0.2, -0.9, 0.8])
-    N, gx, gy = elem.shape_functions(xi, eta)
-    np.testing.assert_allclose(N.sum(axis=0), 1.0, atol=1e-15)
-    np.testing.assert_allclose(gx.sum(axis=0), 0.0, atol=1e-15)
-    np.testing.assert_allclose(gy.sum(axis=0), 0.0, atol=1e-15)
-
-
 def _element_points(element, dx=1e-3):
     """Reference grid over the element, plus physical points near the tip."""
     elem = BilinearElement(_XFEM_NODES[element])
@@ -306,20 +296,6 @@ def test_far_point_without_real_inverse_is_an_evaluation_error(element):
     assert repr(far[0]) in str(e.value) and repr(far[1]) in str(e.value)
 
 
-@pytest.mark.parametrize("element", ["Omega1", "Omega2"])
-def test_shape_grad_physical_matches_inverse_jacobian(element):
-    elem, xi, eta, _ = _element_points(element)
-    N, gx, gy = elem.shape_functions(xi, eta)
-    grad = np.stack([gx.T, gy.T], axis=-1)
-    dref = _ref_shape_grad_ref(xi, eta)
-    jac = np.einsum("kj,nki->nji", elem.nodes, dref)  # d(x, y)/d(xi, eta)
-    np.testing.assert_allclose(grad, dref @ np.linalg.inv(jac), rtol=0, atol=1e-13)
-    np.testing.assert_allclose(N.T, _ref_shape(xi, eta), rtol=0, atol=1e-15)
-    # x = sum_k N_k x_k, so sum_k x_k grad(N_k) is the identity
-    eye = np.einsum("ka,nkb->nab", elem.nodes, grad)
-    np.testing.assert_allclose(eye, np.broadcast_to(np.eye(2), eye.shape), atol=1e-13)
-
-
 @pytest.mark.filterwarnings("ignore:edge through the singularity")
 @pytest.mark.parametrize("dx", [1e-3, 1e-2, 1e-1])
 @pytest.mark.parametrize("element", ["Omega1", "Omega2"])
@@ -335,8 +311,12 @@ def test_crack_values_match_per_entry_newton_reference(element, dx):
                 for reg in regions:
                     rule = generate_singular_rule(reg, spec, beta, n, n)
                     got += [rule(g) for g in fields]
-                    vals = _ref_crack_numerators(elem, xc, rule.points[:, 0], rule.points[:, 1])
+                    x, y = rule.points.T
+                    vals = _ref_crack_numerators(elem, xc, x, y)
                     ref += [np.dot(rule.weights, v) for v in vals]
+                    # every numerator at every point, against that point's largest
+                    pointwise = np.array([g(x, y) for g in fields])
+                    assert (np.abs(pointwise - vals) <= 1e-14 * np.abs(vals).max(axis=0)).all()
                 assert np.abs(got - ref).sum() <= 1e-14 * np.abs(ref).sum()
 
 
@@ -352,17 +332,32 @@ def test_crack_fields_bit_identical_in_any_order():
     fresh = xfem_integrands("Omega1", 1e-3)[1]
     assert np.array_equal(region_major, [[rule(g) for g in fresh] for rule in rules])
 
-    # change the points of the rule just evaluated in place: no stale geometry
+    # a rule's points are read-only, so its kept numerators cannot go stale
+    with pytest.raises(ValueError):
+        rules[0].points[:, 0] += 1e-3
+    # writable points changed in place between calls are evaluated afresh
+    x, y = rules[0].points.T.copy()
+    saved = x.copy()
+    first = fields[5](x, y).copy()
+    x += 1e-3
+    moved = fields[5](x, y)
+    assert np.array_equal(moved, fields[5](x.copy(), y.copy()))
+    assert not np.array_equal(moved, first)
+    x[:] = saved
+    assert np.array_equal(fields[5](x, y), first)
+    # and so are read-only views of them, whose data the writable arrays own
+    vx, vy = x.view(), y.view()
+    vx.setflags(write=False)
+    vy.setflags(write=False)
+    assert np.array_equal(fields[5](vx, vy), first)
+    x += 1e-3
+    assert np.array_equal(fields[5](vx, vy), moved)
+    # and a new rule over moved points gets its own numerators
     rules[0](fields[0])
-    pts = rules[0].points
-    saved = pts.copy()
-    pts[:, 0] += 1e-3
-    changed = rules[0](fields[5])
-    moved = pts.copy()
-    rules[1](fields[5])
-    assert changed == np.dot(rules[0].weights, fields[5](moved[:, 0], moved[:, 1]))
-    assert changed != region_major[0, 5]
-    pts[:] = saved
+    moved_rule = generate_singular_rule(polygon(regions[0].vertices + (1e-3, 0.0)), spec, beta, 12, 12)
+    x, y = moved_rule.points.T.copy()
+    assert moved_rule(fields[5]) == np.dot(moved_rule.weights, fields[5](x, y))
+    assert moved_rule(fields[5]) != region_major[0, 5]
     assert np.array_equal(region_major, [[rule(g) for g in fields] for rule in rules])
 
 
@@ -409,3 +404,11 @@ def test_omega1_splits_into_two_subregions():
     assert len(regions) == 2
     with pytest.raises(NotFoundError):
         xfem_integrands("Omega3", 0.01)
+
+
+@pytest.mark.parametrize("dx", ["0.1", True, np.nan, np.inf, -np.inf, "abc", None, [0.1]],
+                         ids=["text", "bool", "nan", "inf", "-inf", "abc", "none", "list"])
+def test_crack_tip_offset_must_be_a_finite_number(dx):
+    with pytest.raises(InvalidArgumentError, match="dx must be a finite number"):
+        xfem_integrands("Omega2", dx)
+    assert xfem_integrands("Omega2", 1)[3][0] == 1.0
