@@ -3,8 +3,9 @@
 Every curve maps t in [0,1] to a point in the plane and exposes position and
 velocity.  Evaluation is vectorized: ``t`` may be a scalar or a 1-D numpy
 array, and the result has shape ``t.shape + (2,)``.  ``sample_chain``
-evaluates a whole chain of curves, one pass per curve class, at shared
-nodes or at one row of nodes per curve.
+evaluates a whole chain of curves at shared nodes or at one row of nodes
+per curve: every segment in one pass, every other curve through its own
+position and velocity.
 """
 
 import numpy as np
@@ -73,12 +74,10 @@ class Segment(Curve):
 
 
 def _de_casteljau(points, t):
-    # points: (..., n+1, d), a stack of control polygons in any dimension d;
-    # t: an array that broadcasts against the stack shape points.shape[:-2].
-    # Returns a new array of the broadcast shape + (d,).
+    # points: (n+1, d), one control polygon in any dimension d; t: an array.
+    # Returns a new array of shape t.shape + (d,), for a degree-0 polygon too.
     t = np.asarray(t, dtype=float)[..., None, None]
-    lead = np.broadcast_shapes(points.shape[:-2], t.shape[:-2])
-    work = np.broadcast_to(points, lead + points.shape[-2:])
+    work = np.broadcast_to(points, t.shape[:-2] + points.shape)
     while work.shape[-2] > 1:
         work = (1.0 - t) * work[..., :-1, :] + t * work[..., 1:, :]
     return np.array(work[..., 0, :])
@@ -130,14 +129,10 @@ class RationalBezier(Curve):
         # quotient rule on the homogeneous polynomial curve:
         # c = p/w  =>  c' = (p' w - p w') / w^2, all degree-(n-1) evaluations
         t = _check_t(t)
-        return _quotient_rule(_de_casteljau(self._hcp, t), _de_casteljau(self._dhcp, t))
-
-
-def _quotient_rule(h, dh):
-    """Velocity of c = p/w from homogeneous samples h = (p, w) and dh = (p', w')."""
-    w = h[..., 2:3]
-    dw = dh[..., 2:3]
-    return (dh[..., :2] * w - h[..., :2] * dw) / (w * w)
+        h = _de_casteljau(self._hcp, t)
+        dh = _de_casteljau(self._dhcp, t)
+        w = h[..., 2:3]
+        return (dh[..., :2] * w - h[..., :2] * dh[..., 2:3]) / (w * w)
 
 
 class ParametricCurve(Curve):
@@ -185,13 +180,11 @@ def sample_chain(curves, t, velocity=True):
 
     t is either the shared nodes (n,) or one row of nodes per curve (m, n).
     Returns (C, V), each (m, n, 2) in chain order; V is None without
-    ``velocity``.  t is checked once.  Curves of one exact class are
-    evaluated in one pass: every Segment as a + t d, and every Bezier or
-    RationalBezier of one degree by one de Casteljau on the stacked control
-    points, each at its own row of t.  Any other curve, a subclass of these
-    included, is evaluated on its own row through its position and velocity
-    methods.  Every sample takes the same element-wise operations as the
-    curve's own methods, so the values are bit-identical to them.
+    ``velocity``.  t is checked once.  Every exact ``Segment`` is evaluated
+    in one pass, as a + t d at its own row of t, with the same element-wise
+    operations as its own methods, so the values are bit-identical to
+    them.  Any other curve, a subclass of Segment included, is evaluated on
+    its own row through its position and velocity methods.
     """
     t = _check_t(t)
     m = len(curves)
@@ -201,38 +194,24 @@ def sample_chain(curves, t, velocity=True):
         )
     C = np.empty((m, t.shape[-1], 2))
     V = np.empty_like(C) if velocity else None
-    groups = {}
+    rows = []
     for i, c in enumerate(curves):
-        kind = type(c)
-        if kind is Segment:
-            groups.setdefault(kind, []).append(i)
-        elif kind is Bezier or kind is RationalBezier:
-            groups.setdefault((kind, c.degree), []).append(i)
-        else:
-            ti = t if t.ndim == 1 else t[i]
-            _put(C, i, c.position(ti), "position")
-            if velocity:
-                _put(V, i, c.velocity(ti), "velocity")
-    for key, rows in groups.items():
-        group = [curves[i] for i in rows]
+        if type(c) is Segment:
+            rows.append(i)
+            continue
+        ti = t if t.ndim == 1 else t[i]
+        _put(C, i, c.position(ti), "position")
+        if velocity:
+            _put(V, i, c.velocity(ti), "velocity")
+    if rows:
+        segments = [curves[i] for i in rows]
         if len(rows) == m:
-            rows = slice(None)  # one group holds the whole chain, in order
+            rows = slice(None)  # a chain of segments only
         tg = t if t.ndim == 1 else t[rows]
-        if key is Segment:
-            d = np.array([c.d for c in group])[:, None]
-            C[rows] = np.array([c.a for c in group])[:, None] + tg[..., None] * d
-            if velocity:
-                V[rows] = d
-        elif key[0] is Bezier:
-            C[rows] = _de_casteljau(np.array([c.control_points for c in group])[:, None], tg)
-            if velocity:
-                V[rows] = _de_casteljau(np.array([c._dcp for c in group])[:, None], tg)
-        else:
-            h = _de_casteljau(np.array([c._hcp for c in group])[:, None], tg)
-            C[rows] = h[..., :2] / h[..., 2:3]
-            if velocity:
-                dh = _de_casteljau(np.array([c._dhcp for c in group])[:, None], tg)
-                V[rows] = _quotient_rule(h, dh)
+        d = np.array([c.d for c in segments])[:, None]
+        C[rows] = np.array([c.a for c in segments])[:, None] + tg[..., None] * d
+        if velocity:
+            V[rows] = d
     return C, V
 
 

@@ -2,7 +2,6 @@
 
 import math
 import numbers
-import sys
 import threading
 from dataclasses import dataclass
 
@@ -55,10 +54,14 @@ def finite_point(value, what):
 
 def finite_or_nan(value):
     """value as a float if it is a finite real number, else NaN, which fails every range check."""
-    if (isinstance(value, bool)  # True < 2 holds, and float(True) is 1.0
-            or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # float(True) is 1.0
         return math.nan
-    return float(value)
+    try:
+        # compared as float: a bound cast to a narrow numpy scalar's type overflows
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        return math.nan
+    return value if math.isfinite(value) else math.nan
 
 
 CenterPolicy.ORIGIN = CenterPolicy("origin")
@@ -144,11 +147,12 @@ class Region:
         """C = c_i(t), c_i'_perp and each curve's max|c_i'_perp| at nodes t, read-only.
 
         t is either the nodes (n,) shared by all m curves or one row of nodes
-        per curve (m, n).  The curves are sampled in one pass per curve class
-        (``sample_chain``); c_i'_perp = (c_i2', -c_i1') is the outward normal
-        times |c_i'| on a counterclockwise chain.  Shapes are (m, n, 2),
-        (m, n, 2) and (m,), in chain order, and each row holds the same values
-        as the curve's own position and velocity give.  A non-finite C is an
+        per curve (m, n).  The segments are sampled in one pass and every
+        other curve through its own methods (``sample_chain``);
+        c_i'_perp = (c_i2', -c_i1') is the outward normal times |c_i'| on a
+        counterclockwise chain.  Shapes are (m, n, 2), (m, n, 2) and (m,),
+        in chain order, and each row holds the same values as the curve's
+        own position and velocity give.  A non-finite C is an
         InvalidArgumentError naming the curve's chain index, and so is a
         non-finite c_i'_perp at a node strictly inside (0, 1), where a NaN
         would pass every sign and skip test unseen; c_i' may be infinite at

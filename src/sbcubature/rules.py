@@ -31,6 +31,7 @@ from math import gamma
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .region import finite_or_nan
 
 # Legendre rules with more than N0 nodes are built by Newton, the rest by
 # Golub-Welsch (see the module docstring)
@@ -127,27 +128,28 @@ def _gauss_unit(n, eta):
     return Rule1D(nodes=nodes, weights=weights)
 
 
-def _rule_size(n):
-    """n as an int >= 1; numpy integers pass, while 2.5, True and NaN do not."""
+def whole_number(value, lowest, what):
+    """value as an int >= lowest; numpy integers pass, while 2.5, True and NaN do not."""
     try:
-        size = operator.index(n)
+        number = operator.index(value)
     except TypeError:
-        size = 0
-    if size < 1 or isinstance(n, bool):
-        raise InvalidArgumentError("rule size must be an integer >= 1, got %r" % (n,))
-    return size
+        number = lowest - 1
+    if number < lowest or isinstance(value, bool):
+        raise InvalidArgumentError("%s must be an integer >= %d, got %r" % (what, lowest, value))
+    return number
 
 
 def gauss_legendre(n):
     """n-point Gauss-Legendre rule on [0,1]."""
-    return _gauss_unit(_rule_size(n), 0.0)
+    return _gauss_unit(whole_number(n, 1, "rule size"), 0.0)
 
 
 def gauss_jacobi_unit(n, eta):
     """n-point Gauss rule on [0,1] against the weight xi**eta, eta > -1."""
-    n = _rule_size(n)
-    if not eta > -1.0:
+    n = whole_number(n, 1, "rule size")
+    if not finite_or_nan(eta) > -1.0:
         raise InvalidArgumentError(
-            "weight exponent must exceed -1 for an integrable weight, got %r" % (eta,)
+            "weight exponent must be finite and exceed -1 for an integrable weight, got %r"
+            % (eta,)
         )
     return _gauss_unit(n, float(eta))

@@ -10,13 +10,12 @@ integral.  Every rule family is built the same way: ``curve_samples``
 gives C = c(t) and (C - x0).c'_perp as (curve, node) arrays at the
 t-nodes, shared by all curves or one row per curve, and drops the curves
 x0 sees edge-on.  C and c'_perp do not depend on x0: they come from
-``Region.boundary_samples``, which samples the curves in one pass per curve
-class (all segments at once, Bezier and rational Bezier curves by degree,
-any other curve on its own) and keeps them, read-only, for the Gauss
-nodes, so a second rule at the same n_t evaluates no curve and only the
-product with C - x0 is new.  The family turns these into
-t-weights, and ``assemble_rule`` takes the tensor product with a radial
-rule (nodes s in [0, 1], weights w_s).
+``Region.boundary_samples``, which samples all segments in one pass and
+every other curve through its own position and velocity, and keeps them,
+read-only, for the Gauss nodes, so a second rule at the same n_t
+evaluates no curve and only the product with C - x0 is new.  The family
+turns these into t-weights, and ``assemble_rule`` takes the tensor
+product with a radial rule (nodes s in [0, 1], weights w_s).
 
 ``assemble_rule`` computes the points x0 + s (C - x0) one coordinate plane
 at a time, into one C-contiguous (2, m, n, k) array of planes, and the
@@ -142,8 +141,7 @@ def assemble_rule(idx, C, tw, x0, s, w_s):
 
 def min_orders_polygon(p):
     """Smallest (n_xi, n_t) integrating degree-p polynomials over polygons."""
-    if p < 0:
-        raise InvalidArgumentError("polynomial degree must be >= 0")
+    p = rules.whole_number(p, 0, "polynomial degree")
     return ceil((p + 2) / 2), ceil((p + 1) / 2)
 
 
@@ -152,8 +150,8 @@ def min_orders_curved(m, p):
 
     The pulled-back integrand has xi-degree m+1 and t-degree (m+2)p - 1.
     """
-    if m < 0 or p < 1:
-        raise InvalidArgumentError("need integrand degree >= 0 and curve degree >= 1")
+    m = rules.whole_number(m, 0, "integrand degree")
+    p = rules.whole_number(p, 1, "curve degree")
     return ceil((m + 2) / 2), ceil((m + 2) * p / 2)
 
 

@@ -45,8 +45,10 @@ class GeneralizedSB:
     alpha: float
 
     def __post_init__(self):
-        if not finite_or_nan(self.alpha) > 0:
+        alpha = finite_or_nan(self.alpha)
+        if not alpha > 0:
             raise InvalidArgumentError("generalized-SB alpha must be positive and finite")
+        object.__setattr__(self, "alpha", alpha)
 
 
 GAUSS_JACOBI = "gauss-jacobi"
@@ -81,10 +83,11 @@ class SplitIntegrand:
 
 def select_alpha(beta):
     """Smallest positive integer alpha with alpha*(2 - beta) a positive integer."""
-    if not 0.0 < finite_or_nan(beta) < 2.0:
+    b = finite_or_nan(beta)
+    if not 0.0 < b < 2.0:
         raise InvalidArgumentError("beta must lie in (0, 2), got %r" % (beta,))
-    frac = Fraction(beta).limit_denominator(64)
-    if abs(float(frac) - beta) > 1e-12:
+    frac = Fraction(b).limit_denominator(64)
+    if abs(float(frac) - b) > 1e-12:
         raise InvalidArgumentError(
             "beta %r is not a small-denominator rational; use the Gauss-Jacobi "
             "radial strategy instead" % (beta,)
@@ -198,7 +201,8 @@ def generate_singular_rule(region, spec, beta, n_xi, n_t):
     sampled at its own row of nodes; an edge that xc sees edge-on (see
     ``sbc.curve_samples``) is skipped with one warning per edge.
     """
-    if not 0.0 < finite_or_nan(beta) < 2.0:
+    beta = finite_or_nan(beta)
+    if not 0.0 < beta < 2.0:
         raise InvalidArgumentError("beta must lie in (0, 2) for an integrable singularity")
     x0 = np.array(spec.xc)
     s_nodes, s_weights = _radial_rule(spec.radial, beta, n_xi)

@@ -246,8 +246,10 @@ def evaluate_masked(loop, x, n_t=256, g=None, p=None):
     """
     if (g is None) == (p is None):
         raise InvalidArgumentError("give boundary data g or a power p, not both")
-    if p is not None and not finite_or_nan(p) >= 1:
-        raise InvalidArgumentError("p must be finite and >= 1, got %r" % (p,))
+    if p is not None:
+        if not finite_or_nan(p) >= 1:
+            raise InvalidArgumentError("p must be finite and >= 1, got %r" % (p,))
+        p = float(p)
     x = np.asarray(x, dtype=float)
     if x.shape == (2,):
         x = x[None, :]

@@ -126,8 +126,10 @@ def test_large_legendre_rules_need_no_eigensolver(monkeypatch):
 
 
 def test_invalid_args(unit_square):
-    with pytest.raises(InvalidArgumentError):
-        gauss_jacobi_unit(4, -1.0)
+    # the weight exponent is a finite real number, not a boolean or text
+    for eta in (-1.0, True, "0.5", np.inf, -np.inf, np.nan, None):
+        with pytest.raises(InvalidArgumentError, match="weight exponent"):
+            gauss_jacobi_unit(4, eta)
     # a size that is not an integer is an error, not truncated
     for n in (0, 2.5, 2.0, True, np.nan):
         with pytest.raises(InvalidArgumentError):

@@ -69,6 +69,17 @@ def test_min_orders():
     assert min_orders_curved(0, 3) == (1, 3)
     assert min_orders_curved(5, 3) == (4, 11)
     assert min_orders_curved(0, 1) == (1, 1)
+    assert min_orders_polygon(np.int64(3)) == (3, 2)
+    assert min_orders_curved(np.int32(5), np.int64(3)) == (4, 11)
+    # a degree is an integer: 2.5 is not rounded up, and True is not 1
+    for bad in (-1, 2.5, 3.0, True, np.nan, "3", None):
+        with pytest.raises(InvalidArgumentError, match="polynomial degree"):
+            min_orders_polygon(bad)
+        with pytest.raises(InvalidArgumentError, match="integrand degree"):
+            min_orders_curved(bad, 3)
+    for bad in (0, 2.5, True, np.nan, "3"):
+        with pytest.raises(InvalidArgumentError, match="curve degree"):
+            min_orders_curved(2, bad)
 
 
 @pytest.mark.parametrize("pname", POLYGON_NAMES)

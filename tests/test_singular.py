@@ -39,6 +39,8 @@ def test_select_alpha():
     for beta in (2.0, True, "1"):
         with pytest.raises(InvalidArgumentError):
             select_alpha(beta)
+    # a narrow numpy float is read as its float64 value, without a warning
+    assert select_alpha(np.float32(0.5)) == select_alpha(np.float16(0.5)) == 2
 
 
 def test_radial_exponent():
@@ -48,6 +50,8 @@ def test_radial_exponent():
     for beta in (3.0, True, "1"):
         with pytest.raises(InvalidArgumentError):
             radial_exponent(beta, 1.0)
+    for beta in (np.float32(0.5), np.float16(0.5)):
+        assert radial_exponent(beta, 1.0) == 0.5
 
 
 def test_gsb_map_and_jacobian():
@@ -394,6 +398,15 @@ def test_beta_range_validation(unit_square):
                     generate_singular_rule(unit_square, spec, beta, 16, 32)
                 with pytest.raises(InvalidArgumentError, match=r"beta must lie in \(0, 2\)"):
                     integrate_singular(unit_square, SplitIntegrand(ones, beta), spec, 16, 32)
+    # a narrow numpy float gives the rule of its float64 value, without a warning
+    for radial in (None, GeneralizedSB(1.0), GAUSS_JACOBI):
+        for tt in (None, "r1", "r2", "r3"):
+            spec = SingularSpec(xc=(-1.0, -1.0), radial=radial, t_transform=tt)
+            want = generate_singular_rule(unit_square, spec, 0.5, 4, 5)
+            for beta in (np.float32(0.5), np.float16(0.5)):
+                got = generate_singular_rule(unit_square, spec, beta, 4, 5)
+                np.testing.assert_array_equal(got.points, want.points)
+                np.testing.assert_array_equal(got.weights, want.weights)
 
 
 @pytest.mark.parametrize("d", [1e-3, 1e-2, 1e-1])
@@ -433,6 +446,14 @@ def test_singular_spec_stores_xc_as_two_floats():
 def test_generalized_sb_checks_alpha_when_built(alpha):
     with pytest.raises(InvalidArgumentError, match="generalized-SB alpha must be positive and finite"):
         GeneralizedSB(alpha)
+
+
+@pytest.mark.parametrize("alpha", [2, np.int64(2), np.float32(2.0), np.float16(2.0)],
+                         ids=["int", "numpy-int", "float32", "float16"])
+def test_generalized_sb_keeps_alpha_as_a_float(alpha):
+    # a narrow numpy float is read as its float64 value, without a warning
+    radial = GeneralizedSB(alpha)
+    assert type(radial.alpha) is float and radial == GeneralizedSB(2.0)
 
 
 @pytest.mark.parametrize("strategies, message", [

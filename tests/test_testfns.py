@@ -412,3 +412,6 @@ def test_crack_tip_offset_must_be_a_finite_number(dx):
     with pytest.raises(InvalidArgumentError, match="dx must be a finite number"):
         xfem_integrands("Omega2", dx)
     assert xfem_integrands("Omega2", 1)[3][0] == 1.0
+    # a narrow numpy float is read as its float64 value, without a warning
+    for narrow in (np.float32(0.25), np.float16(0.25)):
+        assert xfem_integrands("Omega2", narrow)[3][0] == 0.25

@@ -179,6 +179,11 @@ def test_evaluate_masked_leaves_outside_points_empty():
     for field in ({}, {"g": g, "p": 10.0}, {"p": 0.5}, {"p": True}, {"p": "1"}):
         with pytest.raises(InvalidArgumentError):
             evaluate_masked(loop, x, **field)
+    # a narrow numpy float is read as its float64 value, without a warning
+    want = evaluate_masked(loop, x, p=10.0)
+    for p in (np.float32(10.0), np.float16(10.0)):
+        for got, expected in zip(evaluate_masked(loop, x, p=p), want):
+            np.testing.assert_array_equal(got, expected)
 
 
 def test_lp_distance_circle_center():
