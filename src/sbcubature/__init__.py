@@ -3,7 +3,7 @@
 from .curves import Bezier, Curve, ParametricCurve, RationalBezier, Segment
 from .errors import EvaluationError, InvalidArgumentError, NotFoundError
 from .hni import HomogeneousField, hni_integrate
-from .region import CenterPolicy, Region, decompose, is_star_convex, polygon, resolve_center
+from .region import CenterPolicy, Region, decompose, polygon, resolve_center
 from .rules import Rule1D, gauss_jacobi_unit, gauss_legendre
 from .sbc import (
     CubatureRule,

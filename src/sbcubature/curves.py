@@ -26,17 +26,19 @@ def _check_t(t):
 
 
 def _floats(value, what):
-    """value as a float array, or InvalidArgumentError when it is not numeric.
+    """value as a float array, or InvalidArgumentError when it is not real and numeric.
 
-    Text and booleans are not numbers here, though numpy would convert "0.5"
-    and read True as 1, also beside numbers as in [False, 0].
+    Text, booleans and complex numbers are not coordinates here, though numpy
+    would convert "0.5", read True as 1 and drop an imaginary part with only
+    a warning, also beside real numbers as in [False, 0] or [1j, 0].
     """
     try:
         raw = np.asarray(value)
         # an array keeps its dtype; the items of a list are checked one by one
         items = raw if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
-        if raw.dtype.kind in "SUb" or items.dtype.kind == "O" and any(
-                isinstance(v, (str, bytes, bool, np.bool_)) for v in items.flat):
+        if raw.dtype.kind in "SUbc" or items.dtype.kind == "O" and any(
+                isinstance(v, (str, bytes, bool, np.bool_, complex, np.complexfloating))
+                for v in items.flat):
             raise TypeError
         return np.asarray(raw, dtype=float)
     except (TypeError, ValueError):

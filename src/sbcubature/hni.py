@@ -17,8 +17,8 @@ import numpy as np
 
 from . import rules
 from .errors import InvalidArgumentError
-from .region import finite_or_nan
-from .sbc import assemble_rule, curve_samples
+from .region import decompose, finite_or_nan
+from .sbc import assemble_rule
 
 
 @functools.cache  # once, at the first field: importing numpy.random costs 11-18 ms
@@ -61,6 +61,6 @@ def hni_integrate(region, hf, n_t):
     """Boundary-only integral of hf over the region (center fixed at origin)."""
     t = rules.gauss_legendre(n_t)
     x0 = np.zeros(2)
-    idx, C, perp = curve_samples(region, x0, t.nodes)
+    idx, C, perp = decompose(region, x0, t.nodes)
     rule = assemble_rule(idx, C, t.weights * perp, x0, np.ones(1), np.array([1.0 / (2.0 + hf.q)]))
     return rule(hf.h)

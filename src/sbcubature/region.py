@@ -210,8 +210,10 @@ def check_finite(a, what="is not finite on [0, 1]"):
 
 
 def polygon(vertices):
-    """Region whose boundary is the closed polyline through the given vertices."""
-    v = np.asarray(vertices, dtype=float)
+    """Region whose boundary is the closed polyline through the given (k, 2) vertices."""
+    v = _floats(vertices, "polygon vertices")
+    if v.ndim != 2 or v.shape[1] != 2:
+        raise InvalidArgumentError("polygon vertices must be 2-D points, got shape %s" % (v.shape,))
     return Region([Segment(v[i], v[(i + 1) % len(v)]) for i in range(len(v))])
 
 
@@ -232,29 +234,22 @@ def decompose(region, x0, t):
     """The curved triangles spanned by x0 and each boundary curve, sampled at t.
 
     t is either the nodes (n,) shared by all m curves or one row of nodes
-    per curve (m, n).  Returns C = c_i(t), c_i'_perp = (c_i2', -c_i1') and
-    (C - x0).c_i'_perp, the t-part of the scaled boundary Jacobian, in chain
-    order, with shapes (m, n, 2), (m, n, 2) and (m, n).  C and c_i'_perp are
-    ``region.boundary_samples(t)``, read-only and kept by the region for a
-    read-only node array such as the Gauss nodes, so only the last product
-    is computed per center; it is a new array.  Non-finite samples raise as
+    per curve (m, n).  Returns the chain index of each curve that counts,
+    its samples C = c_i(t) and (C - x0).c_i'_perp, the t-part of the scaled
+    boundary Jacobian, with shapes (k,), (k, n, 2) and (k, n), k <= m.  A
+    curve is dropped when max|(C - x0).c_i'_perp| <= 1e-14 * scale * max|c_i'|:
+    x0 lies on it (or on its supporting line), so its triangle has no area.
+    C is read-only: ``region.boundary_samples(t)``, which the region keeps
+    for a read-only node array such as the Gauss nodes, or a copy of its
+    rows that count, so only the product with C - x0, a new array, is
+    computed per center.  Non-finite samples raise as
     ``Region.boundary_samples`` describes.
     """
-    C, N, _ = region.boundary_samples(t)
-    return C, N, jacobian_t(C, N, x0)
-
-
-def jacobian_t(C, N, x0):
-    """(C - x0).N per node: the t-part of the scaled boundary Jacobian, a new array."""
-    return np.einsum("...i,...i->...", C - np.asarray(x0, dtype=float), N)
-
-
-def is_star_convex(region, x0):
-    """Sampled sufficient check that every boundary point sees x0 from inside.
-
-    256 samples per curve, endpoints included.  Advisory only: the cubature
-    stays correct for non-star-convex choices of x0, the partition just
-    acquires signed (partially cancelling) pieces.
-    """
-    tol = 1e-12 * region.scale() ** 2
-    return not np.any(decompose(region, x0, np.linspace(0.0, 1.0, 256))[2] < -tol)
+    C, N, speed = region.boundary_samples(t)
+    perp = np.einsum("...i,...i->...", C - np.asarray(x0, dtype=float), N)
+    keep = np.abs(perp).max(axis=1, initial=0.0) > 1e-14 * region.scale() * speed
+    if keep.all():
+        return np.arange(len(keep)), C, perp
+    C = C[keep]
+    C.setflags(write=False)
+    return np.flatnonzero(keep), C, perp[keep]

@@ -37,6 +37,10 @@ from .region import finite_or_nan
 # Golub-Welsch (see the module docstring)
 N0 = 192
 _NEWTON_MAX_PASSES = 10
+# (n, eta) pairs whose rule _gauss_unit keeps, the least recently used dropped
+# first: more than any run builds, but a sweep over continuous eta would
+# otherwise keep one rule per value for the life of the process
+_RULE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,7 @@ def _newton_legendre(n):
     return nodes, weights
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _gauss_unit(n, eta):
     if eta == 0.0 and n > N0:
         nodes, weights = _newton_legendre(n)

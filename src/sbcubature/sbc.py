@@ -6,7 +6,7 @@ the unit square maps onto it via
     phi(s, t) = x0 + s * (c(t) - x0),      J(s, t) = s * (c(t)-x0).c'_perp(t)
 
 and summing the per-triangle tensor-rule integrals gives the region
-integral.  Every rule family is built the same way: ``curve_samples``
+integral.  Every rule family is built the same way: ``region.decompose``
 gives C = c(t) and (C - x0).c'_perp as (curve, node) arrays at the
 t-nodes, shared by all curves or one row per curve, and drops the curves
 x0 sees edge-on.  C and c'_perp do not depend on x0: they come from
@@ -49,7 +49,7 @@ import numpy as np
 
 from . import rules
 from .errors import EvaluationError, InvalidArgumentError
-from .region import jacobian_t, resolve_center
+from .region import decompose, resolve_center
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,18 @@ def field_values(f, x, y):
     x and y are the (N,) coordinate columns.  f returns one value per
     point, or a single value (shape ()) for a constant field; any other
     shape is an InvalidArgumentError, since it would broadcast against the
-    weights into a wrong number.  Raises EvaluationError at the first point
-    with a non-finite value; its ``point`` is that point as a tuple of
-    floats.
+    weights into a wrong number.  So are complex and text values, which
+    numpy would read as their real part or as the number they spell;
+    booleans (an indicator field) are 0 and 1.  Raises EvaluationError at
+    the first point with a non-finite value; its ``point`` is that point as
+    a tuple of floats.
     """
     n = len(x)
-    vals = np.asarray(f(x, y), dtype=float)
+    vals = np.asarray(f(x, y))
+    if vals.dtype.kind not in "biuf" and (vals.dtype.kind != "O" or any(
+            isinstance(v, (str, bytes, complex, np.complexfloating)) for v in vals.flat)):
+        raise InvalidArgumentError("field values must be real numbers, got dtype %s" % vals.dtype)
+    vals = np.asarray(vals, dtype=float)  # no copy of a float64 array
     if vals.shape != (n,):
         if vals.shape:
             raise InvalidArgumentError("field values have shape %s, expected (%d,) or ()"
@@ -95,25 +101,6 @@ def field_values(f, x, y):
         point = (float(x[i]), float(y[i]))
         raise EvaluationError("integrand is not finite at (%r, %r)" % point, point=point)
     return vals
-
-
-def curve_samples(region, x0, t):
-    """Curve indices, C and (C - x0).c'_perp at nodes t, for the curves that count.
-
-    t is the nodes (n,) shared by every curve or one row per curve (m, n).
-    A curve is skipped when max|(c - x0).c'_perp| <= 1e-14 * scale * max|c'|:
-    x0 lies on it (or on its supporting line), so its triangle has no area.
-    C, c'_perp and max|c'| are ``region.boundary_samples(t)``, which the
-    region keeps for the Gauss nodes, so each call computes only
-    (C - x0).c'_perp (``region.jacobian_t``, as ``decompose`` does); C and
-    perp have the skipped rows masked out.
-    """
-    C, N, speed = region.boundary_samples(t)
-    perp = jacobian_t(C, N, x0)
-    keep = np.abs(perp).max(axis=1) > 1e-14 * region.scale() * speed
-    if keep.all():
-        return np.arange(len(keep)), C, perp
-    return np.flatnonzero(keep), C[keep], perp[keep]
 
 
 def assemble_rule(idx, C, tw, x0, s, w_s):
@@ -159,12 +146,12 @@ def generate_rule(region, policy, n_xi, n_t):
     """Physical cubature rule over the region, n_xi x n_t points per curve.
 
     Point ordering is (curve, t-node, xi-node).  Curves that x0 sees edge-on
-    (see ``curve_samples``) contribute nothing and emit no points.
+    (see ``region.decompose``) contribute nothing and emit no points.
     """
     x0 = resolve_center(region, policy)
     xi = rules.gauss_legendre(n_xi)
     t = rules.gauss_legendre(n_t)
-    idx, C, perp = curve_samples(region, x0, t.nodes)
+    idx, C, perp = decompose(region, x0, t.nodes)
     return assemble_rule(idx, C, t.weights * perp, x0, xi.nodes, xi.weights * xi.nodes)
 
 

@@ -20,7 +20,7 @@ soften the (ell^2 + tau^2)^(-beta/2) near-singularity: r1 cancels it at
 beta = 1, and r2 and r3 are the maps that cancel it at beta = 2 and 3,
 used here for beta < 2 like r1.
 They only move each edge's t-nodes along the edge: every rule samples its
-boundary through ``sbc.curve_samples`` (one node row per edge here), which
+boundary through ``region.decompose`` (one node row per edge here), which
 also decides which edges count, and its t-weights are
 w dt/dtau~ * (C - xc).c'_perp * ||C - xc||^-beta.
 """
@@ -36,8 +36,8 @@ import numpy as np
 from . import rules
 from .curves import Segment
 from .errors import InvalidArgumentError
-from .region import finite_point, finite_or_nan
-from .sbc import assemble_rule, curve_samples
+from .region import decompose, finite_point, finite_or_nan
+from .sbc import assemble_rule
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ def generate_singular_rule(region, spec, beta, n_xi, n_t):
     The singular power is folded into the weights, so the returned rule is
     applied to the smooth numerator only.  With a t-transform every edge is
     sampled at its own row of nodes; an edge that xc sees edge-on (see
-    ``sbc.curve_samples``) is skipped with one warning per edge.
+    ``region.decompose``) is skipped with one warning per edge.
     """
     beta = finite_or_nan(beta)
     if not 0.0 < beta < 2.0:
@@ -210,7 +210,7 @@ def generate_singular_rule(region, spec, beta, n_xi, n_t):
     t, tw = t_rule.nodes, t_rule.weights
     if spec.t_transform is not None:
         t, tw, unmapped = _transformed_nodes(region, x0, spec.t_transform, t_rule)
-    idx, C, perp = curve_samples(region, x0, t)
+    idx, C, perp = decompose(region, x0, t)
     if spec.t_transform is not None:
         kept = set(idx.tolist())
         for i in range(len(region.curves)):
@@ -247,7 +247,7 @@ def _transformed_nodes(region, x0, which, t_rule):
     nodes are placed in the transformed coordinate tau~ and mapped back to
     t = t* + tau(tau~), with weights w (hi - lo) dtau/dtau~.
 
-    ``curve_samples`` decides which edges count.  An edge whose line passes
+    ``decompose`` decides which edges count.  An edge whose line passes
     through x0 (ell = 0) has no map of its own and takes the one for ell = 1:
     its nodes lie on the edge, and the edge is dropped.  Where round-off
     leaves the map without nodes in [0, 1] (ell next to 0), the edge keeps

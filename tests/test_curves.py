@@ -103,6 +103,21 @@ def test_a_boolean_is_not_a_coordinate(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Segment((0, 1j), (1, 0)),
+    lambda: Segment(np.array([0.0, 1.0 + 0j]), (1, 0)),
+    lambda: Segment(np.array([0.0, np.complex64(1)], dtype=object), (1, 0)),
+    lambda: Bezier([(0, 0), (0.5, 1 + 1j), (1, 0)]),
+    lambda: RationalBezier([(0, 0), (0.5, 1j), (1, 0)], [1, 1, 1]),
+    lambda: RationalBezier([(0, 0), (0.5, 1), (1, 0)], [1, 2 + 0j, 1]),
+], ids=["segment", "segment-complex-array", "segment-object-array", "bezier", "rational-points",
+        "rational-weights"])
+def test_a_complex_number_is_not_a_coordinate(make):
+    # numpy would drop the imaginary part with only a ComplexWarning
+    with pytest.raises(InvalidArgumentError, match="must be numbers"):
+        make()
+
+
 DELTOID_X = "(1+2*cos(2*pi/3*t))^2/12"
 DELTOID_Y = "(1+2*sin(2*pi/3*t)-4*sin(4*pi/3*t))/6"
 
@@ -247,10 +262,12 @@ def test_perp_product_circle():
 
 @pytest.mark.parametrize("curve", [Segment((0.2, -0.3), (1.5, 0.8)), CUBIC])
 def test_boundary_samples_position_and_rotated_velocity(curve):
-    # the curve closed by a segment back to its start; decompose samples both
+    # the curve closed by a segment back to its start; the region samples both
     t = np.linspace(0.0, 1.0, 5)
     region = Region([curve, Segment(curve.position(1.0), curve.position(0.0))])
-    C, N, perp = decompose(region, np.array([0.1, 0.2]), t)
+    C, N, _ = region.boundary_samples(t)
+    idx, _, perp = decompose(region, np.array([0.1, 0.2]), t)
+    assert idx[0] == 0
     np.testing.assert_array_equal(C[0], curve.position(t))
     v = curve.velocity(t)
     np.testing.assert_array_equal(N[0], np.column_stack([v[:, 1], -v[:, 0]]))

@@ -17,7 +17,6 @@ from sbcubature.region import (
     CenterPolicy,
     Region,
     decompose,
-    is_star_convex,
     polygon,
     resolve_center,
 )
@@ -65,6 +64,8 @@ def test_resolve_center(unit_square):
     (lambda: CenterPolicy.custom((True, False)), "center point"),
     (lambda: CenterPolicy.custom((0.5, False)), "center point"),
     (lambda: CenterPolicy.custom(np.array([True, True])), "center point"),
+    (lambda: CenterPolicy.custom((0.5 + 2j, 0.25)), "center point"),
+    (lambda: CenterPolicy.custom(np.array([0.5, 0.25 + 0j])), "center point"),
     (lambda: CenterPolicy("centroid"), "center strategy"),
     (lambda: CenterPolicy(["origin"]), "center strategy"),
 ], ids=["vertex-bool", "vertex-numpy-bool", "vertex-fraction", "vertex-negative-fraction",
@@ -72,7 +73,8 @@ def test_resolve_center(unit_square):
         "vertex-average-with-index", "vertex-with-point", "custom-with-index",
         "custom-without-point", "custom-three-coordinates", "custom-one-coordinate",
         "custom-text", "custom-numeric-text", "custom-inf", "custom-bool",
-        "custom-bool-beside-a-number", "custom-bool-array", "unknown-strategy", "strategy-list"])
+        "custom-bool-beside-a-number", "custom-bool-array", "custom-complex",
+        "custom-complex-array", "unknown-strategy", "strategy-list"])
 def test_center_policy_checks_itself_when_built(make, field):
     with pytest.raises(InvalidArgumentError, match=field):
         make()
@@ -99,14 +101,52 @@ def test_vertex_average_of_builtin_curved_region():
 def test_decompose_counts(unit_square):
     x0 = np.array([0.5, 0.5])
     t = np.linspace(0.0, 1.0, 5)
-    C, N, perp = decompose(unit_square, x0, t)
-    assert C.shape == N.shape == (4, 5, 2)
-    assert perp.shape == (4, 5)
+    C, N, _ = unit_square.boundary_samples(t)
+    idx, kept, perp = decompose(unit_square, x0, t)
+    assert C.shape == N.shape == kept.shape == (4, 5, 2)
+    assert perp.shape == (4, 5) and idx.tolist() == [0, 1, 2, 3]
     for region in (unit_square, lookup("bezier").make()):  # a chain of segments, and curves
-        assert [a.shape for a in decompose(region, x0, np.empty(0))] == [(4, 0, 2), (4, 0, 2), (4, 0)]
-    for i, c in enumerate(unit_square.curves):
-        for got, want in zip((C[i], N[i], perp[i]), own_samples(c, t, x0)):
-            np.testing.assert_array_equal(got, want)
+        assert [a.shape for a in region.boundary_samples(np.empty(0))[:2]] == [(4, 0, 2), (4, 0, 2)]
+        # no nodes span no area: every curve is dropped, and the shapes still come back
+        assert [a.shape for a in decompose(region, x0, np.empty(0))] == [(0,), (0, 0, 2), (0, 0)]
+    assert_decompose_matches_each_curve(unit_square, x0, t)
+
+
+def _rebind(monkeypatch, original, replacement):
+    """Rebind every sbcubature module attribute that is original, as a tracer would."""
+    import sys
+
+    for name, module in list(sys.modules.items()):
+        if name == "sbcubature" or name.startswith("sbcubature."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+@pytest.mark.parametrize("build", ["generate_rule", "hni_integrate", "singular", "singular-r1"])
+def test_every_rule_family_decomposes_its_region_once(build, unit_square, monkeypatch):
+    # region.decompose is the one name a tracer wraps to see every family sample its boundary
+    from sbcubature.hni import HomogeneousField, hni_integrate
+    from sbcubature.singular import SingularSpec, generate_singular_rule
+
+    calls = []
+
+    def counting(*a, **k):
+        calls.append(a)
+        return decompose(*a, **k)
+
+    _rebind(monkeypatch, decompose, counting)
+    builds = {
+        "generate_rule": lambda: integrate(unit_square, CenterPolicy.VERTEX_AVERAGE,
+                                           lambda x, y: x, 3, 4),
+        "hni_integrate": lambda: hni_integrate(
+            unit_square, HomogeneousField(lambda x, y: x * y, 2.0), 4),
+        "singular": lambda: generate_singular_rule(unit_square, SingularSpec((0.5, 0.25)), 0.5, 3, 4),
+        "singular-r1": lambda: generate_singular_rule(
+            unit_square, SingularSpec((0.5, 0.25), t_transform="r1"), 0.5, 3, 4),
+    }
+    builds[build]()
+    assert len(calls) == 1 and calls[0][0] is unit_square
 
 
 class Arc(Curve):
@@ -167,11 +207,25 @@ def curve_chain(kinds, bulge=0.2):
 
 
 def assert_decompose_matches_each_curve(region, x0, t):
-    C, N, perp = decompose(region, x0, t)
-    assert C.shape == N.shape == (len(region.curves), len(t), 2)
+    """Samples at nodes t (n,) or one row per curve (m, n) are each curve's own, bit for bit.
+
+    A curve that decompose drops must meet its skip rule on its own samples.
+    """
+    C, N, _ = region.boundary_samples(t)
+    idx, kept, perp = decompose(region, x0, t)
+    assert C.shape == N.shape == (len(region.curves), t.shape[-1], 2)
+    assert kept.shape == (len(idx), t.shape[-1], 2) and perp.shape == kept.shape[:2]
+    rows = dict(zip(idx.tolist(), range(len(idx))))
     for i, c in enumerate(region.curves):
-        for got, want in zip((C[i], N[i], perp[i]), own_samples(c, t, x0)):
-            np.testing.assert_array_equal(got, want)
+        want_C, want_N, want_perp = own_samples(c, t[i] if t.ndim == 2 else t, x0)
+        np.testing.assert_array_equal(C[i], want_C)
+        np.testing.assert_array_equal(N[i], want_N)
+        if i in rows:
+            np.testing.assert_array_equal(kept[rows[i]], want_C)
+            np.testing.assert_array_equal(perp[rows[i]], want_perp)
+        else:
+            speed = np.hypot(want_N[:, 0], want_N[:, 1]).max()
+            assert np.abs(want_perp).max() <= 1e-14 * region.scale() * speed
 
 
 def test_decompose_matches_each_curve_in_chain_order():
@@ -200,12 +254,7 @@ def test_decompose_matches_each_curve_at_its_own_node_row(kinds, bulge, x0, n, d
     region = curve_chain(kinds, bulge)
     row = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
     t = np.array(data.draw(st.lists(row, min_size=len(kinds), max_size=len(kinds))))
-    x0 = np.array(x0)
-    C, N, perp = decompose(region, x0, t)
-    assert C.shape == N.shape == (len(kinds), n, 2)
-    for i, c in enumerate(region.curves):
-        for got, want in zip((C[i], N[i], perp[i]), own_samples(c, t[i], x0)):
-            np.testing.assert_array_equal(got, want)
+    assert_decompose_matches_each_curve(region, np.array(x0), t)
 
 
 @settings(max_examples=40, deadline=None)
@@ -333,16 +382,17 @@ def test_star_convexity_check_rejects_a_nan_normal_inside():
     region = Region([NanInside((0, 0), (1, 0)), Segment((1, 0), (1, 1)),
                      Segment((1, 1), (0, 1)), Segment((0, 1), (0, 0))])
     with pytest.raises(InvalidArgumentError, match="curve 0 has a non-finite velocity"):
-        is_star_convex(region, (0.5, 0.5))
+        decompose(region, (0.5, 0.5), np.linspace(0.0, 1.0, 256))
 
 
 def test_infinite_velocity_at_an_endpoint_is_accepted():
     # c'(0) is infinite for t^0.5; positions are finite, and only they are checked
     region = Region([ParametricCurve("t^0.5", "0"), Segment((1, 0), (0, 1)),
                      Segment((0, 1), (0, 0))])
-    C, N, _ = decompose(region, np.array([0.25, 0.25]), np.array([0.0, 1.0]))
+    C, N, _ = region.boundary_samples(np.array([0.0, 1.0]))
     assert np.isfinite(C).all() and np.isinf(N[0, 0]).any()
-    assert is_star_convex(region, (0.25, 0.25))
+    perp = decompose(region, (0.25, 0.25), np.linspace(0.0, 1.0, 256))[2]
+    assert (perp >= -1e-12 * region.scale() ** 2).all()  # star-convex about (0.25, 0.25)
 
 
 def test_open_chain_rejected():
@@ -400,13 +450,17 @@ def test_zero_length_segment_rejected():
         )
 
 
-def test_star_convexity(unit_square):
-    assert is_star_convex(unit_square, (0.5, 0.5))
-    assert not is_star_convex(unit_square, (5.0, 5.0))
-    # L-shaped hexagon seen from its reflex corner
-    L = polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
-    assert is_star_convex(L, (1.0, 1.0))
-    assert not is_star_convex(L, (1.9, 1.9))
+@pytest.mark.parametrize("vertices, message", [
+    ([("0", "0"), ("1", "0"), ("1", "1"), ("0", "1")], "must be numbers"),
+    ([(False, 0), (1, 0), (1, 1), (0, 1)], "must be numbers"),
+    ([(0, 0), (1, 1j), (1, 1), (0, 1)], "must be numbers"),
+    ([(0, 0), (1, 0, 0), (1, 1)], "must be numbers"),
+    ([0, 1, 2], r"must be 2-D points, got shape \(3,\)"),
+    (np.zeros((4, 3)), r"must be 2-D points, got shape \(4, 3\)"),
+], ids=["text", "bool", "complex", "ragged", "flat", "three-coordinates"])
+def test_polygon_vertices_are_pairs_of_real_numbers(vertices, message):
+    with pytest.raises(InvalidArgumentError, match="polygon vertices " + message):
+        polygon(vertices)
 
 
 def test_area_independent_of_center():
@@ -477,8 +531,11 @@ def test_boundary_samples_cannot_be_written():
     region = lookup("bezier").make()
     # the Gauss nodes are kept by the region, other nodes are not: both read-only
     for t in (gauss_legendre(8).nodes, np.linspace(0.0, 1.0, 8)):
-        C, N, perp = decompose(region, np.array([0.5, 0.5]), t)
-        for a in (C, N) + region.boundary_samples(t)[2:]:
+        _, C, perp = decompose(region, np.array([0.5, 0.5]), t)
+        # x0 on an edge of a square drops that edge, and the C of the others is a new array
+        idx, dropped, _ = decompose(polygon([(0, 0), (1, 0), (1, 1), (0, 1)]), (0.5, 0.0), t)
+        assert idx.tolist() == [1, 2, 3]
+        for a in (C, dropped) + region.boundary_samples(t):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 9.0
         perp[0, 0] = 9.0  # the center's product is the caller's own
@@ -496,7 +553,7 @@ def test_read_only_nodes_are_sampled_once_and_other_nodes_every_time():
         assert calls() == n
         for got, want in zip(again, decompose(counting_square()[0], x, t.copy())):
             np.testing.assert_array_equal(got, want)
-    assert again[0] is first[0]
+    assert again[1] is first[1]
     for other in (t.copy(), t.view(), [0.25, 0.5]):  # writable, a view, a list
         decompose(region, x0, other)
         assert calls() == n + 8
@@ -512,10 +569,7 @@ def test_a_writable_node_array_is_never_kept():
         t[:] = 0.25, 0.5
         decompose(region, np.zeros(2), nodes)
         t[0] = 0.75
-        C, N, perp = decompose(region, np.zeros(2), nodes)
-        for i, c in enumerate(region.curves):
-            for got, want in zip((C[i], N[i], perp[i]), own_samples(c, t, np.zeros(2))):
-                np.testing.assert_array_equal(got, want)
+        assert_decompose_matches_each_curve(region, np.zeros(2), nodes)
 
 
 def test_a_non_finite_velocity_raises_on_every_call():
@@ -648,7 +702,8 @@ def test_a_chain_of_segments_keeps_one_normal_per_edge():
     # each edge's c'_perp is kept once and broadcast over the nodes
     assert N.shape == (4, 64, 2) and N.strides[1] == 0 and not N.flags.writeable
     x0 = (0.7, 0.4)
-    for got, want in zip(decompose(segments, x0, t), decompose(plain, x0, t)):
+    for got, want in zip(segments.boundary_samples(t) + decompose(segments, x0, t),
+                         plain.boundary_samples(t) + decompose(plain, x0, t)):
         assert same_bits(np.ascontiguousarray(got), want)
     assert segments._sample_bytes == C.nbytes + 4 * 16 + speed.nbytes
     assert plain._sample_bytes == C.nbytes + N.nbytes + speed.nbytes

@@ -125,6 +125,14 @@ def test_large_legendre_rules_need_no_eigensolver(monkeypatch):
         gauss_jacobi_unit(300, -0.5)
 
 
+def test_the_rule_cache_is_bounded():
+    bound = rules._RULE_CACHE_SIZE
+    for k in range(bound + 1):
+        gauss_jacobi_unit(1, k / (bound + 1.0))  # a continuous eta: one rule per value
+    info = rules._gauss_unit.cache_info()
+    assert info.maxsize == bound and info.currsize == bound
+
+
 def test_invalid_args(unit_square):
     # the weight exponent is a finite real number, not a boolean or text
     for eta in (-1.0, True, "0.5", np.inf, -np.inf, np.nan, None):

@@ -10,6 +10,7 @@ from sbcubature.hni import HomogeneousField, hni_integrate
 from sbcubature.region import CenterPolicy, Region, polygon
 from sbcubature.sbc import (
     assemble_rule,
+    field_values,
     generate_rule,
     integrate,
     min_orders_curved,
@@ -266,6 +267,20 @@ def test_field_values_of_the_wrong_shape_are_rejected():
         with pytest.raises(InvalidArgumentError) as e:
             rule(f)
         assert str(e.value) == "field values have shape %s, expected (%d,) or ()" % (shape, n)
+
+
+def test_field_values_that_are_not_real_numbers_are_rejected():
+    rule = generate_rule(lookup("convex_quad").make(), CenterPolicy.VERTEX_AVERAGE, 3, 3)
+    # numpy would keep the real part of a complex value, and read "3" as 3
+    for f in (lambda x, y: x + 1j * y, lambda x, y: "3", lambda x, y: np.full(len(x), "3"),
+              lambda x, y: np.array([1.0] * (len(x) - 1) + [1j], dtype=object),
+              lambda x, y: np.array([1.0] * (len(x) - 1) + ["3"], dtype=object)):
+        with pytest.raises(InvalidArgumentError, match="field values must be real numbers"):
+            rule(f)
+    # an indicator field is 0 and 1, and a float64 field is not copied
+    assert rule(lambda x, y: x > 2.0) == rule(lambda x, y: (x > 2.0).astype(float))
+    vals = np.ones(len(rule))
+    assert field_values(lambda x, y: vals, *rule._columns) is vals
 
 
 def test_a_single_field_value_is_a_constant_field():

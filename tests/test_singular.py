@@ -426,9 +426,11 @@ def test_non_finite_singularity_is_rejected(unit_square, xc):
 
 
 @pytest.mark.parametrize("xc", [0.3, (0.3,), (0, 0, 5), ("a", "b"), ("0.3", "0.3"), None,
-                                np.zeros((2, 2)), (True, True), (0.5, False), np.array([True, False])],
+                                np.zeros((2, 2)), (True, True), (0.5, False), np.array([True, False]),
+                                (0.1 + 1j, 0), np.zeros(2, dtype=complex)],
                          ids=["scalar", "one", "three", "text", "numeric-text", "none", "matrix",
-                              "bool", "bool-beside-a-number", "bool-array"])
+                              "bool", "bool-beside-a-number", "bool-array", "complex",
+                              "complex-array"])
 def test_singular_spec_checks_xc_when_built(xc):
     with pytest.raises(InvalidArgumentError, match="singularity xc"):
         SingularSpec(xc=xc)

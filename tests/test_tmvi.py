@@ -533,6 +533,19 @@ def test_boundary_data_of_the_wrong_shape_is_rejected():
     np.testing.assert_allclose(tmvi_eval_many(loop, lambda X, Y: 2.5, x, 128), 2.5, rtol=1e-14)
 
 
+def test_boundary_data_that_is_not_real_numbers_is_rejected():
+    loop = hexagon_loop()
+    x = [[0.1, 0.2], [0.3, -0.1]]
+    for g in (lambda X, Y: X + 1j * Y, lambda X, Y: "3", lambda X, Y: np.full(len(X), "3")):
+        for call in (lambda: tmvi_eval_many(loop, g, x, 128),
+                     lambda: evaluate_masked(loop, x, 128, g=g)):
+            with pytest.raises(InvalidArgumentError, match="field values must be real numbers"):
+                call()
+    # boolean boundary data is 0 and 1
+    np.testing.assert_array_equal(tmvi_eval_many(loop, lambda X, Y: X > 0.0, x, 128),
+                                  tmvi_eval_many(loop, lambda X, Y: (X > 0.0) * 1.0, x, 128))
+
+
 def test_non_finite_boundary_data_is_an_evaluation_error():
     loop = egg_domain()
     samples = {tuple(c) for c in loop.samples(256)[0].tolist()}
