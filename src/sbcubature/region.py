@@ -239,6 +239,7 @@ def decompose(region, x0, t):
     boundary Jacobian, with shapes (k,), (k, n, 2) and (k, n), k <= m.  A
     curve is dropped when max|(C - x0).c_i'_perp| <= 1e-14 * scale * max|c_i'|:
     x0 lies on it (or on its supporting line), so its triangle has no area.
+    A curve whose max|c_i'| is infinite (t^0.5 sampled at t = 0) is kept.
     C is read-only: ``region.boundary_samples(t)``, which the region keeps
     for a read-only node array such as the Gauss nodes, or a copy of its
     rows that count, so only the product with C - x0, a new array, is
@@ -247,7 +248,7 @@ def decompose(region, x0, t):
     """
     C, N, speed = region.boundary_samples(t)
     perp = np.einsum("...i,...i->...", C - np.asarray(x0, dtype=float), N)
-    keep = np.abs(perp).max(axis=1, initial=0.0) > 1e-14 * region.scale() * speed
+    keep = (np.abs(perp).max(axis=1, initial=0.0) > 1e-14 * region.scale() * speed) | np.isinf(speed)
     if keep.all():
         return np.arange(len(keep)), C, perp
     C = C[keep]

@@ -391,7 +391,8 @@ def test_infinite_velocity_at_an_endpoint_is_accepted():
                      Segment((0, 1), (0, 0))])
     C, N, _ = region.boundary_samples(np.array([0.0, 1.0]))
     assert np.isfinite(C).all() and np.isinf(N[0, 0]).any()
-    perp = decompose(region, (0.25, 0.25), np.linspace(0.0, 1.0, 256))[2]
+    idx, _, perp = decompose(region, (0.25, 0.25), np.linspace(0.0, 1.0, 256))
+    assert idx.tolist() == [0, 1, 2]  # the verdict covers the t^0.5 curve
     assert (perp >= -1e-12 * region.scale() ** 2).all()  # star-convex about (0.25, 0.25)
 
 
