@@ -18,7 +18,7 @@ import numpy as np
 from . import rules
 from .errors import InvalidArgumentError
 from .region import decompose, finite_or_nan
-from .sbc import assemble_rule
+from .sbc import assemble_rule, real_values
 
 
 @functools.cache  # once, at the first field: importing numpy.random costs 11-18 ms
@@ -38,6 +38,8 @@ class HomogeneousField:
     each quadrant; it cannot be proven for a black-box callable.  Only the
     points where both sides are finite are compared, so a field undefined
     off the first quadrant, such as x^0.5, passes on the points it has.
+    The values are checked as every rule checks them (``sbc.real_values``),
+    so a complex or text field is an InvalidArgumentError here already.
     """
 
     def __init__(self, h, q):
@@ -47,8 +49,8 @@ class HomogeneousField:
         self.q = float(q)
         x, y, lam = _check_points()
         with np.errstate(all="ignore"):
-            lhs = np.asarray(self.h(lam * x, lam * y), dtype=float)
-            rhs = lam**self.q * np.asarray(self.h(x, y), dtype=float)
+            lhs = real_values(self.h(lam * x, lam * y), len(x))
+            rhs = lam**self.q * real_values(self.h(x, y), len(x))
             both = np.isfinite(lhs) & np.isfinite(rhs)
             err = np.abs(lhs - rhs)[both]
             if err.size and err.max() > 1e-10 * (np.abs(rhs[both]).max() + 1e-30):

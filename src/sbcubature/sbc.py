@@ -43,7 +43,7 @@ the correct value.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil
+from math import ceil, isfinite
 
 import numpy as np
 
@@ -64,8 +64,24 @@ class CubatureRule:
         return len(self.weights)
 
     def __call__(self, f):
-        """Apply the rule to a scalar field f(x, y)."""
-        return float(np.dot(self.weights, field_values(f, *self._columns)))
+        """Apply the rule to a scalar field f(x, y): the weighted sum of its values.
+
+        The values are checked as in ``field_values``, but the sum comes
+        first: 0 * inf and inf - inf are NaN, so a finite sum proves every
+        value finite, and the search for a non-finite point runs only when
+        the sum is not finite.  That search raises the same EvaluationError,
+        naming the same point, as ``field_values``.  If every value is finite
+        the sum overflowed, and it is taken again outside the errstate, so
+        the caller gets that inf with numpy's own warning, if any.
+        """
+        x, y = self._columns
+        vals = real_values(f(x, y), len(x))
+        with np.errstate(invalid="ignore", over="ignore"):
+            total = float(np.dot(self.weights, vals))
+        if isfinite(total):
+            return total
+        finite_values(vals, x, y)
+        return float(np.dot(self.weights, vals))
 
     @cached_property
     def _columns(self):
@@ -76,17 +92,23 @@ class CubatureRule:
 def field_values(f, x, y):
     """Values of the scalar field f(x, y) at the points (x, y), all finite, shape (N,).
 
-    x and y are the (N,) coordinate columns.  f returns one value per
-    point, or a single value (shape ()) for a constant field; any other
-    shape is an InvalidArgumentError, since it would broadcast against the
-    weights into a wrong number.  So are complex and text values, which
-    numpy would read as their real part or as the number they spell;
-    booleans (an indicator field) are 0 and 1.  Raises EvaluationError at
-    the first point with a non-finite value; its ``point`` is that point as
-    a tuple of floats.
+    x and y are the (N,) coordinate columns.  The values are checked by
+    ``real_values`` and then by ``finite_values``.
     """
-    n = len(x)
-    vals = np.asarray(f(x, y))
+    return finite_values(real_values(f(x, y), len(x)), x, y)
+
+
+def real_values(vals, n):
+    """The values of a field at n points as a float array of shape (n,).
+
+    A field returns one value per point, or a single value (shape ()) for a
+    constant field; any other shape is an InvalidArgumentError, since it
+    would broadcast against the weights into a wrong number.  So are
+    complex and text values, which numpy would read as their real part or
+    as the number they spell; booleans (an indicator field) are 0 and 1.
+    A float64 array of shape (n,) is returned as it is, not copied.
+    """
+    vals = np.asarray(vals)
     if vals.dtype.kind not in "biuf" and (vals.dtype.kind != "O" or any(
             isinstance(v, (str, bytes, complex, np.complexfloating)) for v in vals.flat)):
         raise InvalidArgumentError("field values must be real numbers, got dtype %s" % vals.dtype)
@@ -96,8 +118,17 @@ def field_values(f, x, y):
             raise InvalidArgumentError("field values have shape %s, expected (%d,) or ()"
                                        % (vals.shape, n))
         vals = np.full(n, vals)
-    if not np.isfinite(vals).all():
-        i = int(np.argmax(~np.isfinite(vals)))
+    return vals
+
+
+def finite_values(vals, x, y):
+    """vals if every value is finite; else EvaluationError at the first point that is not.
+
+    The error's ``point`` is that point (x[i], y[i]) as a tuple of floats.
+    """
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i = int(np.argmin(finite))
         point = (float(x[i]), float(y[i]))
         raise EvaluationError("integrand is not finite at (%r, %r)" % point, point=point)
     return vals

@@ -132,11 +132,12 @@ def t_transform_bounds(ell, tau1, tau2, which):
     if (L == 0.0).any():
         raise InvalidArgumentError("edge line passes through the singularity")
     l2 = ell * ell
-    # +1 or -1: the r2/r3 pole on the edge's side of the foot, 0: the edge
-    # spans the foot; the formulas below scale by sigma and spans = 1 - |sigma|,
-    # exact factors 0 and +-1, to pick their form per edge
-    sigma = (np.asarray(tau1) >= 0.0) - (np.asarray(tau2) <= 0.0) * 1.0
-    spans = 1.0 - np.abs(sigma)
+    if which in ("r2", "r3"):
+        # +1 or -1: the pole on the edge's side of the foot, 0: the edge spans
+        # the foot; the formulas below scale by sigma and spans = 1 - |sigma|,
+        # exact factors 0 and +-1, to pick their form per edge
+        sigma = (np.asarray(tau1) >= 0.0) - (np.asarray(tau2) <= 0.0) * 1.0
+        spans = 1.0 - np.abs(sigma)
     if which == "r1":
         def fwd(tau):
             return np.log(L) + np.arcsinh(tau / L)
@@ -264,9 +265,10 @@ def _transformed_nodes(region, x0, which, t_rule):
         lo, hi, tau_of, dtau_of = t_transform_bounds(
             z.imag + (z.imag == 0.0), -foot, 1.0 - foot, which
         )
-        tt = lo + (hi - lo) * t_rule.nodes
+        width = hi - lo
+        tt = lo + width * t_rule.nodes
         t = foot + tau_of(tt)
-        tw = t_rule.weights * (hi - lo) * dtau_of(tt)
+        tw = t_rule.weights * width * dtau_of(tt)
     if t.min() >= 0.0 and t.max() <= 1.0:  # NaN fails both
         return t, tw, []
     unmapped = np.flatnonzero(~((t >= 0.0) & (t <= 1.0)).all(axis=1))

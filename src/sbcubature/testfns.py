@@ -322,26 +322,76 @@ class BilinearElement:
         from the larger component of a1 + a3*eta; one Newton step then
         removes the closed form's rounding.  A point so far outside that the
         quadratic has no real root maps to NaN.
+
+        The arrays are formed in place, but every element takes the same
+        IEEE operations, in the same order, as the expressions in the
+        comments, so the result is bit for bit theirs.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        if x.shape != y.shape:
+            x, y = np.broadcast_arrays(x, y)
+        if not x.ndim:  # a numpy scalar has no place to write into
+            return tuple(v[0] for v in self.to_reference(x[None], y[None]))
         a1, a2, a3 = self.a1, self.a2, self.a3
-        px, py = x - self.a0[0], y - self.a0[1]
+        px = np.subtract(x, self.a0[0], out=np.empty(x.shape))
+        py = np.subtract(y, self.a0[1], out=np.empty(x.shape))
+        tmp = np.empty(x.shape)
         A = a3[0] * a2[1] - a3[1] * a2[0]
-        B = (px * a3[1] - py * a3[0]) + (a1[0] * a2[1] - a1[1] * a2[0])
-        C = px * a1[1] - py * a1[0]
+        # B = (px * a3[1] - py * a3[0]) + (a1[0] * a2[1] - a1[1] * a2[0])
+        B = np.multiply(px, a3[1])
+        B -= np.multiply(py, a3[0], out=tmp)
+        B += a1[0] * a2[1] - a1[1] * a2[0]
+        # C = px * a1[1] - py * a1[0]
+        C = np.multiply(px, a1[1])
+        C -= np.multiply(py, a1[0], out=tmp)
+        # root = sqrt(B * B - 4.0 * A * C)
+        root = np.multiply(B, B)
+        root -= np.multiply(4.0 * A, C, out=tmp)
         with np.errstate(invalid="ignore"):
-            root = np.sqrt(B * B - 4.0 * A * C)
-        eta = 2.0 * C / (-B - np.copysign(root, B))
+            np.sqrt(root, out=root)
+        # eta = 2.0 * C / (-B - copysign(root, B))
+        np.copysign(root, B, out=root)
+        den = np.negative(B, out=B)
+        den -= root
+        C *= 2.0
+        eta = np.divide(C, den, out=C)
         # dx/dxi = a1 + a3*eta = u, dx/deta = a2 + a3*xi = v
-        ux, uy = a1[0] + a3[0] * eta, a1[1] + a3[1] * eta
-        use_x = np.abs(ux) >= np.abs(uy)
-        xi = np.where(use_x, px - a2[0] * eta, py - a2[1] * eta) / np.where(use_x, ux, uy)
-        vx, vy = a2[0] + a3[0] * xi, a2[1] + a3[1] * xi
-        rx = xi * ux + a2[0] * eta - px
-        ry = xi * uy + a2[1] * eta - py
-        det = ux * vy - vx * uy
-        return xi - (vy * rx - vx * ry) / det, eta - (ux * ry - uy * rx) / det
+        ux = np.multiply(a3[0], eta)
+        ux += a1[0]
+        uy = np.multiply(a3[1], eta)
+        uy += a1[1]
+        use_x = np.greater_equal(np.abs(ux, out=tmp), np.abs(uy, out=root))
+        # xi = where(use_x, px - a2[0] * eta, py - a2[1] * eta) / where(use_x, ux, uy)
+        xi = np.subtract(py, np.multiply(a2[1], eta, out=den), out=den)
+        np.copyto(xi, np.subtract(px, np.multiply(a2[0], eta, out=tmp), out=tmp), where=use_x)
+        np.copyto(root, uy)
+        np.copyto(root, ux, where=use_x)
+        xi /= root
+        vx = np.multiply(a3[0], xi)
+        vx += a2[0]
+        vy = np.multiply(a3[1], xi, out=root)
+        vy += a2[1]
+        # rx = xi * ux + a2[0] * eta - px, ry = xi * uy + a2[1] * eta - py
+        rx = np.multiply(xi, ux)
+        rx += np.multiply(a2[0], eta, out=tmp)
+        rx -= px
+        ry = np.multiply(xi, uy, out=px)
+        ry += np.multiply(a2[1], eta, out=tmp)
+        ry -= py
+        # det = ux * vy - vx * uy
+        det = np.multiply(ux, vy, out=py)
+        det -= np.multiply(vx, uy, out=tmp)
+        # xi - (vy * rx - vx * ry) / det, eta - (ux * ry - uy * rx) / det
+        vy *= rx
+        vy -= np.multiply(vx, ry, out=tmp)
+        vy /= det
+        xi -= vy
+        ux *= ry
+        ux -= np.multiply(uy, rx, out=tmp)
+        ux /= det
+        eta -= ux
+        return xi, eta
 
 
 # Element subregions with the discontinuity ray from the tip to the element's
@@ -360,15 +410,19 @@ def _stiffness_matrix():
     (s, t) has grad N_I = (s A + t B + s t E) / 4 and N_I = (1 + s xi + t eta
     + s t xi eta) / 4.  So grad N_I . grad N_J is a fixed form in the six dot
     products of A, B, E, and N_I (h . grad N_J) one in (1, xi, eta, xi eta)
-    times h.A, h.B, h.E.  Every entry is a multiple of 1/16, exact.
+    times h.A, h.B, h.E.  The features hold A.B, h.A, h.B and h.E times -1,
+    -2, 2 and 2, and the matrix undoes that.  Every entry is a multiple of
+    1/32, exact.
     """
     s, t = _XI_SIGNS.T
     g = np.column_stack([s, t, s * t])                # grad N_I over (A, B, E)
     n = np.column_stack([np.ones(4), s, t, s * t])    # N_I over (1, xi, eta, xi eta)
-    a, b = np.triu_indices(3)
+    # the pairs A.A, A.B, B.B, A.E, B.E, E.E
+    a, b = np.array([0, 0, 1, 0, 1, 2]), np.array([0, 1, 1, 2, 2, 2])
     grad = (g[:, None, a] * g[None, :, b] + g[:, None, b] * g[None, :, a]) * np.where(a == b, 0.5, 1.0)
     conv = n[:, None, :, None] * g[None, :, None, :]
-    return np.hstack([grad.reshape(16, 6), conv.reshape(16, 12)]) / 16.0
+    scale = np.concatenate([[1.0, -1.0, 1.0, 1.0, 1.0, 1.0], np.tile([-0.5, 0.5, 0.5], 4)])
+    return np.hstack([grad.reshape(16, 6), conv.reshape(16, 12)]) * scale / 16.0
 
 
 _STIFFNESS = _stiffness_matrix()
@@ -398,52 +452,61 @@ def _crack_stiffness(elem, xc, x, y):
 
     K[i, j] = grad N_i . grad N_j r sin(theta/2) + N_i (h . grad N_j), with
     h = (-sin(theta/2), cos(theta/2)) / 2, is ``_STIFFNESS`` @ F for 18
-    features F per point.
+    features F per point.  A = grad xi and B = grad eta are the rows of
+    inv(J) = adj(J) / det, so the features are formed from adj(J) with one
+    reciprocal of det per point: r sin(theta/2) / det^2 scales the three dot
+    products of the rows of adj(J), and 1 / det the two products of h with
+    them.  Each feature is written into its row of F, with one scratch row.
     """
     global _last_stiffness
     last = _last_stiffness
     if last is not None and last[0] is x and last[1] is y and last[2] is elem and last[3] == xc:
         return last[4]
-    px, py = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    px = np.asarray(x, dtype=float)
+    py = np.asarray(y, dtype=float)
+    if px.shape != py.shape:
+        px, py = np.broadcast_arrays(px, py)
     shape = px.shape
     px, py = px.ravel(), py.ravel()
     xi, eta = elem.to_reference(px, py)
     x_xi, x_eta, y_xi, y_eta, det = elem._jacobian(xi, eta)
-    # A = grad xi and B = grad eta are the rows of inv(J)
-    ax, ay = y_eta / det, x_eta / -det
-    bx, by = y_xi / -det, x_xi / det
-
-    def along_e(u, v, out):
-        """E.w = eta A.w + xi B.w from u = A.w and v = B.w."""
-        np.multiply(eta, u, out=out)
-        out += xi * v
-
+    # adj(J) rows: A det = (y_eta, -x_eta) and B det = (-y_xi, x_xi)
+    inv = np.divide(1.0, det, out=det)
     rx = px - xc[0]
     ry = py - xc[1]
-    half = 0.5 * np.arctan2(ry, rx)
+    half = np.arctan2(ry, rx)
+    half *= 0.5
     s = np.sin(half)
-    # rows A.A, A.B, A.E, B.B, B.E, E.E times r sin(theta/2) = sqrt(r) F, then
-    # (1, xi, eta, xi eta) times h.A, h.B, h.E, where sqrt(r) grad F = h
+    c = np.cos(half, out=half)
     F = np.empty((18, len(px)))
-    np.multiply(ax, ax, out=F[0])
-    F[0] += ay * ay
-    np.multiply(ax, bx, out=F[1])
-    F[1] += ay * by
-    np.multiply(bx, bx, out=F[3])
-    F[3] += by * by
-    along_e(F[0], F[1], out=F[2])
-    along_e(F[1], F[3], out=F[4])
-    along_e(F[2], F[4], out=F[5])
-    F[:6] *= np.hypot(rx, ry) * s
-    hx, hy = -0.5 * s, 0.5 * np.cos(half)
-    np.multiply(hx, ax, out=F[6])
-    F[6] += hy * ay
-    np.multiply(hx, bx, out=F[7])
-    F[7] += hy * by
-    along_e(F[6], F[7], out=F[8])
+    tmp = np.empty(len(px))
+
+    def pair(u1, v1, u2, v2, out, op=np.add):
+        """out = u1 v1 + u2 v2, or u1 v1 - u2 v2 with op=np.subtract."""
+        op(np.multiply(u1, v1, out=out), np.multiply(u2, v2, out=tmp), out=out)
+
+    # rows A.A, -A.B, B.B times r sin(theta/2) = sqrt(r) F, as the dot products
+    # of the rows of adj(J) times w = r sin(theta/2) / det^2; then A.E, B.E, E.E
+    pair(y_eta, y_eta, x_eta, x_eta, F[0])
+    pair(y_eta, y_xi, x_eta, x_xi, F[1])
+    pair(y_xi, y_xi, x_xi, x_xi, F[2])
+    w = np.hypot(rx, ry, out=rx)
+    w *= s
+    w *= inv
+    w *= inv
+    F[:3] *= w
+    pair(eta, F[0], xi, F[1], F[3], np.subtract)   # eta A.A + xi A.B
+    pair(xi, F[2], eta, F[1], F[4], np.subtract)   # xi B.B + eta A.B
+    pair(eta, F[3], xi, F[4], F[5])                # eta A.E + xi B.E
+    # -2 h.A, 2 h.B and 2 h.E, where sqrt(r) grad F = h; then their products
+    # with xi, eta and xi eta
+    pair(s, y_eta, c, x_eta, F[6])
+    pair(s, y_xi, c, x_xi, F[7])
+    F[6:8] *= inv
+    pair(xi, F[7], eta, F[6], F[8], np.subtract)   # xi 2 h.B + eta 2 h.A
     np.multiply(xi, F[6:9], out=F[9:12])
     np.multiply(eta, F[6:9], out=F[12:15])
-    np.multiply(xi * eta, F[6:9], out=F[15:18])
+    np.multiply(np.multiply(xi, eta, out=tmp), F[6:9], out=F[15:18])
     K = (_STIFFNESS @ F).reshape((4, 4) + shape)
     K.setflags(write=False)
     if _frozen(x) and _frozen(y):

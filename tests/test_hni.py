@@ -56,6 +56,15 @@ def test_homogeneity_spot_check_covers_every_quadrant():
     HomogeneousField(lambda x, y: np.asarray(x, dtype=float) ** 0.5 * y, 1.5)
 
 
+@pytest.mark.parametrize("h, q", [(lambda x, y: x + 1j * y, 1.0), (lambda x, y: "3", 0.0),
+                                  (lambda x, y: np.full(len(x), "3"), 0.0)],
+                         ids=["complex", "text", "text-array"])
+def test_a_field_of_values_that_are_not_real_numbers_is_rejected_when_made(h, q):
+    # numpy would check the real part of a complex value, and read "3" as 3
+    with pytest.raises(InvalidArgumentError, match="field values must be real numbers"):
+        HomogeneousField(h, q)
+
+
 def test_importing_the_library_loads_no_numpy_random():
     # every CLI run imports the library, and numpy.random takes 11-18 ms to
     # import where numpy itself does not load it (numpy 2), so the spot check

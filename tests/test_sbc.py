@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,9 @@ from conftest import POLYGON_NAMES, greens_poly, own_samples, same_bits
 from sbcubature.curves import Bezier, Curve, Segment
 from sbcubature.errors import EvaluationError, InvalidArgumentError
 from sbcubature.hni import HomogeneousField, hni_integrate
-from sbcubature.region import CenterPolicy, Region, polygon
+from sbcubature.region import CenterPolicy, Region, decompose, polygon
 from sbcubature.sbc import (
+    CubatureRule,
     assemble_rule,
     field_values,
     generate_rule,
@@ -281,6 +284,69 @@ def test_field_values_that_are_not_real_numbers_are_rejected():
     assert rule(lambda x, y: x > 2.0) == rule(lambda x, y: (x > 2.0).astype(float))
     vals = np.ones(len(rule))
     assert field_values(lambda x, y: vals, *rule._columns) is vals
+
+
+def _four_point_rule(weights=(1.0, 0.0, 2.0, 3.0)):
+    points = np.array([(0.0, 0.0), (0.25, 0.5), (0.5, 1.0), (0.75, 1.5)])
+    return CubatureRule(points, np.array(weights), np.zeros(4, dtype=int))
+
+
+def _with_values(values):
+    """A field with these values at the four points of ``_four_point_rule``."""
+    return lambda x, y: np.array(values, dtype=float)
+
+
+@pytest.mark.parametrize("values, first", [
+    ([1.0, 2.0, np.inf, 4.0], 2),
+    ([1.0, 2.0, 3.0, -np.inf], 3),
+    ([1.0, np.nan, 3.0, 4.0], 1),
+    ([1.0, np.inf, 3.0, 4.0], 1),        # at the point of weight 0: 0 * inf is NaN
+    ([np.inf, 2.0, -np.inf, 4.0], 0),    # inf - inf is NaN
+    (np.nan, 0),                         # a constant field
+], ids=["inf", "-inf", "nan", "inf-at-zero-weight", "inf-and-minus-inf", "constant-nan"])
+def test_a_non_finite_value_raises_at_its_point_with_no_numpy_warning(values, first):
+    rule = _four_point_rule()
+    f = _with_values(values)
+    with pytest.raises(EvaluationError) as e, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule(f)
+    assert e.value.point == tuple(rule.points[first].tolist())
+    with pytest.raises(EvaluationError) as checked:
+        field_values(f, *rule._columns)
+    assert checked.value.point == e.value.point and str(checked.value) == str(e.value)
+
+
+def test_a_sum_that_overflows_is_inf_with_the_warnings_of_its_dot_product():
+    rule = _four_point_rule()
+    values = np.array([1e308, 0.0, 1e308, 1e308])
+    with warnings.catch_warnings(record=True) as plain:
+        warnings.simplefilter("always")
+        want = np.dot(rule.weights, values)
+    with warnings.catch_warnings(record=True) as applied:
+        warnings.simplefilter("always")
+        got = rule(_with_values(values))
+    assert got == want == np.inf and type(got) is float
+    # numpy 2 reports the overflow of np.dot, numpy 1.24 does not
+    assert [(w.category, str(w.message)) for w in applied] == [(w.category, str(w.message)) for w in plain]
+
+
+@pytest.mark.filterwarnings("ignore:edge through the singularity")
+def test_applying_a_rule_is_the_dot_product_of_its_weights_and_values():
+    reg = lookup("nonconvex_star").make()
+    x0 = np.zeros(2)
+    idx, C, perp = decompose(reg, x0, np.linspace(0.05, 0.95, 7))
+    families = [
+        generate_rule(lookup("bezier").make(), CenterPolicy.VERTEX_AVERAGE, 5, 9),
+        generate_singular_rule(lookup("T2").make(), SingularSpec(xc=(0.0, 0.0), radial=GAUSS_JACOBI,
+                                                               t_transform="r2"), 0.7, 6, 7),
+        assemble_rule(idx, C, perp, x0, np.ones(1), np.array([0.25])),  # HNI's one-node radial rule
+    ]
+    fields = [lookup(name).field for name in ("p3", "fF1", "g2", "fC4")] + [lambda x, y: 2.5]
+    for rule in families:
+        for f in fields:
+            got = rule(f)
+            want = float(np.dot(rule.weights, field_values(f, *rule._columns)))
+            assert type(got) is float and same_bits(np.float64(got), np.float64(want))
 
 
 def test_a_single_field_value_is_a_constant_field():

@@ -215,6 +215,55 @@ def _ref_crack_numerators(elem, xc, x, y):
     ])
 
 
+# Reference for the crack-tip numerators as the kernel once formed them:
+# inv(J) by four divisions by det, the dot products of A, B, E scaled by
+# r sin(theta/2) after the E rows, and K = M @ F with the features in the
+# pair order of np.triu_indices(3).
+def _ref_crack_two_pass(elem, xc, x, y):
+    """The sixteen numerators at points (x, y), shape (16, N) in (i, j) order."""
+    s_, t_ = _SIGNS.T
+    g = np.column_stack([s_, t_, s_ * t_])
+    n = np.column_stack([np.ones(4), s_, t_, s_ * t_])
+    a, b = np.triu_indices(3)
+    grad = (g[:, None, a] * g[None, :, b] + g[:, None, b] * g[None, :, a]) * np.where(a == b, 0.5, 1.0)
+    conv = n[:, None, :, None] * g[None, :, None, :]
+    M = np.hstack([grad.reshape(16, 6), conv.reshape(16, 12)]) / 16.0
+    xi, eta = elem.to_reference(x, y)
+    x_xi, x_eta, y_xi, y_eta, det = elem._jacobian(xi, eta)
+    ax, ay = y_eta / det, x_eta / -det
+    bx, by = y_xi / -det, x_xi / det
+    rx, ry = x - xc[0], y - xc[1]
+    half = 0.5 * np.arctan2(ry, rx)
+    s = np.sin(half)
+    F = np.empty((18, len(x)))
+    F[0] = ax * ax + ay * ay
+    F[1] = ax * bx + ay * by
+    F[3] = bx * bx + by * by
+    F[2] = eta * F[0] + xi * F[1]
+    F[4] = eta * F[1] + xi * F[3]
+    F[5] = eta * F[2] + xi * F[4]
+    F[:6] *= np.hypot(rx, ry) * s
+    hx, hy = -0.5 * s, 0.5 * np.cos(half)
+    F[6] = hx * ax + hy * ay
+    F[7] = hx * bx + hy * by
+    F[8] = eta * F[6] + xi * F[7]
+    F[9:12] = xi * F[6:9]
+    F[12:15] = eta * F[6:9]
+    F[15:18] = xi * eta * F[6:9]
+    return M @ F
+
+
+def _crack_line_and_tip_points(element, dx):
+    """Points on the crack line y = 0.5 behind the tip, and within 1e-12 of the tip."""
+    left = {"Omega1": -0.98, "Omega2": 0.0}[element]
+    behind = np.linspace(left, dx, 40, endpoint=False)
+    phi = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    rho = np.repeat([1e-12, 1e-13, 1e-15], 16)
+    x = np.concatenate([behind, dx + rho * np.cos(np.tile(phi, 3)), [dx]])
+    y = np.concatenate([np.full(40, 0.5), 0.5 + rho * np.sin(np.tile(phi, 3)), [0.5]])
+    return x, y
+
+
 def _element_points(element, dx=1e-3):
     """Reference grid over the element, plus physical points near the tip."""
     elem = BilinearElement(_XFEM_NODES[element])
@@ -317,7 +366,17 @@ def test_crack_values_match_per_entry_newton_reference(element, dx):
                     # every numerator at every point, against that point's largest
                     pointwise = np.array([g(x, y) for g in fields])
                     assert (np.abs(pointwise - vals) <= 1e-14 * np.abs(vals).max(axis=0)).all()
+                    two_pass = _ref_crack_two_pass(elem, xc, x, y)
+                    assert (np.abs(pointwise - two_pass) <= 4e-15 * np.abs(two_pass).max(axis=0)).all()
                 assert np.abs(got - ref).sum() <= 1e-14 * np.abs(ref).sum()
+    # and on the crack line behind the tip, and next to the tip
+    x, y = _crack_line_and_tip_points(element, dx)
+    pointwise = np.array([g(x, y) for g in fields])
+    assert np.isfinite(pointwise).all()
+    vals = _ref_crack_numerators(elem, xc, x, y)
+    assert (np.abs(pointwise - vals) <= 1e-14 * np.abs(vals).max(axis=0)).all()
+    two_pass = _ref_crack_two_pass(elem, xc, x, y)
+    assert (np.abs(pointwise - two_pass) <= 4e-15 * np.abs(two_pass).max(axis=0)).all()
 
 
 @pytest.mark.filterwarnings("ignore:edge through the singularity")
