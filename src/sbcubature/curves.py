@@ -11,11 +11,11 @@ position and velocity.
 import numpy as np
 
 from . import exprlang
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, real_array
 
 
 def _check_t(t):
-    t = np.asarray(t, dtype=float)
+    t = real_array(t, "curve parameter")
     if not t.size:
         return t
     lo, hi = t.min(), t.max()
@@ -23,26 +23,6 @@ def _check_t(t):
     if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):
         raise InvalidArgumentError("curve parameter must lie in [0,1]")
     return np.clip(t, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else t
-
-
-def _floats(value, what):
-    """value as a float array, or InvalidArgumentError when it is not real and numeric.
-
-    Text, booleans and complex numbers are not coordinates here, though numpy
-    would convert "0.5", read True as 1 and drop an imaginary part with only
-    a warning, also beside real numbers as in [False, 0] or [1j, 0].
-    """
-    try:
-        raw = np.asarray(value)
-        # an array keeps its dtype; the items of a list are checked one by one
-        items = raw if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
-        if raw.dtype.kind in "SUbc" or items.dtype.kind == "O" and any(
-                isinstance(v, (str, bytes, bool, np.bool_, complex, np.complexfloating))
-                for v in items.flat):
-            raise TypeError
-        return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidArgumentError("%s must be numbers, got %r" % (what, value)) from None
 
 
 class Curve:
@@ -57,8 +37,8 @@ class Curve:
 
 class Segment(Curve):
     def __init__(self, a, b):
-        self.a = _floats(a, "segment endpoints")
-        self.b = _floats(b, "segment endpoints")
+        self.a = real_array(a, "segment endpoints")
+        self.b = real_array(b, "segment endpoints")
         if self.a.shape != (2,) or self.b.shape != (2,):
             raise InvalidArgumentError("segment endpoints must be 2-D points")
         self.d = self.b - self.a
@@ -89,7 +69,7 @@ class Bezier(Curve):
     """Polynomial Bezier curve, evaluated by de Casteljau's algorithm."""
 
     def __init__(self, control_points):
-        cp = _floats(control_points, "control points")
+        cp = real_array(control_points, "control points")
         if cp.ndim != 2 or cp.shape[1] != 2 or cp.shape[0] < 2:
             raise InvalidArgumentError("need at least two 2-D control points")
         self.control_points = cp
@@ -108,8 +88,8 @@ class RationalBezier(Curve):
     """Rational Bezier: projective de Casteljau plus a perspective divide."""
 
     def __init__(self, control_points, weights):
-        cp = _floats(control_points, "control points")
-        w = _floats(weights, "rational weights")
+        cp = real_array(control_points, "control points")
+        w = real_array(weights, "rational weights")
         if cp.ndim != 2 or cp.shape[1] != 2 or cp.shape[0] < 2:
             raise InvalidArgumentError("need at least two 2-D control points")
         if w.shape != (cp.shape[0],):

@@ -16,8 +16,8 @@ import functools
 import numpy as np
 
 from . import rules
-from .errors import InvalidArgumentError
-from .region import decompose, finite_or_nan
+from .errors import InvalidArgumentError, finite_or_nan
+from .region import decompose
 from .sbc import assemble_rule, real_values
 
 
@@ -38,8 +38,10 @@ class HomogeneousField:
     each quadrant; it cannot be proven for a black-box callable.  Only the
     points where both sides are finite are compared, so a field undefined
     off the first quadrant, such as x^0.5, passes on the points it has.
-    The values are checked as every rule checks them (``sbc.real_values``),
-    so a complex or text field is an InvalidArgumentError here already.
+    The values are read as every rule reads them (``sbc.real_values``), so a
+    field whose values are not real numbers, such as complex, text or None,
+    is an InvalidArgumentError here already: None, read as NaN, would pass
+    the spot check unseen.
     """
 
     def __init__(self, h, q):

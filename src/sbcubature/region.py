@@ -1,14 +1,14 @@
 """Closed planar regions bounded by an ordered counterclockwise chain of curves."""
 
 import math
-import numbers
+import reprlib
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Segment, _floats, sample_chain
-from .errors import InvalidArgumentError
+from .curves import Segment, sample_chain
+from .errors import InvalidArgumentError, finite_or_nan, real_array
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class CenterPolicy:
                     self.strategy, "needs" if k == wants else "takes no", k))
         if wants == "index":
             i = self.index  # int() alone would truncate 1.7 and read True as 1
-            if isinstance(i, bool) or not isinstance(i, numbers.Real) or i % 1:
+            if finite_or_nan(i) % 1:  # NaN, for what is no finite real number, is true too
                 raise InvalidArgumentError("vertex index must be an integer, got %r" % (i,))
             object.__setattr__(self, "index", int(i))
         if wants == "point":
@@ -46,22 +46,10 @@ class CenterPolicy:
 
 def finite_point(value, what):
     """value as a tuple of two finite floats, or InvalidArgumentError naming what."""
-    p = _floats(value, what)
+    p = real_array(value, what)
     if p.shape != (2,) or not all(map(math.isfinite, p.tolist())):
         raise InvalidArgumentError("%s must be two finite numbers, got %r" % (what, value))
     return tuple(p.tolist())
-
-
-def finite_or_nan(value):
-    """value as a float if it is a finite real number, else NaN, which fails every range check."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # float(True) is 1.0
-        return math.nan
-    try:
-        # compared as float: a bound cast to a narrow numpy scalar's type overflows
-        value = float(value)
-    except OverflowError:  # an int beyond the float range
-        return math.nan
-    return value if math.isfinite(value) else math.nan
 
 
 CenterPolicy.ORIGIN = CenterPolicy("origin")
@@ -88,6 +76,10 @@ class Region:
         curves = tuple(curves)
         if not curves:
             raise InvalidArgumentError("region needs at least one curve")
+        for i, c in enumerate(curves):
+            if not (callable(getattr(c, "position", None)) and callable(getattr(c, "velocity", None))):
+                raise InvalidArgumentError("boundary item %d is not a curve with position and "
+                                           "velocity methods: %s" % (i, reprlib.repr(c)))
         self._curves = curves
         # positions only: a velocity may be infinite at an endpoint
         pts = check_finite(sample_chain(curves, np.linspace(0.0, 1.0, 64), velocity=False)[0])
@@ -211,7 +203,7 @@ def check_finite(a, what="is not finite on [0, 1]"):
 
 def polygon(vertices):
     """Region whose boundary is the closed polyline through the given (k, 2) vertices."""
-    v = _floats(vertices, "polygon vertices")
+    v = real_array(vertices, "polygon vertices")
     if v.ndim != 2 or v.shape[1] != 2:
         raise InvalidArgumentError("polygon vertices must be 2-D points, got shape %s" % (v.shape,))
     return Region([Segment(v[i], v[(i + 1) % len(v)]) for i in range(len(v))])
@@ -247,7 +239,7 @@ def decompose(region, x0, t):
     ``Region.boundary_samples`` describes.
     """
     C, N, speed = region.boundary_samples(t)
-    perp = np.einsum("...i,...i->...", C - np.asarray(x0, dtype=float), N)
+    perp = np.einsum("...i,...i->...", C - real_array(x0, "center"), N)
     keep = (np.abs(perp).max(axis=1, initial=0.0) > 1e-14 * region.scale() * speed) | np.isinf(speed)
     if keep.all():
         return np.arange(len(keep)), C, perp

@@ -30,8 +30,7 @@ from math import gamma
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .region import finite_or_nan
+from .errors import InvalidArgumentError, finite_or_nan
 
 # Legendre rules with more than N0 nodes are built by Newton, the rest by
 # Golub-Welsch (see the module docstring)

@@ -48,7 +48,7 @@ from math import ceil, isfinite
 import numpy as np
 
 from . import rules
-from .errors import EvaluationError, InvalidArgumentError
+from .errors import EvaluationError, InvalidArgumentError, real_array
 from .region import decompose, resolve_center
 
 
@@ -66,13 +66,13 @@ class CubatureRule:
     def __call__(self, f):
         """Apply the rule to a scalar field f(x, y): the weighted sum of its values.
 
-        The values are checked as in ``field_values``, but the sum comes
-        first: 0 * inf and inf - inf are NaN, so a finite sum proves every
-        value finite, and the search for a non-finite point runs only when
-        the sum is not finite.  That search raises the same EvaluationError,
-        naming the same point, as ``field_values``.  If every value is finite
-        the sum overflowed, and it is taken again outside the errstate, so
-        the caller gets that inf with numpy's own warning, if any.
+        The values are read by ``real_values``, and the sum comes first:
+        0 * inf and inf - inf are NaN, so a finite sum proves every value
+        finite, and ``finite_values``, the search that raises EvaluationError
+        at the first non-finite point, runs only when the sum is not finite.
+        If every value is finite the sum overflowed, and it is taken again
+        outside the errstate, so the caller gets that inf with numpy's own
+        warning, if any.
         """
         x, y = self._columns
         vals = real_values(f(x, y), len(x))
@@ -89,30 +89,17 @@ class CubatureRule:
         return self.points[:, 0], self.points[:, 1]
 
 
-def field_values(f, x, y):
-    """Values of the scalar field f(x, y) at the points (x, y), all finite, shape (N,).
-
-    x and y are the (N,) coordinate columns.  The values are checked by
-    ``real_values`` and then by ``finite_values``.
-    """
-    return finite_values(real_values(f(x, y), len(x)), x, y)
-
-
 def real_values(vals, n):
     """The values of a field at n points as a float array of shape (n,).
 
-    A field returns one value per point, or a single value (shape ()) for a
-    constant field; any other shape is an InvalidArgumentError, since it
-    would broadcast against the weights into a wrong number.  So are
-    complex and text values, which numpy would read as their real part or
-    as the number they spell; booleans (an indicator field) are 0 and 1.
-    A float64 array of shape (n,) is returned as it is, not copied.
+    The values are read by ``errors.real_array``, booleans (an indicator
+    field) as 0 and 1.  A field returns one value per point, or a single
+    value (shape ()) for a constant field; any other shape is an
+    InvalidArgumentError, since it would broadcast against the weights into
+    a wrong number.  A float64 array of shape (n,) is returned as it is,
+    not copied.
     """
-    vals = np.asarray(vals)
-    if vals.dtype.kind not in "biuf" and (vals.dtype.kind != "O" or any(
-            isinstance(v, (str, bytes, complex, np.complexfloating)) for v in vals.flat)):
-        raise InvalidArgumentError("field values must be real numbers, got dtype %s" % vals.dtype)
-    vals = np.asarray(vals, dtype=float)  # no copy of a float64 array
+    vals = real_array(vals, "field values", bools=True)
     if vals.shape != (n,):
         if vals.shape:
             raise InvalidArgumentError("field values have shape %s, expected (%d,) or ()"

@@ -35,8 +35,8 @@ import numpy as np
 
 from . import rules
 from .curves import Segment
-from .errors import InvalidArgumentError
-from .region import decompose, finite_point, finite_or_nan
+from .errors import InvalidArgumentError, finite_or_nan
+from .region import decompose, finite_point
 from .sbc import assemble_rule
 
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import Bezier, ParametricCurve, RationalBezier, Segment
-from .errors import InvalidArgumentError, NotFoundError
-from .region import Region, finite_or_nan, polygon
+from .errors import InvalidArgumentError, NotFoundError, finite_or_nan
+from .region import Region, polygon
 from .tmvi import egg_domain
 
 

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import rules
 from .curves import Curve, _check_t, sample_chain
-from .errors import InvalidArgumentError
-from .region import Region, finite_or_nan
-from .sbc import field_values
+from .errors import InvalidArgumentError, finite_or_nan, real_array
+from .region import Region
+from .sbc import finite_values, real_values
 
 
 # Step in t of the secants that meet at each curve junction in the convexity test
@@ -94,9 +94,11 @@ class EggCurve(Curve):
     th = 2 pi t, with exact derivative."""
 
     def __init__(self, a=4.0, b=5.0, r=1.0):
-        if b - abs(r) <= 0:
-            raise InvalidArgumentError("need b > |r| for a non-degenerate oval")
-        self.a, self.b, self.r = float(a), float(b), float(r)
+        # NaN stands for a parameter that is not a finite real number, and fails the test
+        self.a, self.b, self.r = (finite_or_nan(v) for v in (a, b, r))
+        if not (self.b - abs(self.r) > 0 and np.isfinite(self.a)):
+            raise InvalidArgumentError("need finite real a, b and r with b > |r| for a "
+                                       "non-degenerate oval, got %r" % ((a, b, r),))
 
     def position(self, t):
         th = 2.0 * np.pi * _check_t(t)
@@ -250,7 +252,7 @@ def evaluate_masked(loop, x, n_t=256, g=None, p=None):
         if not finite_or_nan(p) >= 1:
             raise InvalidArgumentError("p must be finite and >= 1, got %r" % (p,))
         p = float(p)
-    x = np.asarray(x, dtype=float)
+    x = real_array(x, "points")
     if x.shape == (2,):
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != 2:
@@ -260,7 +262,7 @@ def evaluate_masked(loop, x, n_t=256, g=None, p=None):
     if g is None:
         W = w[:, None]
     else:
-        W = np.column_stack([w, field_values(g, C[:, 0], C[:, 1]) * w])
+        W = np.column_stack([w, finite_values(real_values(g(*C.T), len(C)), *C.T) * w])
     sums, d = _scaled_kernel(C, R, x, 3.0 if p is None else 2.0 + p, W)
     S = sums[:, 0]
     inside = (d > 1e-9 * loop.scale()) & (S > 0.0)

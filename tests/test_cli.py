@@ -412,7 +412,7 @@ def test_center_flag_and_domain_x0_give_the_same_rule(tmp_path, capsys, square_f
     ({"strategy": "vertex", "index": 1, "point": [1, 2]}, "center strategy 'vertex' takes no point"),
     ({"strategy": "custom", "index": 1, "point": [1, 2]}, "center strategy 'custom' takes no index"),
     ({"strategy": "custom", "point": [0.5, 0.5, 9.0]}, "custom center point must be two finite"),
-    ({"strategy": "custom", "point": "ab"}, "custom center point must be numbers"),
+    ({"strategy": "custom", "point": "ab"}, "custom center point must be real numbers"),
     ({"strategy": ["origin"]}, "unknown center strategy"),
 ], ids=["vertex-bool", "vertex-fraction", "vertex-negative-fraction", "vertex-string",
         "vertex-without-index", "origin-with-point", "vertex-average-with-index",

@@ -80,7 +80,7 @@ def test_rational_validation():
         "rational-weights"])
 def test_numeric_text_is_not_a_coordinate(make):
     # numpy would read "0.5" as 0.5; a curve takes numbers only
-    with pytest.raises(InvalidArgumentError, match="must be numbers"):
+    with pytest.raises(InvalidArgumentError, match="must be real numbers"):
         make()
 
 
@@ -99,7 +99,7 @@ def test_numeric_text_is_not_a_coordinate(make):
         "rational-weights-bool-array"])
 def test_a_boolean_is_not_a_coordinate(make):
     # numpy would read True as 1.0, even beside numbers as in [1, False]
-    with pytest.raises(InvalidArgumentError, match="must be numbers"):
+    with pytest.raises(InvalidArgumentError, match="must be real numbers"):
         make()
 
 
@@ -114,7 +114,7 @@ def test_a_boolean_is_not_a_coordinate(make):
         "rational-weights"])
 def test_a_complex_number_is_not_a_coordinate(make):
     # numpy would drop the imaginary part with only a ComplexWarning
-    with pytest.raises(InvalidArgumentError, match="must be numbers"):
+    with pytest.raises(InvalidArgumentError, match="must be real numbers"):
         make()
 
 
@@ -287,3 +287,60 @@ def test_rational_homogeneous_evaluation_matches_quotient():
     np.testing.assert_allclose(r.position(t), num / den[:, None], atol=1e-14)
     ti = t[1:-1]
     np.testing.assert_allclose(r.velocity(ti), central_diff(r, ti), atol=1e-7)
+
+
+@pytest.mark.parametrize("t, entry", [
+    ("0.5", "'0.5'"),
+    (["0.5"], "'0.5'"),
+    (True, "True"),
+    ([0.25, False], "False"),
+    (np.array([0.5 + 1j]), "(0.5+1j)"),
+    ([0.5 + 1j], "(0.5+1j)"),
+    (None, "None"),
+], ids=["text", "text-list", "bool", "bool-in-list", "complex-array", "complex-list", "none"])
+@pytest.mark.parametrize("curve", [Segment((0, 0), (1, 0)), CUBIC, ParametricCurve("t", "t^2")],
+                         ids=["segment", "bezier", "parametric"])
+def test_a_curve_parameter_must_be_real_numbers(curve, t, entry):
+    # numpy would read "0.5" as 0.5, True as 1 and keep the real part of 0.5+1j
+    for method in (curve.position, curve.velocity):
+        with pytest.raises(InvalidArgumentError) as e:
+            method(t)
+        assert str(e.value) == "curve parameter must be real numbers, got " + entry
+
+
+def test_a_decimal_is_not_a_coordinate_and_a_fraction_is():
+    from decimal import Decimal
+    from fractions import Fraction
+
+    for make in (lambda: Segment((Decimal(0), 0), (1, 0)),
+                 lambda: Bezier([(0, 0), (0.5, Decimal("1")), (1, 0)]),
+                 lambda: RationalBezier([(0, 0), (0.5, 1), (1, 0)], [1, Decimal(2), 1])):
+        with pytest.raises(InvalidArgumentError, match=r"must be real numbers, got Decimal\("):
+            make()
+    third = Fraction(1, 3)
+    assert Segment((third, 0), (1, third)).a.tolist() == [1 / 3, 0.0]
+    assert Bezier([(0, 0), (third, 1), (1, 0)]).position(0.5).tolist() == [1 / 3 * 0.5 + 0.25, 0.5]
+    t = Segment((0, 0), (1, 0)).position(Fraction(1, 4))
+    assert t.tolist() == [0.25, 0.0]
+
+
+def test_a_coordinate_beyond_the_float_range_is_rejected():
+    for make in (lambda: Segment((10**400, 0), (1, 0)),
+                 lambda: Bezier([(0, 0), (0.5, -(10**400)), (1, 0)])):
+        with pytest.raises(InvalidArgumentError, match="must be real numbers, got -?1000"):
+            make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Segment((0, 0, 0), (1, 0)),
+    lambda: Segment((0, 0), 1),
+    lambda: Bezier([(0, 0)]),
+    lambda: Bezier([0, 1, 2]),
+    lambda: Bezier([(0, 0, 0), (1, 0, 0)]),
+    lambda: RationalBezier([(0, 0)], [1]),
+    lambda: RationalBezier([(0, 0, 1), (1, 0, 1)], [1, 1]),
+], ids=["segment-3d", "segment-scalar", "bezier-one-point", "bezier-flat", "bezier-3d",
+        "rational-one-point", "rational-3d"])
+def test_curves_need_two_dimensional_points(make):
+    with pytest.raises(InvalidArgumentError, match="2-D"):
+        make()

@@ -217,6 +217,14 @@ def test_deep_expressions_raise_parse_error(src):
         parse(src)
 
 
+def test_an_expression_beyond_the_parser_s_own_limits_is_a_parse_error():
+    # CPython's parser gives up on this nesting before exprlang counts its depth
+    src = "-" * 100000 + "x"
+    with pytest.raises(ParseError, match="expression too large for the parser") as e:
+        parse(src)
+    assert str(e.value).endswith("(at offset %d)" % len(src))
+
+
 def test_nesting_limit():
     limit = exprlang._MAX_DEPTH
     for make in (lambda k: "+".join(["x"] * k), lambda k: "-" * (k - 1) + "x",

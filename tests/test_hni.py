@@ -1,3 +1,6 @@
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,21 @@ def test_a_field_of_values_that_are_not_real_numbers_is_rejected_when_made(h, q)
     # numpy would check the real part of a complex value, and read "3" as 3
     with pytest.raises(InvalidArgumentError, match="field values must be real numbers"):
         HomogeneousField(h, q)
+
+
+@pytest.mark.parametrize("h, entry", [(lambda x, y: None, "None"),
+                                      (lambda x, y: [object()] * len(x), "<object objec"),
+                                      (lambda x, y: [Decimal(1)] * len(x), "Decimal('1')")],
+                         ids=["none", "objects", "decimals"])
+def test_a_field_that_returns_no_numbers_is_rejected_when_made(h, entry):
+    # numpy would read None as NaN, which the spot check skips, and Decimal as a float
+    with pytest.raises(InvalidArgumentError) as e:
+        HomogeneousField(h, 1.0)
+    assert str(e.value).startswith("field values must be real numbers, got " + entry)
+    # a Fraction is a real number
+    region = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    third = HomogeneousField(lambda x, y: [Fraction(1, 3)] * len(x), 0)
+    assert hni_integrate(region, third, 4) == pytest.approx(1 / 3, rel=1e-15)
 
 
 def test_importing_the_library_loads_no_numpy_random():

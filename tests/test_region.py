@@ -1,3 +1,6 @@
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -452,10 +455,10 @@ def test_zero_length_segment_rejected():
 
 
 @pytest.mark.parametrize("vertices, message", [
-    ([("0", "0"), ("1", "0"), ("1", "1"), ("0", "1")], "must be numbers"),
-    ([(False, 0), (1, 0), (1, 1), (0, 1)], "must be numbers"),
-    ([(0, 0), (1, 1j), (1, 1), (0, 1)], "must be numbers"),
-    ([(0, 0), (1, 0, 0), (1, 1)], "must be numbers"),
+    ([("0", "0"), ("1", "0"), ("1", "1"), ("0", "1")], "must be real numbers"),
+    ([(False, 0), (1, 0), (1, 1), (0, 1)], "must be real numbers"),
+    ([(0, 0), (1, 1j), (1, 1), (0, 1)], "must be real numbers"),
+    ([(0, 0), (1, 0, 0), (1, 1)], "must be real numbers"),
     ([0, 1, 2], r"must be 2-D points, got shape \(3,\)"),
     (np.zeros((4, 3)), r"must be 2-D points, got shape \(4, 3\)"),
 ], ids=["text", "bool", "complex", "ragged", "flat", "three-coordinates"])
@@ -486,6 +489,71 @@ def test_non_finite_geometry_and_center_are_rejected(unit_square):
         polygon([(np.nan, 0), (1, 0), (1, 1)])
     with pytest.raises(InvalidArgumentError):
         resolve_center(unit_square, CenterPolicy.custom((0.5, np.inf)))
+
+
+def test_a_vertex_that_is_not_a_real_number_is_named():
+    # NaN, from numpy reading None, used to surface as a non-finite curve
+    for vertices, entry in (([(0, 0), (1, 0), (None, 1)], "None"),
+                            ([(0, 0), (1, 0), (Decimal(1), 1)], "Decimal('1')")):
+        with pytest.raises(InvalidArgumentError) as e:
+            polygon(vertices)
+        assert str(e.value) == "polygon vertices must be real numbers, got " + entry
+    third = Fraction(1, 3)
+    assert polygon([(0, 0), (1, 0), (third, 1)]).vertices.tolist() == [[0, 0], [1, 0], [1 / 3, 1]]
+
+
+@pytest.mark.parametrize("x0, entry", [
+    (("1", "1"), "'1'"),
+    ((1 + 1j, 1), "(1+1j)"),
+    (np.array([0.5, 0.5 + 0j]), "(0.5+0j)"),
+    ((0.5, None), "None"),
+    ((True, 0.5), "True"),
+], ids=["text", "complex", "complex-array", "none", "bool"])
+def test_a_center_that_is_not_real_numbers_is_named(unit_square, x0, entry):
+    t = np.linspace(0.1, 0.9, 5)
+    with pytest.raises(InvalidArgumentError) as e:
+        decompose(unit_square, x0, t)
+    assert str(e.value) == "center must be real numbers, got " + entry
+
+
+def test_nodes_that_are_not_real_numbers_are_named(unit_square):
+    for t in (["0.5"], [0.25, True], np.array([0.5 + 0j])):
+        with pytest.raises(InvalidArgumentError, match="curve parameter must be real numbers"):
+            decompose(unit_square, (0.5, 0.5), t)
+    # a list of numbers and a Fraction center are read as numbers
+    want = decompose(unit_square, np.array([0.25, 0.5]), np.array([0.25, 0.5]))
+    got = decompose(unit_square, (Fraction(1, 4), 0.5), [0.25, Fraction(1, 2)])
+    for a, b in zip(got, want):
+        assert same_bits(np.asarray(a), np.asarray(b))
+
+
+class Hook:
+    """A boundary curve by duck typing: position and velocity, no Curve base class."""
+
+    def position(self, t):
+        return Segment((0, 0), (1, 0)).position(t)
+
+    def velocity(self, t):
+        return Segment((0, 0), (1, 0)).velocity(t)
+
+
+@pytest.mark.parametrize("items, index, shown", [
+    ([Segment((0, 0), (1, 0)), "x"], 1, "'x'"),
+    ([((0, 0), (1, 0))], 0, "((0, 0), (1, 0))"),
+    ([Segment((0, 0), (1, 0)), Segment((1, 0), (0, 1)), None], 2, "None"),
+    ([type("HalfCurve", (), {"position": Hook.position, "velocity": 1.0})()], 0, "<"),
+], ids=["text", "pair-of-points", "none", "velocity-not-callable"])
+def test_a_boundary_item_that_is_not_a_curve_is_named(items, index, shown):
+    with pytest.raises(InvalidArgumentError) as e:
+        Region(items)
+    assert str(e.value).startswith("boundary item %d is not a curve with position and velocity "
+                                   "methods: %s" % (index, shown))
+
+
+def test_a_curve_need_not_derive_from_curve():
+    region = Region([Hook(), Segment((1, 0), (0, 1)), Segment((0, 1), (0, 0))])
+    assert integrate(region, CenterPolicy.VERTEX_AVERAGE, lambda x, y: np.ones_like(x), 2, 2) == \
+        pytest.approx(0.5, rel=1e-14)
 
 
 class CountingSegment(Segment):

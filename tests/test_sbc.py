@@ -1,4 +1,6 @@
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,11 +15,12 @@ from sbcubature.region import CenterPolicy, Region, decompose, polygon
 from sbcubature.sbc import (
     CubatureRule,
     assemble_rule,
-    field_values,
+    finite_values,
     generate_rule,
     integrate,
     min_orders_curved,
     min_orders_polygon,
+    real_values,
 )
 from sbcubature.singular import GAUSS_JACOBI, SingularSpec, generate_singular_rule
 from sbcubature.testfns import _POLY_MONOMIALS, lookup
@@ -283,7 +286,41 @@ def test_field_values_that_are_not_real_numbers_are_rejected():
     # an indicator field is 0 and 1, and a float64 field is not copied
     assert rule(lambda x, y: x > 2.0) == rule(lambda x, y: (x > 2.0).astype(float))
     vals = np.ones(len(rule))
-    assert field_values(lambda x, y: vals, *rule._columns) is vals
+    assert real_values(vals, len(rule)) is vals
+
+
+@pytest.mark.parametrize("f, entry", [
+    (lambda x, y: None, "None"),
+    (lambda x, y: [None] * len(x), "None"),
+    (lambda x, y: [object()] * len(x), "<object objec"),
+    (lambda x, y: [Decimal("0.5")] * len(x), "Decimal('0.5')"),
+    (lambda x, y: Decimal("0.5"), "Decimal('0.5')"),
+    (lambda x, y: [1.0] * (len(x) - 1) + ["3"], "'3'"),
+], ids=["none", "list-of-none", "objects", "decimals", "decimal", "text-in-a-list"])
+def test_field_values_that_are_not_real_numbers_name_the_first(f, entry):
+    # numpy would read None as NaN and Decimal as a float, and float() an object raises TypeError
+    rule = generate_rule(lookup("convex_quad").make(), CenterPolicy.VERTEX_AVERAGE, 3, 3)
+    with pytest.raises(InvalidArgumentError) as e:
+        rule(f)
+    assert str(e.value).startswith("field values must be real numbers, got " + entry)
+
+
+def test_a_list_of_field_values_is_read_as_its_array():
+    rule = generate_rule(lookup("convex_quad").make(), CenterPolicy.VERTEX_AVERAGE, 3, 3)
+    x, _ = rule._columns
+    for as_list, as_array in ((lambda x, y: [float(v) for v in x], lambda x, y: x),
+                              (lambda x, y: [np.bool_(v) for v in x > 2.0], lambda x, y: x > 2.0),
+                              (lambda x, y: [Fraction(1, 3)] * len(x), lambda x, y: np.full(len(x), 1 / 3))):
+        assert same_bits(np.float64(rule(as_list)), np.float64(rule(as_array)))
+
+
+def test_a_bad_value_in_a_large_field_gives_a_short_message():
+    rule = generate_rule(lookup("convex_quad").make(), CenterPolicy.VERTEX_AVERAGE, 32, 32)
+    assert len(rule) == 4096
+    for bad in ("x" * 500, 1j, None, object()):
+        with pytest.raises(InvalidArgumentError) as e:
+            rule(lambda x, y: np.array([0.5] * 4095 + [bad], dtype=object))
+        assert len(str(e.value)) < 200
 
 
 def _four_point_rule(weights=(1.0, 0.0, 2.0, 3.0)):
@@ -312,7 +349,7 @@ def test_a_non_finite_value_raises_at_its_point_with_no_numpy_warning(values, fi
         rule(f)
     assert e.value.point == tuple(rule.points[first].tolist())
     with pytest.raises(EvaluationError) as checked:
-        field_values(f, *rule._columns)
+        finite_values(real_values(f(*rule._columns), len(rule)), *rule._columns)
     assert checked.value.point == e.value.point and str(checked.value) == str(e.value)
 
 
@@ -345,7 +382,8 @@ def test_applying_a_rule_is_the_dot_product_of_its_weights_and_values():
     for rule in families:
         for f in fields:
             got = rule(f)
-            want = float(np.dot(rule.weights, field_values(f, *rule._columns)))
+            want = float(np.dot(rule.weights, finite_values(real_values(f(*rule._columns), len(rule)),
+                                                            *rule._columns)))
             assert type(got) is float and same_bits(np.float64(got), np.float64(want))
 
 

@@ -385,6 +385,36 @@ def test_t_transform_requires_segments():
         integrate_singular(reg, SplitIntegrand(ones, 1.0), spec, 4, 4)
 
 
+def test_an_int_beyond_the_float_range_is_no_beta_and_no_alpha(unit_square):
+    spec = SingularSpec(xc=(-1.0, -1.0), radial=GAUSS_JACOBI)
+    for beta in (10**400, -(10**400)):
+        with pytest.raises(InvalidArgumentError, match=r"beta must lie in \(0, 2\)"):
+            generate_singular_rule(unit_square, spec, beta, 4, 4)
+    with pytest.raises(InvalidArgumentError, match="generalized-SB alpha must be positive and finite"):
+        GeneralizedSB(10**400)
+    # a Fraction is a real number, a Decimal is not one
+    from decimal import Decimal
+    from fractions import Fraction
+
+    want = generate_singular_rule(unit_square, spec, 0.5, 4, 5)
+    got = generate_singular_rule(unit_square, spec, Fraction(1, 2), 4, 5)
+    assert got.weights.tobytes() == want.weights.tobytes()
+    with pytest.raises(InvalidArgumentError, match=r"beta must lie in \(0, 2\)"):
+        generate_singular_rule(unit_square, spec, Decimal("0.5"), 4, 5)
+
+
+@pytest.mark.filterwarnings("ignore:edge through the singularity")
+def test_r1_cannot_resolve_an_edge_whose_line_passes_too_near_xc():
+    # xc lies 2e-15 above the bottom edge, so that edge counts but its
+    # r1 map is singular; the two near-degenerate edges are skipped
+    sliver = polygon([(0, 0), (1, 0), (1, 1e-14)])
+    for radial in (None, GAUSS_JACOBI):
+        spec = SingularSpec(xc=(0.5, 2e-15), radial=radial, t_transform="r1")
+        with pytest.raises(InvalidArgumentError,
+                           match="the r1 t-transform cannot resolve curve 1: xc is too close to its line"):
+            generate_singular_rule(sliver, spec, 0.5, 4, 8)
+
+
 def test_beta_range_validation(unit_square):
     # one range, 0 < beta < 2, for every radial strategy and t-transform: the
     # radial factor xi^(1 - beta) is not integrable beyond it, and the plain

@@ -474,3 +474,32 @@ def test_crack_tip_offset_must_be_a_finite_number(dx):
     # a narrow numpy float is read as its float64 value, without a warning
     for narrow in (np.float32(0.25), np.float16(0.25)):
         assert xfem_integrands("Omega2", narrow)[3][0] == 0.25
+
+
+@pytest.mark.parametrize("element", sorted(_XFEM_NODES))
+def test_to_reference_broadcasts_unequal_shapes_and_maps_scalars(element):
+    elem = BilinearElement(_XFEM_NODES[element])
+    x = np.linspace(-0.5, 0.8, 6)
+    xi, eta = elem.to_reference(x, np.full(6, 0.4))
+    for y in (0.4, np.float64(0.4), np.full(1, 0.4)):
+        got = elem.to_reference(x, y)
+        assert got[0].tobytes() == xi.tobytes() and got[1].tobytes() == eta.tobytes()
+    grid = elem.to_reference(x[:, None], np.full((1, 3), 0.4))
+    assert grid[0].shape == (6, 3)
+    assert grid[0].tobytes() == np.repeat(xi, 3).tobytes()
+    assert grid[1].tobytes() == np.repeat(eta, 3).tobytes()
+    for i in range(6):
+        for xs, ys in ((x[i], 0.4), (float(x[i]), np.float64(0.4))):
+            s = elem.to_reference(xs, ys)
+            assert np.shape(s[0]) == () and (s[0], s[1]) == (xi[i], eta[i])
+
+
+def test_crack_fields_broadcast_points_of_unequal_shapes():
+    fields = xfem_integrands("Omega2", 0.1)[1]
+    x = np.linspace(0.2, 0.8, 6)
+    y = np.full(6, 0.3)
+    for a, b in ((x, 0.3), (x, np.float64(0.3)), (0.5, y), (x[:, None], y[None, :2])):
+        same = [np.array(v) for v in np.broadcast_arrays(a, b)]
+        for f in fields:
+            want = f(*same)
+            assert want.shape == same[0].shape and f(a, b).tobytes() == want.tobytes()

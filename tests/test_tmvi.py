@@ -128,6 +128,34 @@ def test_egg_curve_checks_its_parameter(t):
             method(t)
 
 
+@pytest.mark.parametrize("args", [("4",), (True, 5, 1), ("4", "5", "1"), (4, 5, np.nan),
+                                  (4, np.inf, 1), (None,), (1j,), (4, 5, 10**400)],
+                         ids=["text-a", "bool-a", "text", "nan-r", "inf-b", "none-a", "complex-a",
+                              "huge-r"])
+def test_egg_parameters_must_be_finite_real_numbers(args):
+    # float() would read "4" as 4.0 and True as 1.0, and abs("1") raises TypeError
+    for make in (EggCurve, egg_domain):
+        with pytest.raises(InvalidArgumentError, match=r"need finite real a, b and r with b > \|r\|"):
+            make(*args)
+
+
+@pytest.mark.parametrize("b, r", [(1, 1), (1, -1), (1, 2), (0, 0), (-1, 0.5)])
+def test_egg_curve_needs_b_above_abs_r(b, r):
+    with pytest.raises(InvalidArgumentError, match=r"b > \|r\|"):
+        EggCurve(4, b, r)
+
+
+def test_egg_parameters_may_be_any_real_numbers():
+    from fractions import Fraction
+
+    t = np.linspace(0.0, 1.0, 9)
+    want = EggCurve(4.0, 5.0, -1.0)
+    for args in ((4, 5, -1), (Fraction(4), np.int8(5), np.float32(-1.0))):
+        got = EggCurve(*args)
+        assert (got.a, got.b, got.r) == (4.0, 5.0, -1.0)
+        assert got.position(t).tobytes() == want.position(t).tobytes()
+
+
 def test_linear_precision_on_egg():
     loop = egg_domain()
     rng = np.random.default_rng(7)
@@ -369,6 +397,35 @@ def test_kernel_threads_live_only_for_the_call(started_threads):
     assert len(started_threads) == 2 * (tmvi._thread_count(9) - 1)
 
 
+def test_an_exception_in_a_started_thread_reaches_the_caller(monkeypatch):
+    # two threads; the caller's first block waits until a started thread's block has raised
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    loop = hexagon_loop()
+    x = many_block_points(loop, 128)
+    caller, failed, matmul = threading.current_thread(), threading.Event(), np.matmul
+
+    def matmul_failing_off_the_caller(*args, **kwargs):
+        if threading.current_thread() is not caller:
+            failed.set()
+            raise RuntimeError("block failed")
+        failed.wait(30.0)
+        return matmul(*args, **kwargs)
+
+    before = threading.active_count()
+    monkeypatch.setattr(np, "matmul", matmul_failing_off_the_caller)
+    with pytest.raises(RuntimeError, match="block failed"):
+        evaluate_masked(loop, x, 128, p=10.0)
+    assert failed.is_set() and threading.active_count() == before
+
+
+def test_thread_count_falls_back_to_the_cpu_count(monkeypatch):
+    # a platform without sched_getaffinity, such as macOS or Windows
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cpus, blocks, want in ((3, 10, 3), (None, 10, 1), (16, 10, tmvi._MAX_THREADS), (8, 2, 2)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert tmvi._thread_count(blocks) == want
+
+
 def test_an_empty_or_one_block_call_starts_no_thread(started_threads):
     loop = hexagon_loop()
     x = many_block_points(loop, 128)
@@ -544,6 +601,42 @@ def test_boundary_data_that_is_not_real_numbers_is_rejected():
     # boolean boundary data is 0 and 1
     np.testing.assert_array_equal(tmvi_eval_many(loop, lambda X, Y: X > 0.0, x, 128),
                                   tmvi_eval_many(loop, lambda X, Y: (X > 0.0) * 1.0, x, 128))
+
+
+@pytest.mark.parametrize("x, entry", [
+    (np.array([[0.1 + 1j, 0.2]]), "(0.1+1j)"),
+    ([["0.1", "0.2"]], "'0.1'"),
+    ([[0.1, None]], "None"),
+    ([[True, 0.2]], "True"),
+    (("0.1", 0.2), "'0.1'"),
+], ids=["complex", "text", "none", "bool", "one-text-point"])
+def test_evaluation_points_that_are_not_real_numbers_are_named(x, entry):
+    # numpy would keep the real part of 0.1+1j, with only a ComplexWarning
+    loop = egg_domain()
+    for call in (lambda: tmvi_eval_many(loop, lambda X, Y: X, x),
+                 lambda: lp_distance_many(loop, x, 2.0),
+                 lambda: evaluate_masked(loop, x, g=lambda X, Y: X)):
+        with pytest.raises(InvalidArgumentError) as e:
+            call()
+        assert str(e.value) == "points must be real numbers, got " + entry
+
+
+def test_boundary_data_names_its_first_value_that_is_not_a_real_number():
+    loop = hexagon_loop()
+    x = [[0.1, 0.2], [0.3, -0.1]]
+    for g, entry in ((lambda X, Y: [object()] * len(X), "<object objec"),
+                     (lambda X, Y: None, "None"),
+                     (lambda X, Y: [1.0] * (len(X) - 1) + [None], "None")):
+        for call in (lambda: tmvi_eval_many(loop, g, x, 128),
+                     lambda: evaluate_masked(loop, x, 128, g=g)):
+            with pytest.raises(InvalidArgumentError) as e:
+                call()
+            assert str(e.value).startswith("field values must be real numbers, got " + entry)
+    # a list of floats or of numpy booleans is read as its array
+    for as_list, as_array in ((lambda X, Y: [float(v) for v in X], lambda X, Y: X),
+                              (lambda X, Y: [np.bool_(v) for v in X > 0.0], lambda X, Y: X > 0.0)):
+        assert tmvi_eval_many(loop, as_list, x, 128).tobytes() == \
+            tmvi_eval_many(loop, as_array, x, 128).tobytes()
 
 
 def test_non_finite_boundary_data_is_an_evaluation_error():
