@@ -12,7 +12,7 @@ import numpy as np
 
 from . import exprlang, hni, sbc, singular, testfns, tmvi
 from .curves import Bezier, ParametricCurve, RationalBezier, Segment
-from .errors import EvaluationError, InvalidArgumentError, NotFoundError
+from .errors import EvaluationError, InvalidArgumentError, NotFoundError, real_number, whole_number
 from .region import CenterPolicy, Region
 
 
@@ -176,9 +176,7 @@ def cmd_convergence(args):
     if args.reference == "auto":
         ref = run(args.n_max + 8, args.n_max + 8)
     else:
-        ref = _number(float, args.reference, "reference")
-        if not np.isfinite(ref):
-            raise InvalidArgumentError("reference must be finite, got %r" % (ref,))
+        ref = real_number(_number(float, args.reference, "reference"), "reference")
     print("n,abs_err,rel_err")
     for n in range(args.n_min, args.n_max + 1):
         if args.sweep == "xi":
@@ -207,9 +205,7 @@ def _loop_from(args):
 
 def _print_grid(loop, n, n_t, **field):
     """CSV of a tmvi field (g=... or p=...) over the grid; cells it rejects empty."""
-    if n < 1:
-        raise InvalidArgumentError("--grid must be at least 1, got %d" % n)
-    pts = _grid_rows(loop, n)
+    pts = _grid_rows(loop, whole_number(n, 1, "--grid"))
     vals, inside = tmvi.evaluate_masked(loop, pts, n_t, **field)
     print("x,y,value")
     for (x, y), v, ok in zip(pts, vals, inside):

@@ -2,10 +2,14 @@
 
 A real number is a ``numbers.Real`` but not a boolean: a Python or numpy int
 or float, or a ``Fraction``; text, complex, None and ``Decimal`` are not.
+Four readers decide what each number is, and raise InvalidArgumentError naming
+it: ``real_number`` (a scalar option), ``whole_number`` (a size or degree),
+``finite_point`` (a 2-D point) and ``real_array`` (nodes, points, field values).
 """
 
 import math
 import numbers
+import operator
 import reprlib
 
 import numpy as np
@@ -30,16 +34,50 @@ class NotFoundError(KeyError):
     """Raised when a registry lookup fails."""
 
 
-def finite_or_nan(value):
-    """value as a float if it is a finite real number, else NaN, which fails every range check."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # float(True) is 1.0
-        return math.nan
+def _float(value):
+    """float(value), or NaN for an int or Fraction beyond the float range."""
     try:
-        # compared as float: a bound cast to a narrow numpy scalar's type overflows
-        value = float(value)
-    except OverflowError:  # an int beyond the float range
+        return float(value)
+    except OverflowError:
         return math.nan
-    return value if math.isfinite(value) else math.nan
+
+
+def real_number(value, what, above=-math.inf, below=math.inf):
+    """value as a float, finite and strictly between above and below, or InvalidArgumentError.
+
+    The message names what and the value: "must be a real number" for what
+    is not one (text, a boolean, None, ``Decimal``, complex), and "must be a
+    finite number in (above, below)" for NaN, an infinity, an int beyond the
+    float range or a value out of range.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # float(True) is 1.0
+        raise InvalidArgumentError("%s must be a real number, got %s" % (what, reprlib.repr(value)))
+    # compared as float: a bound cast to a narrow numpy scalar's type overflows
+    number = _float(value)
+    if not above < number < below:  # NaN and the infinities fail too
+        raise InvalidArgumentError("%s must be a finite number in (%r, %r), got %s"
+                                   % (what, above, below, reprlib.repr(value)))
+    return number
+
+
+def whole_number(value, lowest, what):
+    """value as an int >= lowest; numpy integers pass, while 2.5, True and NaN do not."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = lowest - 1
+    if number < lowest or isinstance(value, bool):
+        raise InvalidArgumentError("%s must be an integer >= %d, got %r" % (what, lowest, value))
+    return number
+
+
+def finite_point(value, what):
+    """value as a tuple of two finite floats, or InvalidArgumentError naming what."""
+    p = real_array(value, what)
+    if p.shape != (2,) or not all(map(math.isfinite, p.tolist())):
+        raise InvalidArgumentError("%s must be two finite numbers, got %s"
+                                   % (what, reprlib.repr(value)))
+    return tuple(p.tolist())
 
 
 def real_array(value, what, bools=False):
@@ -60,6 +98,6 @@ def real_array(value, what, bools=False):
     for v in items.flat:
         # an int or Fraction beyond the float range reads as NaN here
         if (not bools if isinstance(v, (bool, np.bool_)) else not isinstance(v, numbers.Real)
-                or isinstance(v, numbers.Rational) and math.isnan(finite_or_nan(v))):
+                or isinstance(v, numbers.Rational) and math.isnan(_float(v))):
             raise InvalidArgumentError("%s must be real numbers, got %s" % (what, reprlib.repr(v)))
     return items.astype(float)

@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from . import rules
-from .errors import InvalidArgumentError, finite_or_nan
+from .errors import InvalidArgumentError, real_number
 from .region import decompose
 from .sbc import assemble_rule, real_values
 
@@ -45,10 +45,8 @@ class HomogeneousField:
     """
 
     def __init__(self, h, q):
-        if not finite_or_nan(q) > -2.0:
-            raise InvalidArgumentError("homogeneity degree must be finite and exceed -2")
+        self.q = real_number(q, "homogeneity degree", above=-2.0)
         self.h = h
-        self.q = float(q)
         x, y, lam = _check_points()
         with np.errstate(all="ignore"):
             lhs = real_values(self.h(lam * x, lam * y), len(x))
@@ -57,7 +55,7 @@ class HomogeneousField:
             err = np.abs(lhs - rhs)[both]
             if err.size and err.max() > 1e-10 * (np.abs(rhs[both]).max() + 1e-30):
                 raise InvalidArgumentError(
-                    "field is not homogeneous of degree %g on random samples" % q
+                    "field is not homogeneous of degree %g on random samples" % self.q
                 )
 
 

@@ -1,6 +1,5 @@
 """Closed planar regions bounded by an ordered counterclockwise chain of curves."""
 
-import math
 import reprlib
 import threading
 from dataclasses import dataclass
@@ -8,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Segment, sample_chain
-from .errors import InvalidArgumentError, finite_or_nan, real_array
+from .errors import InvalidArgumentError, finite_point, real_array, real_number
 
 
 @dataclass(frozen=True)
@@ -29,7 +28,7 @@ class CenterPolicy:
                     self.strategy, "needs" if k == wants else "takes no", k))
         if wants == "index":
             i = self.index  # int() alone would truncate 1.7 and read True as 1
-            if finite_or_nan(i) % 1:  # NaN, for what is no finite real number, is true too
+            if real_number(i, "vertex index") % 1:
                 raise InvalidArgumentError("vertex index must be an integer, got %r" % (i,))
             object.__setattr__(self, "index", int(i))
         if wants == "point":
@@ -42,14 +41,6 @@ class CenterPolicy:
     @staticmethod
     def custom(p):
         return CenterPolicy("custom", point=p)
-
-
-def finite_point(value, what):
-    """value as a tuple of two finite floats, or InvalidArgumentError naming what."""
-    p = real_array(value, what)
-    if p.shape != (2,) or not all(map(math.isfinite, p.tolist())):
-        raise InvalidArgumentError("%s must be two finite numbers, got %r" % (what, value))
-    return tuple(p.tolist())
 
 
 CenterPolicy.ORIGIN = CenterPolicy("origin")
@@ -235,11 +226,11 @@ def decompose(region, x0, t):
     C is read-only: ``region.boundary_samples(t)``, which the region keeps
     for a read-only node array such as the Gauss nodes, or a copy of its
     rows that count, so only the product with C - x0, a new array, is
-    computed per center.  Non-finite samples raise as
-    ``Region.boundary_samples`` describes.
+    computed per center.  x0 is read by ``errors.finite_point``, and
+    non-finite samples raise as ``Region.boundary_samples`` describes.
     """
     C, N, speed = region.boundary_samples(t)
-    perp = np.einsum("...i,...i->...", C - real_array(x0, "center"), N)
+    perp = np.einsum("...i,...i->...", C - finite_point(x0, "center"), N)
     keep = (np.abs(perp).max(axis=1, initial=0.0) > 1e-14 * region.scale() * speed) | np.isinf(speed)
     if keep.all():
         return np.arange(len(keep)), C, perp

@@ -23,14 +23,13 @@ Two constructions, chosen by (n, eta) alone:
   ``N0`` = 192 is where the two build times cross (about 6 ms each).
 """
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gamma
 
 import numpy as np
 
-from .errors import InvalidArgumentError, finite_or_nan
+from .errors import real_number, whole_number
 
 # Legendre rules with more than N0 nodes are built by Newton, the rest by
 # Golub-Welsch (see the module docstring)
@@ -131,17 +130,6 @@ def _gauss_unit(n, eta):
     return Rule1D(nodes=nodes, weights=weights)
 
 
-def whole_number(value, lowest, what):
-    """value as an int >= lowest; numpy integers pass, while 2.5, True and NaN do not."""
-    try:
-        number = operator.index(value)
-    except TypeError:
-        number = lowest - 1
-    if number < lowest or isinstance(value, bool):
-        raise InvalidArgumentError("%s must be an integer >= %d, got %r" % (what, lowest, value))
-    return number
-
-
 def gauss_legendre(n):
     """n-point Gauss-Legendre rule on [0,1]."""
     return _gauss_unit(whole_number(n, 1, "rule size"), 0.0)
@@ -150,9 +138,4 @@ def gauss_legendre(n):
 def gauss_jacobi_unit(n, eta):
     """n-point Gauss rule on [0,1] against the weight xi**eta, eta > -1."""
     n = whole_number(n, 1, "rule size")
-    if not finite_or_nan(eta) > -1.0:
-        raise InvalidArgumentError(
-            "weight exponent must be finite and exceed -1 for an integrable weight, got %r"
-            % (eta,)
-        )
-    return _gauss_unit(n, float(eta))
+    return _gauss_unit(n, real_number(eta, "weight exponent", above=-1.0))

@@ -48,7 +48,7 @@ from math import ceil, isfinite
 import numpy as np
 
 from . import rules
-from .errors import EvaluationError, InvalidArgumentError, real_array
+from .errors import EvaluationError, InvalidArgumentError, real_array, whole_number
 from .region import decompose, resolve_center
 
 
@@ -146,7 +146,7 @@ def assemble_rule(idx, C, tw, x0, s, w_s):
 
 def min_orders_polygon(p):
     """Smallest (n_xi, n_t) integrating degree-p polynomials over polygons."""
-    p = rules.whole_number(p, 0, "polynomial degree")
+    p = whole_number(p, 0, "polynomial degree")
     return ceil((p + 2) / 2), ceil((p + 1) / 2)
 
 
@@ -155,8 +155,8 @@ def min_orders_curved(m, p):
 
     The pulled-back integrand has xi-degree m+1 and t-degree (m+2)p - 1.
     """
-    m = rules.whole_number(m, 0, "integrand degree")
-    p = rules.whole_number(p, 1, "curve degree")
+    m = whole_number(m, 0, "integrand degree")
+    p = whole_number(p, 1, "curve degree")
     return ceil((m + 2) / 2), ceil((m + 2) * p / 2)
 
 

@@ -35,8 +35,8 @@ import numpy as np
 
 from . import rules
 from .curves import Segment
-from .errors import InvalidArgumentError, finite_or_nan
-from .region import decompose, finite_point
+from .errors import InvalidArgumentError, finite_point, real_number
+from .region import decompose
 from .sbc import assemble_rule
 
 
@@ -45,9 +45,7 @@ class GeneralizedSB:
     alpha: float
 
     def __post_init__(self):
-        alpha = finite_or_nan(self.alpha)
-        if not alpha > 0:
-            raise InvalidArgumentError("generalized-SB alpha must be positive and finite")
+        alpha = real_number(self.alpha, "generalized-SB alpha", above=0.0)
         object.__setattr__(self, "alpha", alpha)
 
 
@@ -83,9 +81,7 @@ class SplitIntegrand:
 
 def select_alpha(beta):
     """Smallest positive integer alpha with alpha*(2 - beta) a positive integer."""
-    b = finite_or_nan(beta)
-    if not 0.0 < b < 2.0:
-        raise InvalidArgumentError("beta must lie in (0, 2), got %r" % (beta,))
+    b = real_number(beta, "beta", above=0.0, below=2.0)
     frac = Fraction(b).limit_denominator(64)
     if abs(float(frac) - b) > 1e-12:
         raise InvalidArgumentError(
@@ -100,12 +96,8 @@ def select_alpha(beta):
 
 def radial_exponent(beta, alpha=1.0):
     """Weight exponent eta = alpha*(2-beta) - 1 left in the radial direction."""
-    eta = alpha * (2.0 - finite_or_nan(beta)) - 1.0
-    if not eta > -1.0:
-        raise InvalidArgumentError(
-            "alpha*(2-beta) must be positive for an integrable radial factor"
-        )
-    return eta
+    alpha = real_number(alpha, "alpha", above=0.0)
+    return alpha * (2.0 - real_number(beta, "beta", above=0.0, below=2.0)) - 1.0
 
 
 def t_transform_bounds(ell, tau1, tau2, which):
@@ -202,9 +194,7 @@ def generate_singular_rule(region, spec, beta, n_xi, n_t):
     sampled at its own row of nodes; an edge that xc sees edge-on (see
     ``region.decompose``) is skipped with one warning per edge.
     """
-    beta = finite_or_nan(beta)
-    if not 0.0 < beta < 2.0:
-        raise InvalidArgumentError("beta must lie in (0, 2) for an integrable singularity")
+    beta = real_number(beta, "beta", above=0.0, below=2.0)
     x0 = np.array(spec.xc)
     s_nodes, s_weights = _radial_rule(spec.radial, beta, n_xi)
     t_rule = rules.gauss_legendre(n_t)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import Bezier, ParametricCurve, RationalBezier, Segment
-from .errors import InvalidArgumentError, NotFoundError, finite_or_nan
+from .errors import NotFoundError, real_array, real_number
 from .region import Region, polygon
 from .tmvi import egg_domain
 
@@ -327,8 +327,8 @@ class BilinearElement:
         IEEE operations, in the same order, as the expressions in the
         comments, so the result is bit for bit theirs.
         """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x = real_array(x, "points")
+        y = real_array(y, "points")
         if x.shape != y.shape:
             x, y = np.broadcast_arrays(x, y)
         if not x.ndim:  # a numpy scalar has no place to write into
@@ -462,8 +462,8 @@ def _crack_stiffness(elem, xc, x, y):
     last = _last_stiffness
     if last is not None and last[0] is x and last[1] is y and last[2] is elem and last[3] == xc:
         return last[4]
-    px = np.asarray(x, dtype=float)
-    py = np.asarray(y, dtype=float)
+    px = real_array(x, "points")
+    py = real_array(y, "points")
     if px.shape != py.shape:
         px, py = np.broadcast_arrays(px, py)
     shape = px.shape
@@ -540,9 +540,7 @@ def xfem_integrands(element, dx):
     """
     if element not in _XFEM_NODES:
         raise NotFoundError("unknown element %r" % (element,))
-    xc = (finite_or_nan(dx), 0.5)
-    if np.isnan(xc[0]):
-        raise InvalidArgumentError("dx must be a finite number, got %r" % (dx,))
+    xc = (real_number(dx, "dx"), 0.5)
     elem = _XFEM_ELEMENTS[element]
 
     def numerator(i, j):

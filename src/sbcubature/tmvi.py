@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rules
 from .curves import Curve, _check_t, sample_chain
-from .errors import InvalidArgumentError, finite_or_nan, real_array
+from .errors import InvalidArgumentError, real_array, real_number
 from .region import Region
 from .sbc import finite_values, real_values
 
@@ -94,11 +94,8 @@ class EggCurve(Curve):
     th = 2 pi t, with exact derivative."""
 
     def __init__(self, a=4.0, b=5.0, r=1.0):
-        # NaN stands for a parameter that is not a finite real number, and fails the test
-        self.a, self.b, self.r = (finite_or_nan(v) for v in (a, b, r))
-        if not (self.b - abs(self.r) > 0 and np.isfinite(self.a)):
-            raise InvalidArgumentError("need finite real a, b and r with b > |r| for a "
-                                       "non-degenerate oval, got %r" % ((a, b, r),))
+        self.a, self.r = real_number(a, "egg a"), real_number(r, "egg r")
+        self.b = real_number(b, "egg b", above=abs(self.r))  # b > |r|: a non-degenerate oval
 
     def position(self, t):
         th = 2.0 * np.pi * _check_t(t)
@@ -249,9 +246,9 @@ def evaluate_masked(loop, x, n_t=256, g=None, p=None):
     if (g is None) == (p is None):
         raise InvalidArgumentError("give boundary data g or a power p, not both")
     if p is not None:
-        if not finite_or_nan(p) >= 1:
-            raise InvalidArgumentError("p must be finite and >= 1, got %r" % (p,))
-        p = float(p)
+        p = real_number(p, "p")
+        if p < 1.0:
+            raise InvalidArgumentError("p must be at least 1, got %r" % (p,))
     x = real_array(x, "points")
     if x.shape == (2,):
         x = x[None, :]

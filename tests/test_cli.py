@@ -330,6 +330,15 @@ def test_bad_number_exits_2(capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("reference, shown", [("nan", "nan"), ("inf", "inf"), ("-1e400", "-inf")])
+def test_a_reference_that_is_not_finite_is_named(capsys, reference, shown):
+    argv = ["convergence", "builtin:T1", "expr:1", "1", "2", "--reference=" + reference]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: reference must be a finite number in (-inf, inf), got %s\n" % shown
+
+
 @pytest.mark.parametrize("flags, dropped", [
     (["--xc", "0", "0", "--t-transform", "r1"], "--xc"),
     (["--radial", "jacobi"], "--radial"),
@@ -402,10 +411,10 @@ def test_center_flag_and_domain_x0_give_the_same_rule(tmp_path, capsys, square_f
 
 
 @pytest.mark.parametrize("x0, message", [
-    ({"strategy": "vertex", "index": True}, "vertex index must be an integer"),
+    ({"strategy": "vertex", "index": True}, "vertex index must be a real number, got True"),
     ({"strategy": "vertex", "index": 1.7}, "vertex index must be an integer"),
     ({"strategy": "vertex", "index": -0.5}, "vertex index must be an integer"),
-    ({"strategy": "vertex", "index": "2"}, "vertex index must be an integer"),
+    ({"strategy": "vertex", "index": "2"}, "vertex index must be a real number, got '2'"),
     ({"strategy": "vertex"}, "center strategy 'vertex' needs index"),
     ({"strategy": "origin", "point": [1, 2]}, "center strategy 'origin' takes no point"),
     ({"strategy": "vertex_average", "index": 0}, "center strategy 'vertex_average' takes no index"),
@@ -439,7 +448,7 @@ def test_domain_x0_is_checked_by_center_policy(tmp_path, capsys, x0, message):
     (["integrate", "builtin:T3", "builtin:fS1", "2", "2", "--beta", "0.5", "--xc", "0", "inf"],
      "singularity xc must be two finite numbers"),
     (["integrate", "builtin:T3", "builtin:fS1", "2", "8", "--beta", "0.5", "--radial", "gsb:-1"],
-     "generalized-SB alpha must be positive and finite"),
+     "generalized-SB alpha must be a finite number in (0.0, inf), got -1.0"),
 ], ids=["vertex-fraction", "vertex-text", "vertex-range", "custom-three-coordinates", "custom-inf",
         "origin-with-argument", "unknown", "xc-inf", "radial-gsb-negative"])
 def test_center_flags_exit_2_with_the_library_message(capsys, argv, message):

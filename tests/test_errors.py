@@ -1,11 +1,14 @@
 import math
+import reprlib
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sbcubature.errors import InvalidArgumentError, finite_or_nan, real_array
+from sbcubature import hni, rules, singular, testfns, tmvi
+from sbcubature.errors import InvalidArgumentError, real_array, real_number
+from sbcubature.region import CenterPolicy, polygon
 
 
 def test_an_int_or_float_array_is_read_by_its_dtype_and_a_float64_one_is_not_copied():
@@ -87,5 +90,91 @@ def test_the_message_names_one_entry_and_never_prints_the_whole_array():
     (Decimal("0.5"), math.nan), (1j, math.nan), (math.inf, math.nan), (10**400, math.nan),
 ])
 def test_finite_or_nan_reads_one_finite_real_number(value, want):
-    got = finite_or_nan(value)
-    assert type(got) is float and (got == want or math.isnan(got) and math.isnan(want))
+    # the table of finite_or_nan, the reader real_number replaced: a finite
+    # real number is its float, and anything else raises
+    if math.isnan(want):
+        with pytest.raises(InvalidArgumentError) as e:
+            real_number(value, "beta")
+        assert str(e.value).startswith("beta must be ")
+        assert str(e.value).endswith(", got " + reprlib.repr(value))
+    else:
+        got = real_number(value, "beta")
+        assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1", "beta must be a real number, got '1'"),
+    (True, "beta must be a real number, got True"),
+    (np.bool_(False), "beta must be a real number, got " + repr(np.bool_(False))),
+    (None, "beta must be a real number, got None"),
+    (Decimal("0.5"), "beta must be a real number, got Decimal('0.5')"),
+    (1j, "beta must be a real number, got 1j"),
+    (math.nan, "beta must be a finite number in (0.0, 2.0), got nan"),
+    (-math.inf, "beta must be a finite number in (0.0, 2.0), got -inf"),
+    (0, "beta must be a finite number in (0.0, 2.0), got 0"),
+    (2.0, "beta must be a finite number in (0.0, 2.0), got 2.0"),
+    (Fraction(5, 2), "beta must be a finite number in (0.0, 2.0), got Fraction(5, 2)"),
+])
+def test_real_number_says_whether_a_value_is_no_real_number_or_out_of_range(value, message):
+    with pytest.raises(InvalidArgumentError) as e:
+        real_number(value, "beta", above=0.0, below=2.0)
+    assert str(e.value) == message
+
+
+def test_real_number_bounds_are_strict_and_compared_as_floats():
+    assert real_number(np.int8(-1), "q", above=-2.0) == -1.0
+    assert real_number(np.float16(1.5), "q", above=-1000.0, below=1e300) == 1.5
+    assert real_number(np.nextafter(2.0, 0.0), "beta", above=0.0, below=2.0) < 2.0
+    for value in (-2, -2.0, np.float32(-2.0), Fraction(-2)):
+        with pytest.raises(InvalidArgumentError, match=r"q must be a finite number in \(-2.0, inf\)"):
+            real_number(value, "q", above=-2.0)
+
+
+def test_real_number_shortens_the_value_it_names():
+    for value in (10**400, -(10**400), "x" * 1000, [0.5] * 1000, Fraction(10**400, 3)):
+        with pytest.raises(InvalidArgumentError) as e:
+            real_number(value, "homogeneity degree", above=-2.0)
+        assert len(str(e.value)) < 200
+
+
+SQUARE = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+SCALAR_OPTIONS = [
+    ("weight exponent", lambda v: rules.gauss_jacobi_unit(4, v)),
+    ("homogeneity degree", lambda v: hni.HomogeneousField(lambda x, y: x, v)),
+    ("vertex index", CenterPolicy.vertex),
+    ("generalized-SB alpha", singular.GeneralizedSB),
+    ("beta", singular.select_alpha),
+    ("beta", singular.radial_exponent),
+    ("alpha", lambda v: singular.radial_exponent(0.5, v)),
+    ("beta", lambda v: singular.generate_singular_rule(
+        SQUARE, singular.SingularSpec((-1.0, -1.0)), v, 4, 4)),
+    ("dx", lambda v: testfns.xfem_integrands("Omega2", v)),
+    ("egg a", lambda v: tmvi.EggCurve(v)),
+    ("egg b", lambda v: tmvi.EggCurve(4.0, v)),
+    ("egg r", lambda v: tmvi.EggCurve(4.0, 5.0, v)),
+    ("p", lambda v: tmvi.lp_distance_many(tmvi.egg_domain(), [[0.0, 0.0]], v, 16)),
+]
+# None is how these two say that the option is absent
+ABSENT = {"vertex index": "center strategy 'vertex' needs index",
+          "p": "give boundary data g or a power p, not both"}
+OPTION_IDS = ["gauss_jacobi_unit", "HomogeneousField", "CenterPolicy.vertex", "GeneralizedSB",
+              "select_alpha", "radial_exponent-beta", "radial_exponent-alpha",
+              "generate_singular_rule", "xfem_integrands", "EggCurve-a", "EggCurve-b", "EggCurve-r",
+              "lp_distance_many"]
+
+
+@pytest.mark.parametrize("value", ["1", True, None, Decimal("0.5"), 1j, math.nan, math.inf, 10**400],
+                         ids=["text", "bool", "none", "decimal", "complex", "nan", "inf", "huge"])
+@pytest.mark.parametrize("what, call", SCALAR_OPTIONS, ids=OPTION_IDS)
+def test_every_scalar_option_says_whether_a_value_is_no_real_number_or_out_of_range(what, call, value):
+    with pytest.raises(InvalidArgumentError) as e:
+        call(value)
+    message = str(e.value)
+    shown = ", got " + reprlib.repr(value)
+    if value is None and what in ABSENT:
+        assert message == ABSENT[what]
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        assert message.startswith(what + " must be a finite number in (") and message.endswith(shown)
+    else:
+        assert message == what + " must be a real number" + shown
+    assert len(message) < 200

@@ -516,6 +516,21 @@ def test_a_center_that_is_not_real_numbers_is_named(unit_square, x0, entry):
     assert str(e.value) == "center must be real numbers, got " + entry
 
 
+@pytest.mark.parametrize("x0", [(np.nan, 0.5), (np.inf, 0.5), 0.5, [[0.5, 0.5]], (0.5, 0.5, 0.5)],
+                         ids=["nan", "inf", "scalar", "nested", "three-coordinates"])
+def test_a_center_that_is_not_one_finite_point_is_named(unit_square, x0):
+    # NaN dropped every curve (an empty rule) and inf two of four, a scalar and
+    # an (1, 2) center were broadcast, and three coordinates raised numpy's own error
+    t = np.linspace(0.1, 0.9, 5)
+    with pytest.raises(InvalidArgumentError) as e:
+        decompose(unit_square, x0, t)
+    assert str(e.value) == "center must be two finite numbers, got %r" % (x0,)
+    with pytest.raises(InvalidArgumentError) as e:  # a long array is shortened
+        decompose(unit_square, np.zeros(500), t)
+    assert str(e.value).startswith("center must be two finite numbers, got array([0.")
+    assert len(str(e.value)) < 200
+
+
 def test_nodes_that_are_not_real_numbers_are_named(unit_square):
     for t in (["0.5"], [0.25, True], np.array([0.5 + 0j])):
         with pytest.raises(InvalidArgumentError, match="curve parameter must be real numbers"):

@@ -388,9 +388,11 @@ def test_t_transform_requires_segments():
 def test_an_int_beyond_the_float_range_is_no_beta_and_no_alpha(unit_square):
     spec = SingularSpec(xc=(-1.0, -1.0), radial=GAUSS_JACOBI)
     for beta in (10**400, -(10**400)):
-        with pytest.raises(InvalidArgumentError, match=r"beta must lie in \(0, 2\)"):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"beta must be a finite number in \(0.0, 2.0\), got -?1000"):
             generate_singular_rule(unit_square, spec, beta, 4, 4)
-    with pytest.raises(InvalidArgumentError, match="generalized-SB alpha must be positive and finite"):
+    with pytest.raises(InvalidArgumentError,
+                       match=r"generalized-SB alpha must be a finite number in \(0.0, inf\), got 1000"):
         GeneralizedSB(10**400)
     # a Fraction is a real number, a Decimal is not one
     from decimal import Decimal
@@ -399,7 +401,8 @@ def test_an_int_beyond_the_float_range_is_no_beta_and_no_alpha(unit_square):
     want = generate_singular_rule(unit_square, spec, 0.5, 4, 5)
     got = generate_singular_rule(unit_square, spec, Fraction(1, 2), 4, 5)
     assert got.weights.tobytes() == want.weights.tobytes()
-    with pytest.raises(InvalidArgumentError, match=r"beta must lie in \(0, 2\)"):
+    with pytest.raises(InvalidArgumentError,
+                       match=r"beta must be a real number, got Decimal\('0.5'\)"):
         generate_singular_rule(unit_square, spec, Decimal("0.5"), 4, 5)
 
 
@@ -420,13 +423,16 @@ def test_beta_range_validation(unit_square):
     # radial factor xi^(1 - beta) is not integrable beyond it, and the plain
     # radial rule would fold it into weights whose sums grow with n; a boolean
     # or text is no beta, though True would pass as 1
-    for beta in (2.0, 2.5, 3.0, True, "1"):
+    for beta, message in ((2.0, r"a finite number in \(0.0, 2.0\), got 2.0"),
+                          (2.5, r"a finite number in \(0.0, 2.0\), got 2.5"),
+                          (3.0, r"a finite number in \(0.0, 2.0\), got 3.0"),
+                          (True, "a real number, got True"), ("1", "a real number, got '1'")):
         for radial in (None, GeneralizedSB(1.0), GAUSS_JACOBI):
             for tt in (None, "r1", "r2", "r3"):
                 spec = SingularSpec(xc=(-1.0, -1.0), radial=radial, t_transform=tt)
-                with pytest.raises(InvalidArgumentError, match=r"beta must lie in \(0, 2\)"):
+                with pytest.raises(InvalidArgumentError, match="beta must be " + message):
                     generate_singular_rule(unit_square, spec, beta, 16, 32)
-                with pytest.raises(InvalidArgumentError, match=r"beta must lie in \(0, 2\)"):
+                with pytest.raises(InvalidArgumentError, match="beta must be " + message):
                     integrate_singular(unit_square, SplitIntegrand(ones, beta), spec, 16, 32)
     # a narrow numpy float gives the rule of its float64 value, without a warning
     for radial in (None, GeneralizedSB(1.0), GAUSS_JACOBI):
@@ -476,8 +482,11 @@ def test_singular_spec_stores_xc_as_two_floats():
                          ids=["negative", "zero", "zero-float", "nan", "inf", "bool", "numpy-bool",
                               "text", "none"])
 def test_generalized_sb_checks_alpha_when_built(alpha):
-    with pytest.raises(InvalidArgumentError, match="generalized-SB alpha must be positive and finite"):
+    real = isinstance(alpha, float) or type(alpha) is int
+    message = "a finite number in (0.0, inf)" if real else "a real number"
+    with pytest.raises(InvalidArgumentError) as e:
         GeneralizedSB(alpha)
+    assert str(e.value) == "generalized-SB alpha must be %s, got %r" % (message, alpha)
 
 
 @pytest.mark.parametrize("alpha", [2, np.int64(2), np.float32(2.0), np.float16(2.0)],

@@ -468,8 +468,10 @@ def test_omega1_splits_into_two_subregions():
 @pytest.mark.parametrize("dx", ["0.1", True, np.nan, np.inf, -np.inf, "abc", None, [0.1]],
                          ids=["text", "bool", "nan", "inf", "-inf", "abc", "none", "list"])
 def test_crack_tip_offset_must_be_a_finite_number(dx):
-    with pytest.raises(InvalidArgumentError, match="dx must be a finite number"):
+    message = "a finite number in (-inf, inf)" if isinstance(dx, float) else "a real number"
+    with pytest.raises(InvalidArgumentError) as e:
         xfem_integrands("Omega2", dx)
+    assert str(e.value) == "dx must be %s, got %r" % (message, dx)
     assert xfem_integrands("Omega2", 1)[3][0] == 1.0
     # a narrow numpy float is read as its float64 value, without a warning
     for narrow in (np.float32(0.25), np.float16(0.25)):
@@ -492,6 +494,22 @@ def test_to_reference_broadcasts_unequal_shapes_and_maps_scalars(element):
         for xs, ys in ((x[i], 0.4), (float(x[i]), np.float64(0.4))):
             s = elem.to_reference(xs, ys)
             assert np.shape(s[0]) == () and (s[0], s[1]) == (xi[i], eta[i])
+
+
+@pytest.mark.parametrize("x, y, entry", [
+    (np.array([0.3 + 1j]), np.array([0.4]), "(0.3+1j)"),
+    (np.array([0.3]), np.array([0.4 + 0j]), "(0.4+0j)"),
+    (["0.3"], ["0.4"], "'0.3'"),
+    ([0.3], [None], "None"),
+], ids=["complex-x", "complex-y", "text", "none"])
+def test_crack_points_that_are_not_real_numbers_are_named(x, y, entry):
+    # numpy read the real part of a complex point and the number a text spells
+    message = "points must be real numbers, got " + entry
+    field = xfem_integrands("Omega2", 0.1)[1][0]
+    for evaluate in (field, BilinearElement(_XFEM_NODES["Omega2"]).to_reference):
+        with pytest.raises(InvalidArgumentError) as e:
+            evaluate(x, y)
+        assert str(e.value) == message
 
 
 def test_crack_fields_broadcast_points_of_unequal_shapes():

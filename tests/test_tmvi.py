@@ -128,21 +128,30 @@ def test_egg_curve_checks_its_parameter(t):
             method(t)
 
 
-@pytest.mark.parametrize("args", [("4",), (True, 5, 1), ("4", "5", "1"), (4, 5, np.nan),
-                                  (4, np.inf, 1), (None,), (1j,), (4, 5, 10**400)],
-                         ids=["text-a", "bool-a", "text", "nan-r", "inf-b", "none-a", "complex-a",
-                              "huge-r"])
-def test_egg_parameters_must_be_finite_real_numbers(args):
+@pytest.mark.parametrize("args, message", [
+    (("4",), "egg a must be a real number, got '4'"),
+    ((True, 5, 1), "egg a must be a real number, got True"),
+    (("4", "5", "1"), "egg a must be a real number, got '4'"),
+    ((4, 5, np.nan), "egg r must be a finite number in (-inf, inf), got nan"),
+    ((4, np.inf, 1), "egg b must be a finite number in (1.0, inf), got inf"),
+    ((None,), "egg a must be a real number, got None"),
+    ((1j,), "egg a must be a real number, got 1j"),
+    ((4, 5, 10**400), "egg r must be a finite number in (-inf, inf), got 1000"),
+], ids=["text-a", "bool-a", "text", "nan-r", "inf-b", "none-a", "complex-a", "huge-r"])
+def test_egg_parameters_must_be_finite_real_numbers(args, message):
     # float() would read "4" as 4.0 and True as 1.0, and abs("1") raises TypeError
     for make in (EggCurve, egg_domain):
-        with pytest.raises(InvalidArgumentError, match=r"need finite real a, b and r with b > \|r\|"):
+        with pytest.raises(InvalidArgumentError) as e:
             make(*args)
+        assert str(e.value).startswith(message) and len(str(e.value)) < 200
 
 
 @pytest.mark.parametrize("b, r", [(1, 1), (1, -1), (1, 2), (0, 0), (-1, 0.5)])
 def test_egg_curve_needs_b_above_abs_r(b, r):
-    with pytest.raises(InvalidArgumentError, match=r"b > \|r\|"):
+    # b > |r|, or the oval degenerates
+    with pytest.raises(InvalidArgumentError) as e:
         EggCurve(4, b, r)
+    assert str(e.value) == "egg b must be a finite number in (%r, inf), got %r" % (float(abs(r)), b)
 
 
 def test_egg_parameters_may_be_any_real_numbers():
