@@ -4,14 +4,16 @@ Every curve maps t in [0,1] to a point in the plane and exposes position and
 velocity.  Evaluation is vectorized: ``t`` may be a scalar or a 1-D numpy
 array, and the result has shape ``t.shape + (2,)``.  ``sample_chain``
 evaluates a whole chain of curves at shared nodes or at one row of nodes
-per curve: every segment in one pass, every other curve through its own
-position and velocity.
+per curve, each curve through its own position and velocity.  The
+constructors read their data with ``errors.finite_array``: a NaN or
+infinite endpoint, control point or weight is an InvalidArgumentError
+naming it.
 """
 
 import numpy as np
 
 from . import exprlang
-from .errors import InvalidArgumentError, real_array
+from .errors import InvalidArgumentError, finite_array, real_array
 
 
 def _check_t(t):
@@ -37,8 +39,8 @@ class Curve:
 
 class Segment(Curve):
     def __init__(self, a, b):
-        self.a = real_array(a, "segment endpoints")
-        self.b = real_array(b, "segment endpoints")
+        self.a = finite_array(a, "segment endpoints")
+        self.b = finite_array(b, "segment endpoints")
         if self.a.shape != (2,) or self.b.shape != (2,):
             raise InvalidArgumentError("segment endpoints must be 2-D points")
         self.d = self.b - self.a
@@ -69,7 +71,7 @@ class Bezier(Curve):
     """Polynomial Bezier curve, evaluated by de Casteljau's algorithm."""
 
     def __init__(self, control_points):
-        cp = real_array(control_points, "control points")
+        cp = finite_array(control_points, "control points")
         if cp.ndim != 2 or cp.shape[1] != 2 or cp.shape[0] < 2:
             raise InvalidArgumentError("need at least two 2-D control points")
         self.control_points = cp
@@ -88,8 +90,8 @@ class RationalBezier(Curve):
     """Rational Bezier: projective de Casteljau plus a perspective divide."""
 
     def __init__(self, control_points, weights):
-        cp = real_array(control_points, "control points")
-        w = real_array(weights, "rational weights")
+        cp = finite_array(control_points, "control points")
+        w = finite_array(weights, "rational weights")
         if cp.ndim != 2 or cp.shape[1] != 2 or cp.shape[0] < 2:
             raise InvalidArgumentError("need at least two 2-D control points")
         if w.shape != (cp.shape[0],):
@@ -157,43 +159,34 @@ class ParametricCurve(Curve):
         return self._raw(_check_t(t) + 1j * h).imag / h
 
 
-def sample_chain(curves, t, velocity=True):
-    """Positions and, if asked, velocities of m curves at the nodes t.
-
-    t is either the shared nodes (n,) or one row of nodes per curve (m, n).
-    Returns (C, V), each (m, n, 2) in chain order; V is None without
-    ``velocity``.  t is checked once.  Every exact ``Segment`` is evaluated
-    in one pass, as a + t d at its own row of t, with the same element-wise
-    operations as its own methods, so the values are bit-identical to
-    them.  Any other curve, a subclass of Segment included, is evaluated on
-    its own row through its position and velocity methods.
-    """
+def chain_nodes(t, m):
+    """t checked as curve parameters: the nodes (n,) shared by m curves, or one row per curve (m, n)."""
     t = _check_t(t)
-    m = len(curves)
     if t.ndim not in (1, 2) or t.ndim == 2 and len(t) != m:
         raise InvalidArgumentError(
             "nodes must be (n,) or one row per curve (%d, n), got shape %s" % (m, t.shape)
         )
-    C = np.empty((m, t.shape[-1], 2))
+    return t
+
+
+def sample_chain(curves, t, velocity=True):
+    """Positions and, if asked, velocities of m curves at the nodes t.
+
+    t is either the shared nodes (n,) or one row of nodes per curve (m, n),
+    checked once by ``chain_nodes``.  Returns (C, V), each (m, n, 2) in
+    chain order; V is None without ``velocity``.  Each curve is evaluated
+    on its own row through its position and velocity methods.  A chain of
+    exact ``Segment`` curves is sampled by its ``Region`` from the edges it
+    keeps, with the same element-wise operations as these methods.
+    """
+    t = chain_nodes(t, len(curves))
+    C = np.empty((len(curves), t.shape[-1], 2))
     V = np.empty_like(C) if velocity else None
-    rows = []
     for i, c in enumerate(curves):
-        if type(c) is Segment:
-            rows.append(i)
-            continue
         ti = t if t.ndim == 1 else t[i]
         _put(C, i, c.position(ti), "position")
         if velocity:
             _put(V, i, c.velocity(ti), "velocity")
-    if rows:
-        segments = [curves[i] for i in rows]
-        if len(rows) == m:
-            rows = slice(None)  # a chain of segments only
-        tg = t if t.ndim == 1 else t[rows]
-        d = np.array([c.d for c in segments])[:, None]
-        C[rows] = np.array([c.a for c in segments])[:, None] + tg[..., None] * d
-        if velocity:
-            V[rows] = d
     return C, V
 
 

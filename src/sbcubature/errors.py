@@ -2,9 +2,10 @@
 
 A real number is a ``numbers.Real`` but not a boolean: a Python or numpy int
 or float, or a ``Fraction``; text, complex, None and ``Decimal`` are not.
-Four readers decide what each number is, and raise InvalidArgumentError naming
+Five readers decide what each number is, and raise InvalidArgumentError naming
 it: ``real_number`` (a scalar option), ``whole_number`` (a size or degree),
-``finite_point`` (a 2-D point) and ``real_array`` (nodes, points, field values).
+``finite_point`` (a 2-D point), ``real_array`` (nodes, points, field values)
+and ``finite_array`` (curve data and edge geometry, which must be finite).
 """
 
 import math
@@ -101,3 +102,15 @@ def real_array(value, what, bools=False):
                 or isinstance(v, numbers.Rational) and math.isnan(_float(v))):
             raise InvalidArgumentError("%s must be real numbers, got %s" % (what, reprlib.repr(v)))
     return items.astype(float)
+
+
+def finite_array(value, what):
+    """value as a float array (``real_array``) of finite numbers, or InvalidArgumentError.
+
+    The message names what and the first entry that is NaN or infinite.
+    """
+    a = real_array(value, what)
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise InvalidArgumentError("%s must be finite, got %r" % (what, a[~finite][0].item()))
+    return a

@@ -10,8 +10,9 @@ integral.  Every rule family is built the same way: ``region.decompose``
 gives C = c(t) and (C - x0).c'_perp as (curve, node) arrays at the
 t-nodes, shared by all curves or one row per curve, and drops the curves
 x0 sees edge-on.  C and c'_perp do not depend on x0: they come from
-``Region.boundary_samples``, which samples all segments in one pass and
-every other curve through its own position and velocity, and keeps them,
+``Region.boundary_samples``, which samples a chain of exact segments in
+one pass, as a + t d from the edge arrays the region keeps, and any other
+chain through each curve's own position and velocity, and keeps them,
 read-only, for the Gauss nodes, so a second rule at the same n_t
 evaluates no curve and only the product with C - x0 is new.  The family
 turns these into t-weights, and ``assemble_rule`` takes the tensor
@@ -26,7 +27,10 @@ over that last axis of length 2, at a call overhead per pair of numbers,
 several times slower on the m n k points of a rule than one pass per
 plane, and a field given strided columns is slower on every ufunc too.
 Each element takes the same IEEE operations either way, so the points are
-bit for bit those of the broadcast.
+bit for bit those of the broadcast.  A rule's weighted sum of a field's
+values is one BLAS ddot for every layout with a positive stride, taken
+by ``np.vdot``, which reports no floating-point warning, so no errstate
+has to be entered per application (see ``CubatureRule.__call__``).
 
 The families differ only in their radial rule and their t-nodes:
 
@@ -70,14 +74,23 @@ class CubatureRule:
         0 * inf and inf - inf are NaN, so a finite sum proves every value
         finite, and ``finite_values``, the search that raises EvaluationError
         at the first non-finite point, runs only when the sum is not finite.
-        If every value is finite the sum overflowed, and it is taken again
-        outside the errstate, so the caller gets that inf with numpy's own
-        warning, if any.
+        That first sum reports no floating-point warning.  Values whose
+        stride is a positive multiple of 8 bytes (contiguous or strided
+        columns) are summed by ``np.vdot``, the BLAS ddot that ``np.dot``
+        calls on them, which warns of nothing; others, such as the
+        stride-0 array of a constant field, by ``np.dot`` in its own loop,
+        under an errstate.  If every value is finite the sum overflowed, and
+        it is taken again by ``np.dot``, so the caller gets that inf with
+        numpy's own warning, if any.
         """
         x, y = self._columns
         vals = real_values(f(x, y), len(x))
-        with np.errstate(invalid="ignore", over="ignore"):
-            total = float(np.dot(self.weights, vals))
+        step = vals.strides[0]
+        if step > 0 and step % 8 == 0:
+            total = float(np.vdot(self.weights, vals))
+        else:
+            with np.errstate(invalid="ignore", over="ignore"):
+                total = float(np.dot(self.weights, vals))
         if isfinite(total):
             return total
         finite_values(vals, x, y)

@@ -34,8 +34,7 @@ from math import gcd
 import numpy as np
 
 from . import rules
-from .curves import Segment
-from .errors import InvalidArgumentError, finite_point, real_number
+from .errors import InvalidArgumentError, finite_array, finite_point, real_number
 from .region import decompose
 from .sbc import assemble_rule
 
@@ -97,7 +96,11 @@ def select_alpha(beta):
 def radial_exponent(beta, alpha=1.0):
     """Weight exponent eta = alpha*(2-beta) - 1 left in the radial direction."""
     alpha = real_number(alpha, "alpha", above=0.0)
-    return alpha * (2.0 - real_number(beta, "beta", above=0.0, below=2.0)) - 1.0
+    return _radial_exponent(real_number(beta, "beta", above=0.0, below=2.0), alpha)
+
+
+def _radial_exponent(beta, alpha):
+    return alpha * (2.0 - beta) - 1.0
 
 
 def t_transform_bounds(ell, tau1, tau2, which):
@@ -109,7 +112,9 @@ def t_transform_bounds(ell, tau1, tau2, which):
     transformed coordinates.  All three maps are strictly increasing for
     ell != 0; L = |ell| keeps that true when x0 is on the outward side of
     the edge line.  ell, tau1 and tau2 may be arrays that broadcast against
-    each other and against the transformed coordinates, one entry per edge.
+    each other and against the transformed coordinates, one entry per edge;
+    they are read by ``errors.finite_array``, so a NaN or an infinity is an
+    InvalidArgumentError naming it.
 
     r2 and r3 send tau = +-inf to the poles tau~ = +-pi/2 and +-1, and an
     edge with |ell| << |tau| has its nodes next to a pole, where tau~ alone
@@ -119,6 +124,16 @@ def t_transform_bounds(ell, tau1, tau2, which):
     two callables; an edge across the foot keeps tau~.
     r1 has no pole, and its forward map log(tau + sqrt(ell^2 + tau^2)) is
     taken as log L + asinh(tau/L), which does not cancel for tau < 0.
+    """
+    lo, hi, maps = _t_transform(finite_array(ell, "ell"), finite_array(tau1, "tau1"),
+                                finite_array(tau2, "tau2"), which)
+    return lo, hi, lambda tt: maps(tt)[0], lambda tt: maps(tt)[1]
+
+
+def _t_transform(ell, tau1, tau2, which):
+    """``t_transform_bounds`` on arrays taken as read: (lo, hi, maps), maps(tt) = (tau, dtau/dtau~).
+
+    One call of maps evaluates the exponentials, or the sine and cosine, once for both.
     """
     L = np.abs(ell)
     if (L == 0.0).any():
@@ -131,58 +146,49 @@ def t_transform_bounds(ell, tau1, tau2, which):
         sigma = (np.asarray(tau1) >= 0.0) - (np.asarray(tau2) <= 0.0) * 1.0
         spans = 1.0 - np.abs(sigma)
     if which == "r1":
+        log_l = np.log(L)
+
         def fwd(tau):
-            return np.log(L) + np.arcsinh(tau / L)
+            return log_l + np.arcsinh(tau / L)
 
-        def tau_of(tt):
-            return 0.5 * (np.exp(tt) - l2 * np.exp(-tt))
-
-        def dtau_of(tt):
-            return 0.5 * (np.exp(tt) + l2 * np.exp(-tt))
+        def maps(tt):
+            up, down = np.exp(tt), l2 * np.exp(-tt)
+            return 0.5 * (up - down), 0.5 * (up + down)
     elif which == "r2":
         def fwd(tau):
             # arctan(tau/L) - sigma pi/2 = -sigma arctan(L/|tau|) on the pole's side
             return spans * np.arctan(tau / L) - sigma * np.arctan2(L, np.abs(tau))
 
-        def cos_shifted(tt):
-            return spans * np.cos(tt) - sigma * np.sin(tt)  # cos(tt + sigma pi/2)
-
-        def tau_of(tt):
-            return L * (spans * np.sin(tt) + sigma * np.cos(tt)) / cos_shifted(tt)
-
-        def dtau_of(tt):
-            return L / cos_shifted(tt) ** 2
+        def maps(tt):
+            sin, cos = np.sin(tt), np.cos(tt)
+            shifted = spans * cos - sigma * sin  # cos(tt + sigma pi/2)
+            return L * (spans * sin + sigma * cos) / shifted, L / shifted ** 2
     elif which == "r3":
         def fwd(tau):
             # tau/r - sigma = -sigma L^2 / (r (r + |tau|)) on the pole's side
             r = np.sqrt(l2 + tau * tau)
             return (spans * tau - sigma * l2 / (r + np.abs(tau))) / r
 
-        def one_minus_square(tt):
+        def maps(tt):
             # 1 - (tt + sigma)^2; one factor is exactly -tt or tt on a pole's side
-            return (1.0 - sigma - tt) * (1.0 + sigma + tt)
-
-        def tau_of(tt):
-            return L * (tt + sigma) / np.sqrt(one_minus_square(tt))
-
-        def dtau_of(tt):
-            return L / one_minus_square(tt) ** 1.5
+            square = (1.0 - sigma - tt) * (1.0 + sigma + tt)
+            return L * (tt + sigma) / np.sqrt(square), L / square ** 1.5
     else:
         raise InvalidArgumentError("unknown t-transform %r" % (which,))
-    return fwd(tau1), fwd(tau2), tau_of, dtau_of
+    return fwd(tau1), fwd(tau2), maps
 
 
 def _radial_rule(radial, beta, n_xi):
-    """Radial rule (nodes s, weights) of one strategy, singular power folded in."""
+    """Radial rule (nodes s, weights) of one strategy, singular power folded in; beta already read."""
     if radial is None:
         r1 = rules.gauss_legendre(n_xi)
         return r1.nodes, r1.weights * r1.nodes ** (1.0 - beta)
     if isinstance(radial, GeneralizedSB):
         a = radial.alpha
-        eta = radial_exponent(beta, a)
+        eta = _radial_exponent(beta, a)
         r1 = rules.gauss_legendre(n_xi)
         return r1.nodes ** a, r1.weights * a * r1.nodes ** eta
-    r1 = rules.gauss_jacobi_unit(n_xi, radial_exponent(beta, 1.0))  # GAUSS_JACOBI
+    r1 = rules.gauss_jacobi_unit(n_xi, _radial_exponent(beta, 1.0))  # GAUSS_JACOBI
     return r1.nodes, r1.weights
 
 
@@ -243,22 +249,21 @@ def _transformed_nodes(region, x0, which, t_rule):
     its nodes lie on the edge, and the edge is dropped.  Where round-off
     leaves the map without nodes in [0, 1] (ell next to 0), the edge keeps
     the Gauss nodes and is listed in the returned ``unmapped``; a kept one
-    is an error.
+    is an error.  a and d are the (m, 1, 2) edge arrays the region keeps
+    for a chain of segments.
     """
-    if not all(isinstance(c, Segment) for c in region.curves):
+    if region._edges is None:
         raise InvalidArgumentError("t-transforms require segment edges")
-    a = np.array([c.a for c in region.curves])
-    d = np.array([c.d for c in region.curves])
-    z = (x0 - a).view(complex) / d.view(complex)  # (m, 1): t* + i ell
+    a, d = region._edges
+    z = ((x0 - a).view(complex) / d.view(complex))[:, 0]  # (m, 1): t* + i ell
     foot = z.real
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lo, hi, tau_of, dtau_of = t_transform_bounds(
-            z.imag + (z.imag == 0.0), -foot, 1.0 - foot, which
-        )
+        lo, hi, maps = _t_transform(z.imag + (z.imag == 0.0), -foot, 1.0 - foot, which)
         width = hi - lo
         tt = lo + width * t_rule.nodes
-        t = foot + tau_of(tt)
-        tw = t_rule.weights * width * dtau_of(tt)
+        tau, dtau = maps(tt)
+        t = foot + tau
+        tw = t_rule.weights * width * dtau
     if t.min() >= 0.0 and t.max() <= 1.0:  # NaN fails both
         return t, tw, []
     unmapped = np.flatnonzero(~((t >= 0.0) & (t <= 1.0)).all(axis=1))

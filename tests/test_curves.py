@@ -331,6 +331,26 @@ def test_a_coordinate_beyond_the_float_range_is_rejected():
             make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Segment((np.inf, 0), (1, 0)), "segment endpoints must be finite, got inf"),
+    (lambda: Segment((0, 0), (1, np.nan)), "segment endpoints must be finite, got nan"),
+    (lambda: Bezier([(0, 0), (np.nan, 1), (2, 0)]), "control points must be finite, got nan"),
+    (lambda: Bezier([(0, 0), (1, -np.inf), (2, 0)]), "control points must be finite, got -inf"),
+    (lambda: RationalBezier([(0, 0), (np.inf, 1), (2, 0)], [1, 1, 1]),
+     "control points must be finite, got inf"),
+    (lambda: RationalBezier([(0, 0), (1, 1), (2, 0)], [1, np.nan, 1]),
+     "rational weights must be finite, got nan"),
+    (lambda: RationalBezier([(0, 0), (1, 1), (2, 0)], [1, np.inf, 1]),
+     "rational weights must be finite, got inf"),
+], ids=["segment-inf", "segment-nan", "bezier-nan", "bezier-minus-inf", "rational-inf-point",
+        "rational-nan-weight", "rational-inf-weight"])
+def test_non_finite_curve_data_is_rejected_at_construction(make, message):
+    # a NaN weight passed the positivity test (NaN <= 0 is false) and gave NaN positions
+    with pytest.raises(InvalidArgumentError) as e:
+        make()
+    assert str(e.value) == message
+
+
 @pytest.mark.parametrize("make", [
     lambda: Segment((0, 0, 0), (1, 0)),
     lambda: Segment((0, 0), 1),

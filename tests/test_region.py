@@ -264,8 +264,8 @@ def test_decompose_matches_each_curve_at_its_own_node_row(kinds, bulge, x0, n, d
 @given(others=st.lists(st.sampled_from(KINDS), min_size=1, max_size=5),
        bulge=st.floats(-0.3, 0.3), n=st.integers(1, 8), data=st.data())
 def test_boundary_samples_of_interleaved_segments_are_their_own_bits(others, bulge, n, data):
-    # a segment at every even chain index: the segment pass writes rows that are
-    # not adjacent, or the whole chain when every curve is a segment
+    # a segment at every even chain index: sampled through its own methods, or
+    # from the region's edges when every curve is a segment
     kinds = [k for other in others for k in ("segment", other)]
     region = curve_chain(kinds, bulge)
     row = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
@@ -485,7 +485,7 @@ def test_non_finite_geometry_and_center_are_rejected(unit_square):
         # NaN for t < 1
         Region([Segment((0, 0), (1, 0)), ParametricCurve("1 - t", "t + sqrt(t - 1)"),
                 Segment((0, 1), (0, 0))])
-    with pytest.raises(InvalidArgumentError, match="curve 0 "):
+    with pytest.raises(InvalidArgumentError, match="polygon vertices must be finite, got nan"):
         polygon([(np.nan, 0), (1, 0), (1, 1)])
     with pytest.raises(InvalidArgumentError):
         resolve_center(unit_square, CenterPolicy.custom((0.5, np.inf)))
@@ -673,7 +673,7 @@ def test_the_sample_budget_evicts_the_oldest_entry(monkeypatch):
     import sbcubature.region as region_module
 
     a, b, c = (read_only_nodes(0.25, v) for v in (0.5, 0.625, 0.75))
-    entry = 2 * (4 * 2 * 2 * 8) + 4 * 8  # C and N of 4 curves at 2 nodes, and max|N|
+    entry = 2 * (4 * 2 * 2 * 8) + 2 * 4 * 8  # C and N of 4 curves at 2 nodes, max|N| and the floor
     region, calls = counting_square()
     monkeypatch.setattr(region_module, "_SAMPLE_BUDGET", 2 * entry)
 
@@ -750,7 +750,7 @@ def test_threads_sharing_a_region_and_its_sample_budget(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     kept = region._samples.values()
-    assert region._sample_bytes == sum(e[4] for e in kept) <= region_module._SAMPLE_BUDGET
+    assert region._sample_bytes == sum(e[5] for e in kept) <= region_module._SAMPLE_BUDGET
 
 
 class PlainSegment(Segment):
@@ -768,11 +768,53 @@ def test_a_chain_of_segments_keeps_its_samples():
     for t in (gauss_legendre(5).nodes, rows):
         first = segments.boundary_samples(t)
         for got, want in zip(first, plain.boundary_samples(t)):
-            np.testing.assert_array_equal(got, want)
+            assert same_bits(np.ascontiguousarray(got), want)
             assert not got.flags.writeable
-        # a second read returns the kept arrays themselves
-        assert all(a is b for a, b in zip(segments.boundary_samples(t), first))
+        # a second read returns the kept arrays, and c'_perp a view of the kept one
+        again = segments.boundary_samples(t)
+        assert again[0] is first[0] and again[2] is first[2] and np.shares_memory(again[1], first[1])
     assert len(segments._samples) == len(plain._samples) == 2
+    # writable rows are sampled anew at every call, from the same per-edge arrays
+    writable = rows.copy()
+    first, again = segments.boundary_samples(writable), segments.boundary_samples(writable)
+    assert again[0] is not first[0] and again[2] is first[2] and np.shares_memory(again[1], first[1])
+    assert len(segments._samples) == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(3, 9), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_writable_edge_rows_of_a_polygon_are_each_segments_own_bits(m, n, seed):
+    rng = np.random.default_rng(seed)
+    th = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
+    region = polygon(rng.uniform(-1e3, 1e3, 2) + rng.uniform(0.5, 50.0) * np.column_stack([np.cos(th), np.sin(th)]))
+    rows = rng.uniform(0.0, 1.0, (m, n))
+    rows[0, 0], rows[-1, -1] = 0.0, 1.0
+    for t in (rows, rows[0]):
+        C, N, speed = region.boundary_samples(t)
+        for i, c in enumerate(region.curves):
+            ti = t[i] if t.ndim == 2 else t
+            V = c.velocity(ti)
+            assert same_bits(C[i], c.position(ti))
+            assert same_bits(np.ascontiguousarray(N[i]), np.stack([V[:, 1], -V[:, 0]], axis=-1))
+            assert speed[i] == np.hypot(V[0, 1], -V[0, 0])
+
+
+def test_a_chain_of_segment_subclasses_goes_through_their_own_methods():
+    from sbcubature.rules import gauss_legendre
+    from sbcubature.singular import GAUSS_JACOBI, SingularSpec, generate_singular_rule
+
+    region, calls = counting_square()
+    for t in (gauss_legendre(4).nodes, np.full((4, 3), 0.5)):
+        n = calls()
+        region.boundary_samples(t)
+        assert calls() == n + 8  # a position and a velocity per edge
+    # the t-transforms read the edges a chain of subclasses keeps, as they do for segments
+    v = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    spec = SingularSpec((0.25, 0.5), GAUSS_JACOBI, "r2")
+    got = generate_singular_rule(region, spec, 0.5, 5, 6)
+    want = generate_singular_rule(polygon(v), spec, 0.5, 5, 6)
+    for a in ("points", "weights", "curve_index"):
+        assert same_bits(getattr(got, a), getattr(want, a))
 
 
 def test_a_chain_of_segments_keeps_one_normal_per_edge():
@@ -789,10 +831,10 @@ def test_a_chain_of_segments_keeps_one_normal_per_edge():
     for got, want in zip(segments.boundary_samples(t) + decompose(segments, x0, t),
                          plain.boundary_samples(t) + decompose(plain, x0, t)):
         assert same_bits(np.ascontiguousarray(got), want)
-    assert segments._sample_bytes == C.nbytes + 4 * 16 + speed.nbytes
-    assert plain._sample_bytes == C.nbytes + N.nbytes + speed.nbytes
-    # nodes that are not kept, and a chain with a curve of another kind, keep every row
+    assert segments._sample_bytes == C.nbytes + 4 * 16 + 2 * speed.nbytes
+    assert plain._sample_bytes == C.nbytes + N.nbytes + 2 * speed.nbytes
+    # any nodes of a chain of segments, but every row for a chain with a curve of another kind
     writable = t.copy()
-    assert segments.boundary_samples(writable)[1].strides[1] != 0
+    assert segments.boundary_samples(writable)[1].strides[1] == 0
     mixed = Region(list(segments.curves[:3]) + [Bezier([v[3], (-0.5, 0.0), v[0]])])
     assert mixed.boundary_samples(t)[1].strides[1] != 0

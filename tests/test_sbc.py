@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import POLYGON_NAMES, greens_poly, own_samples, same_bits
 from sbcubature.curves import Bezier, Curve, Segment
 from sbcubature.errors import EvaluationError, InvalidArgumentError
+from sbcubature.exprlang import compile_field
 from sbcubature.hni import HomogeneousField, hni_integrate
 from sbcubature.region import CenterPolicy, Region, decompose, polygon
 from sbcubature.sbc import (
@@ -385,6 +386,69 @@ def test_applying_a_rule_is_the_dot_product_of_its_weights_and_values():
             want = float(np.dot(rule.weights, finite_values(real_values(f(*rule._columns), len(rule)),
                                                             *rule._columns)))
             assert type(got) is float and same_bits(np.float64(got), np.float64(want))
+
+
+def _layouts():
+    """Fields whose values come in each memory layout a field may return."""
+
+    def packed(x, y):  # a float64 field of a packed record: stride 9 bytes
+        rec = np.zeros(len(x), dtype=[("flag", "u1"), ("value", "f8")])
+        rec["value"] = x * y + 0.25
+        return rec["value"]
+
+    return {
+        "contiguous": lambda x, y: x * y + 0.25,
+        "column": lambda x, y: np.column_stack([x, y, x * y + 0.25])[:, 2],
+        "stride-0": compile_field("1"),
+        "stride-0-const": compile_field("0.1 * 3"),
+        "reversed": lambda x, y: (x * y + 0.25)[::-1],
+        "packed": packed,
+    }
+
+
+@pytest.mark.parametrize("layout", sorted(_layouts()))
+def test_every_value_layout_sums_to_the_bits_of_np_dot(layout):
+    # contiguous and strided values are summed by np.vdot, the same BLAS ddot as
+    # np.dot; np.dot sums stride-0 (a constant expression field) and reversed values
+    # in its own loop, whose bits np.vdot, which copies them, does not reproduce
+    f = _layouts()[layout]
+    rules = [generate_rule(lookup(name).make(), CenterPolicy.VERTEX_AVERAGE, n_xi, n_t)
+             for name in ("T3", "convex_hexagon", "bezier") for n_xi, n_t in ((1, 1), (3, 5), (7, 11), (16, 33))]
+    rules.append(generate_singular_rule(lookup("convex_quad").make(), SingularSpec((0.5, 0.5), GAUSS_JACOBI, "r1"),
+                                        0.5, 24, 32))
+    for rule in rules:
+        vals = f(*rule._columns)
+        assert vals.shape == (len(rule),)
+        want = np.dot(rule.weights, vals)
+        got = rule(f)
+        assert type(got) is float and same_bits(np.float64(got), want)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "column", "stride-0", "reversed"])
+def test_non_finite_and_overflowing_sums_in_every_layout(layout):
+    # the first sum warns of nothing in any layout; an overflow is reported by np.dot's own warnings
+    rule = generate_rule(lookup("convex_hexagon").make(), CenterPolicy.VERTEX_AVERAGE, 4, 6)
+    n = len(rule)
+
+    def laid_out(value):
+        full = np.full(n, value)
+        return {"contiguous": full, "column": np.column_stack([full, full])[:, 1],
+                "stride-0": np.broadcast_to(np.float64(value), n), "reversed": full[::-1]}[layout]
+
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(EvaluationError) as e, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rule(lambda x, y: laid_out(bad))
+        assert e.value.point == tuple(rule.points[0].tolist())
+    huge = laid_out(1e308)
+    with warnings.catch_warnings(record=True) as plain:
+        warnings.simplefilter("always")
+        want = np.dot(rule.weights, huge)
+    with warnings.catch_warnings(record=True) as applied:
+        warnings.simplefilter("always")
+        got = rule(lambda x, y: huge)
+    assert got == want and np.isinf(got) and type(got) is float
+    assert [(w.category, str(w.message)) for w in applied] == [(w.category, str(w.message)) for w in plain]
 
 
 def test_a_single_field_value_is_a_constant_field():

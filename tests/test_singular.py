@@ -104,6 +104,19 @@ def test_t_transform_bounds_examples():
 
 
 @pytest.mark.parametrize("which", ["r1", "r2", "r3"])
+def test_t_transform_bounds_reject_non_finite_geometry(which):
+    for args, message in (((np.nan, -1.0, 1.0), "ell must be finite, got nan"),
+                          ((1.0, -np.inf, 1.0), "tau1 must be finite, got -inf"),
+                          ((np.array([1.0, 2.0]), -1.0, np.array([1.0, np.nan])),
+                           "tau2 must be finite, got nan")):
+        with pytest.raises(InvalidArgumentError) as e:
+            t_transform_bounds(*args, which)
+        assert str(e.value) == message
+    with pytest.raises(InvalidArgumentError, match="ell must be real numbers"):
+        t_transform_bounds("1", -1.0, 1.0, which)
+
+
+@pytest.mark.parametrize("which", ["r1", "r2", "r3"])
 def test_t_transformed_points_lie_on_their_edges(which):
     # xc below the square's bottom edge, its foot inside that edge (tau1 < 0 < tau2):
     # every t-sample C = xc + (x - xc) / s lies on its edge, in increasing order
