@@ -20,12 +20,13 @@ Two constructions, chosen by (n, eta) alone:
   1399, every 37th n up to 8200).
 * Every other rule (n <= ``N0``, and all Gauss-Jacobi rules, eta != 0):
   Golub-Welsch, a dense eigen-decomposition of the Jacobi matrix, O(n^3).
+  The weights are v0^2 times the zeroth moment 1/(eta+1), in closed form,
+  so no Gamma function overflows at large eta.
   ``N0`` = 192 is where the two build times cross (about 6 ms each).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gamma
 
 import numpy as np
 
@@ -56,27 +57,25 @@ def _jacobi_recurrence(n, b):
     """Recurrence coefficients for the weight (1+x)**b on [-1,1].
 
     Classical Jacobi with the (1-x)-exponent fixed at zero.  Returns the
-    diagonal, off-diagonal-squared terms, and the zeroth moment.
+    diagonal and off-diagonal-squared terms.
     """
     alpha = np.zeros(n)
     beta = np.zeros(n)
-    mu0 = 2.0 ** (b + 1.0) * gamma(b + 1.0) / gamma(b + 2.0)
     for k in range(n):
         s = 2.0 * k + b
         alpha[k] = 0.0 if b == 0.0 else b * b / (s * (s + 2.0))
         if k > 0:
             beta[k] = (4.0 * k * k * (k + b) ** 2) / (s * s * (s + 1.0) * (s - 1.0))
-    return alpha, beta, mu0
+    return alpha, beta
 
 
 def _golub_welsch(n, eta):
     """Nodes and weights on [0,1] from the eigen-decomposition of the
     symmetric Jacobi matrix, then the affine map [-1,1] -> [0,1]."""
-    alpha, beta, mu0 = _jacobi_recurrence(n, eta)
+    alpha, beta = _jacobi_recurrence(n, eta)
     T = np.diag(alpha) + np.diag(np.sqrt(beta[1:]), -1) + np.diag(np.sqrt(beta[1:]), 1)
     x, v = np.linalg.eigh(T)
-    w = mu0 * v[0, :] ** 2
-    return 0.5 * (x + 1.0), w * 2.0 ** (-(eta + 1.0))
+    return 0.5 * (x + 1.0), v[0, :] ** 2 / (eta + 1.0)
 
 
 def _legendre_values(n, x):

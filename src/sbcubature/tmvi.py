@@ -36,10 +36,12 @@ class BoundaryLoop(Region):
     polygon through 128 positions P per curve, t = k/128, must turn left at
     every sample, cross(E_k, E_k+1) >= -1e-14 max(scale, |P|.max()) |E_k|
     for its secants E, and wind once: its turning angles sum to 2 pi within
-    pi.  The tolerance grows with the largest coordinate, as the round-off of
-    the positions does: on convex polygons, Bezier and parametric loops up
-    to 1e4 scale from the origin that round-off stayed below
-    1e-15 |P|.max(), so such a loop passes.
+    pi.  A loop whose angles sum to -2 pi within pi is clockwise, an
+    InvalidArgumentError: every point would be outside it.  The tolerance
+    grows with the largest coordinate, as the round-off of the positions
+    does: on convex polygons, Bezier and parametric loops up to 1e4 scale
+    from the origin that round-off stayed below 1e-15 |P|.max(), so such a
+    loop passes.
     A reflex corner at a curve junction can be narrower than the turn
     between two of those samples, so each curve's last secant over the step
     _JUNCTION_STEP in t must also turn left into the next curve's first,
@@ -66,8 +68,10 @@ class BoundaryLoop(Region):
         F = np.roll(J[:, 1] - J[:, 0], -1, axis=0)
         longer = np.maximum(np.hypot(E[:, 0], E[:, 1]), np.hypot(F[:, 0], F[:, 1]))
         right_turn_at_junction = E[:, 0] * F[:, 1] - E[:, 1] * F[:, 0] < -tol * longer
-        if (right_turn.any() or right_turn_at_junction.any()
-                or abs(np.arctan2(cross, dot).sum() - 2.0 * np.pi) > np.pi):
+        turning = np.arctan2(cross, dot).sum()
+        if abs(turning + 2.0 * np.pi) < np.pi:
+            raise InvalidArgumentError("boundary loop is clockwise; it must run counterclockwise")
+        if right_turn.any() or right_turn_at_junction.any() or abs(turning - 2.0 * np.pi) > np.pi:
             warnings.warn("boundary loop does not look convex", stacklevel=2)
 
     def samples(self, n_t):

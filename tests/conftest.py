@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from sbcubature.curves import Bezier, Curve, ParametricCurve, RationalBezier, Segment
+from sbcubature.region import Region, polygon
+
 # CI (GitHub Actions sets CI) prints a @reproduce_failure blob with each
 # property-test failure, so a failure seen there can be replayed locally
 settings.register_profile("ci", print_blob=True)
@@ -97,7 +100,6 @@ def geometry_names():
 
 def rescaled_polygon(name):
     """Polygon translated/scaled into the largest subset of the unit square."""
-    from sbcubature.region import polygon
     from sbcubature.testfns import lookup
 
     v = lookup(name).make().vertices
@@ -119,6 +121,64 @@ def greens_poly(vertices, monomials):
 
 @pytest.fixture
 def unit_square():
-    from sbcubature.region import polygon
-
     return polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+
+
+class Arc(Curve):
+    """Unit-circle arc from angle th0 to th1: a curve class decompose does not batch.
+
+    Unlike the library's curves, it does not check its own t.
+    """
+
+    def __init__(self, th0, th1):
+        self.th0, self.th1 = th0, th1
+
+    def position(self, t):
+        th = self.th0 + (self.th1 - self.th0) * np.asarray(t, dtype=float)
+        return np.stack([np.cos(th), np.sin(th)], axis=-1)
+
+    def velocity(self, t):
+        th = self.th0 + (self.th1 - self.th0) * np.asarray(t, dtype=float)
+        return (self.th1 - self.th0) * np.stack([-np.sin(th), np.cos(th)], axis=-1)
+
+
+class BulgedSegment(Segment):
+    """A Segment subclass with its own position: it must not be batched as a segment."""
+
+    def position(self, t):
+        bump = 0.1 * np.sin(np.pi * np.asarray(t, dtype=float))
+        return super().position(t) + np.multiply.outer(bump, (self.d[1], -self.d[0]))
+
+    def velocity(self, t):
+        bump = 0.1 * np.pi * np.cos(np.pi * np.asarray(t, dtype=float))
+        return super().velocity(t) + np.multiply.outer(bump, (self.d[1], -self.d[0]))
+
+
+KINDS = ("segment", "bezier1", "bezier2", "bezier3", "rational", "parametric", "arc", "bulged")
+
+
+def curve_chain(kinds, bulge=0.2):
+    """A closed chain through points on the unit circle, one curve of each kind per edge."""
+    th = 2.0 * np.pi * np.arange(len(kinds) + 1) / len(kinds)
+    v = np.column_stack([np.cos(th), np.sin(th)])
+    v[-1] = v[0]
+    curves = []
+    for kind, a, b, th0, th1 in zip(kinds, v, v[1:], th, th[1:]):
+        out = bulge * np.array([b[1] - a[1], a[0] - b[0]])
+        if kind == "segment":
+            curves.append(Segment(a, b))
+        elif kind.startswith("bezier"):
+            deg = int(kind[-1])
+            s = np.arange(1, deg)[:, None] / deg
+            curves.append(Bezier([a, *(a + s * (b - a) + out), b]))
+        elif kind == "rational":
+            curves.append(RationalBezier([a, 0.5 * (a + b) + out, b], [1.0, 0.6 + bulge, 1.0]))
+        elif kind == "parametric":
+            x, y = ("%r + t*%r + %r*sin(pi*t)" % (float(a[j]), float(b[j] - a[j]), float(out[j]))
+                    for j in (0, 1))
+            curves.append(ParametricCurve(x, y))
+        elif kind == "arc":
+            curves.append(Arc(th0, th1))
+        else:
+            curves.append(BulgedSegment(a, b))
+    return Region(curves)

@@ -10,7 +10,6 @@ from sbcubature.curves import (
     RationalBezier,
     Segment,
 )
-from sbcubature.errors import InvalidArgumentError
 from sbcubature.exprlang import _FUNCTIONS
 from sbcubature.region import Region, decompose
 from sbcubature.rules import gauss_legendre
@@ -28,11 +27,6 @@ def test_segment_eval():
     s = Segment((0, 0), (2, 0))
     np.testing.assert_allclose(s.position(0.25), [0.5, 0.0])
     np.testing.assert_allclose(s.velocity(0.7), [2.0, 0.0])
-
-
-def test_segment_rejects_out_of_range_t():
-    with pytest.raises(InvalidArgumentError):
-        Segment((0, 0), (1, 1)).position(1.5)
 
 
 def test_bezier_endpoint_interpolation():
@@ -60,62 +54,6 @@ def test_rational_quarter_circle_is_exact():
     t = np.linspace(0.0, 1.0, 50)
     p = r.position(t)
     np.testing.assert_allclose(np.hypot(p[:, 0], p[:, 1]), 1.0, atol=1e-14)
-
-
-def test_rational_validation():
-    with pytest.raises(InvalidArgumentError):
-        RationalBezier([(0, 0), (1, 1)], [1.0])
-    with pytest.raises(InvalidArgumentError):
-        RationalBezier([(0, 0), (1, 1)], [1.0, -1.0])
-
-
-@pytest.mark.parametrize("make", [
-    lambda: Segment(("0", "0"), ("1", "0")),
-    lambda: Segment((0, 0), (b"1", 0)),
-    lambda: Segment(np.array(["0", 0], dtype=object), (1, 0)),
-    lambda: Bezier([(0, 0), ("0.5", "1"), (1, 0)]),
-    lambda: RationalBezier([(0, 0), (0.5, "1"), (1, 0)], [1, 1, 1]),
-    lambda: RationalBezier([(0, 0), (0.5, 1), (1, 0)], [1, "2", 1]),
-], ids=["segment", "segment-bytes", "segment-object-array", "bezier", "rational-points",
-        "rational-weights"])
-def test_numeric_text_is_not_a_coordinate(make):
-    # numpy would read "0.5" as 0.5; a curve takes numbers only
-    with pytest.raises(InvalidArgumentError, match="must be real numbers"):
-        make()
-
-
-@pytest.mark.parametrize("make", [
-    lambda: Segment((True, False), (1, 0)),
-    lambda: Segment((0, 0), (1, False)),
-    lambda: Segment(np.array([False, False]), (1, 0)),
-    lambda: Segment(np.array([0.0, np.bool_(True)], dtype=object), (1, 0)),
-    lambda: Bezier([(0, 0), (0.5, True), (1, 0)]),
-    lambda: Bezier(np.ones((3, 2), dtype=bool)),
-    lambda: RationalBezier([(0, 0), (0.5, 1), (True, 0)], [1, 1, 1]),
-    lambda: RationalBezier([(0, 0), (0.5, 1), (1, 0)], [1, True, 1]),
-    lambda: RationalBezier([(0, 0), (0.5, 1), (1, 0)], np.array([True, True, True])),
-], ids=["segment", "segment-beside-a-number", "segment-bool-array", "segment-object-array",
-        "bezier", "bezier-bool-array", "rational-points", "rational-weights",
-        "rational-weights-bool-array"])
-def test_a_boolean_is_not_a_coordinate(make):
-    # numpy would read True as 1.0, even beside numbers as in [1, False]
-    with pytest.raises(InvalidArgumentError, match="must be real numbers"):
-        make()
-
-
-@pytest.mark.parametrize("make", [
-    lambda: Segment((0, 1j), (1, 0)),
-    lambda: Segment(np.array([0.0, 1.0 + 0j]), (1, 0)),
-    lambda: Segment(np.array([0.0, np.complex64(1)], dtype=object), (1, 0)),
-    lambda: Bezier([(0, 0), (0.5, 1 + 1j), (1, 0)]),
-    lambda: RationalBezier([(0, 0), (0.5, 1j), (1, 0)], [1, 1, 1]),
-    lambda: RationalBezier([(0, 0), (0.5, 1), (1, 0)], [1, 2 + 0j, 1]),
-], ids=["segment", "segment-complex-array", "segment-object-array", "bezier", "rational-points",
-        "rational-weights"])
-def test_a_complex_number_is_not_a_coordinate(make):
-    # numpy would drop the imaginary part with only a ComplexWarning
-    with pytest.raises(InvalidArgumentError, match="must be real numbers"):
-        make()
 
 
 DELTOID_X = "(1+2*cos(2*pi/3*t))^2/12"
@@ -238,11 +176,6 @@ def test_closed_form_derivatives_cover_every_function_and_operator():
         assert op in sources
 
 
-def test_parametric_rejects_xy():
-    with pytest.raises(InvalidArgumentError):
-        ParametricCurve("x + t", "t")
-
-
 def perp_product(curve, t, x0):
     return own_samples(curve, t, np.asarray(x0, dtype=float))[2]
 
@@ -289,34 +222,9 @@ def test_rational_homogeneous_evaluation_matches_quotient():
     np.testing.assert_allclose(r.velocity(ti), central_diff(r, ti), atol=1e-7)
 
 
-@pytest.mark.parametrize("t, entry", [
-    ("0.5", "'0.5'"),
-    (["0.5"], "'0.5'"),
-    (True, "True"),
-    ([0.25, False], "False"),
-    (np.array([0.5 + 1j]), "(0.5+1j)"),
-    ([0.5 + 1j], "(0.5+1j)"),
-    (None, "None"),
-], ids=["text", "text-list", "bool", "bool-in-list", "complex-array", "complex-list", "none"])
-@pytest.mark.parametrize("curve", [Segment((0, 0), (1, 0)), CUBIC, ParametricCurve("t", "t^2")],
-                         ids=["segment", "bezier", "parametric"])
-def test_a_curve_parameter_must_be_real_numbers(curve, t, entry):
-    # numpy would read "0.5" as 0.5, True as 1 and keep the real part of 0.5+1j
-    for method in (curve.position, curve.velocity):
-        with pytest.raises(InvalidArgumentError) as e:
-            method(t)
-        assert str(e.value) == "curve parameter must be real numbers, got " + entry
-
-
-def test_a_decimal_is_not_a_coordinate_and_a_fraction_is():
-    from decimal import Decimal
+def test_a_fraction_is_a_coordinate():
     from fractions import Fraction
 
-    for make in (lambda: Segment((Decimal(0), 0), (1, 0)),
-                 lambda: Bezier([(0, 0), (0.5, Decimal("1")), (1, 0)]),
-                 lambda: RationalBezier([(0, 0), (0.5, 1), (1, 0)], [1, Decimal(2), 1])):
-        with pytest.raises(InvalidArgumentError, match=r"must be real numbers, got Decimal\("):
-            make()
     third = Fraction(1, 3)
     assert Segment((third, 0), (1, third)).a.tolist() == [1 / 3, 0.0]
     assert Bezier([(0, 0), (third, 1), (1, 0)]).position(0.5).tolist() == [1 / 3 * 0.5 + 0.25, 0.5]
@@ -324,43 +232,3 @@ def test_a_decimal_is_not_a_coordinate_and_a_fraction_is():
     assert t.tolist() == [0.25, 0.0]
 
 
-def test_a_coordinate_beyond_the_float_range_is_rejected():
-    for make in (lambda: Segment((10**400, 0), (1, 0)),
-                 lambda: Bezier([(0, 0), (0.5, -(10**400)), (1, 0)])):
-        with pytest.raises(InvalidArgumentError, match="must be real numbers, got -?1000"):
-            make()
-
-
-@pytest.mark.parametrize("make, message", [
-    (lambda: Segment((np.inf, 0), (1, 0)), "segment endpoints must be finite, got inf"),
-    (lambda: Segment((0, 0), (1, np.nan)), "segment endpoints must be finite, got nan"),
-    (lambda: Bezier([(0, 0), (np.nan, 1), (2, 0)]), "control points must be finite, got nan"),
-    (lambda: Bezier([(0, 0), (1, -np.inf), (2, 0)]), "control points must be finite, got -inf"),
-    (lambda: RationalBezier([(0, 0), (np.inf, 1), (2, 0)], [1, 1, 1]),
-     "control points must be finite, got inf"),
-    (lambda: RationalBezier([(0, 0), (1, 1), (2, 0)], [1, np.nan, 1]),
-     "rational weights must be finite, got nan"),
-    (lambda: RationalBezier([(0, 0), (1, 1), (2, 0)], [1, np.inf, 1]),
-     "rational weights must be finite, got inf"),
-], ids=["segment-inf", "segment-nan", "bezier-nan", "bezier-minus-inf", "rational-inf-point",
-        "rational-nan-weight", "rational-inf-weight"])
-def test_non_finite_curve_data_is_rejected_at_construction(make, message):
-    # a NaN weight passed the positivity test (NaN <= 0 is false) and gave NaN positions
-    with pytest.raises(InvalidArgumentError) as e:
-        make()
-    assert str(e.value) == message
-
-
-@pytest.mark.parametrize("make", [
-    lambda: Segment((0, 0, 0), (1, 0)),
-    lambda: Segment((0, 0), 1),
-    lambda: Bezier([(0, 0)]),
-    lambda: Bezier([0, 1, 2]),
-    lambda: Bezier([(0, 0, 0), (1, 0, 0)]),
-    lambda: RationalBezier([(0, 0)], [1]),
-    lambda: RationalBezier([(0, 0, 1), (1, 0, 1)], [1, 1]),
-], ids=["segment-3d", "segment-scalar", "bezier-one-point", "bezier-flat", "bezier-3d",
-        "rational-one-point", "rational-3d"])
-def test_curves_need_two_dimensional_points(make):
-    with pytest.raises(InvalidArgumentError, match="2-D"):
-        make()

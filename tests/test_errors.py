@@ -6,9 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sbcubature import hni, rules, singular, testfns, tmvi
 from sbcubature.errors import InvalidArgumentError, real_array, real_number
-from sbcubature.region import CenterPolicy, polygon
 
 
 def test_an_int_or_float_array_is_read_by_its_dtype_and_a_float64_one_is_not_copied():
@@ -136,45 +134,3 @@ def test_real_number_shortens_the_value_it_names():
             real_number(value, "homogeneity degree", above=-2.0)
         assert len(str(e.value)) < 200
 
-
-SQUARE = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-SCALAR_OPTIONS = [
-    ("weight exponent", lambda v: rules.gauss_jacobi_unit(4, v)),
-    ("homogeneity degree", lambda v: hni.HomogeneousField(lambda x, y: x, v)),
-    ("vertex index", CenterPolicy.vertex),
-    ("generalized-SB alpha", singular.GeneralizedSB),
-    ("beta", singular.select_alpha),
-    ("beta", singular.radial_exponent),
-    ("alpha", lambda v: singular.radial_exponent(0.5, v)),
-    ("beta", lambda v: singular.generate_singular_rule(
-        SQUARE, singular.SingularSpec((-1.0, -1.0)), v, 4, 4)),
-    ("dx", lambda v: testfns.xfem_integrands("Omega2", v)),
-    ("egg a", lambda v: tmvi.EggCurve(v)),
-    ("egg b", lambda v: tmvi.EggCurve(4.0, v)),
-    ("egg r", lambda v: tmvi.EggCurve(4.0, 5.0, v)),
-    ("p", lambda v: tmvi.lp_distance_many(tmvi.egg_domain(), [[0.0, 0.0]], v, 16)),
-]
-# None is how these two say that the option is absent
-ABSENT = {"vertex index": "center strategy 'vertex' needs index",
-          "p": "give boundary data g or a power p, not both"}
-OPTION_IDS = ["gauss_jacobi_unit", "HomogeneousField", "CenterPolicy.vertex", "GeneralizedSB",
-              "select_alpha", "radial_exponent-beta", "radial_exponent-alpha",
-              "generate_singular_rule", "xfem_integrands", "EggCurve-a", "EggCurve-b", "EggCurve-r",
-              "lp_distance_many"]
-
-
-@pytest.mark.parametrize("value", ["1", True, None, Decimal("0.5"), 1j, math.nan, math.inf, 10**400],
-                         ids=["text", "bool", "none", "decimal", "complex", "nan", "inf", "huge"])
-@pytest.mark.parametrize("what, call", SCALAR_OPTIONS, ids=OPTION_IDS)
-def test_every_scalar_option_says_whether_a_value_is_no_real_number_or_out_of_range(what, call, value):
-    with pytest.raises(InvalidArgumentError) as e:
-        call(value)
-    message = str(e.value)
-    shown = ", got " + reprlib.repr(value)
-    if value is None and what in ABSENT:
-        assert message == ABSENT[what]
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        assert message.startswith(what + " must be a finite number in (") and message.endswith(shown)
-    else:
-        assert message == what + " must be a real number" + shown
-    assert len(message) < 200

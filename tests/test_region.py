@@ -1,4 +1,3 @@
-from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -6,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import geometry_names, own_samples, same_bits
+from conftest import KINDS, curve_chain, geometry_names, own_samples, same_bits
 from sbcubature.curves import (
     Bezier,
-    Curve,
     ParametricCurve,
-    RationalBezier,
     Segment,
     sample_chain,
 )
@@ -42,45 +39,6 @@ def test_resolve_center(unit_square):
     np.testing.assert_allclose(
         resolve_center(unit_square, CenterPolicy.custom((3, -1))), [3, -1]
     )
-    with pytest.raises(InvalidArgumentError):
-        resolve_center(unit_square, CenterPolicy.vertex(4))
-
-
-@pytest.mark.parametrize("make, field", [
-    (lambda: CenterPolicy.vertex(True), "vertex index"),
-    (lambda: CenterPolicy.vertex(np.bool_(True)), "vertex index"),
-    (lambda: CenterPolicy.vertex(1.7), "vertex index"),
-    (lambda: CenterPolicy.vertex(-0.5), "vertex index"),
-    (lambda: CenterPolicy.vertex(np.nan), "vertex index"),
-    (lambda: CenterPolicy.vertex("2"), "vertex index"),
-    (lambda: CenterPolicy("vertex"), "needs index"),
-    (lambda: CenterPolicy("origin", point=(3, 4)), "takes no point"),
-    (lambda: CenterPolicy("vertex_average", index=0), "takes no index"),
-    (lambda: CenterPolicy("vertex", index=1, point=(3, 4)), "takes no point"),
-    (lambda: CenterPolicy("custom", index=1, point=(3, 4)), "takes no index"),
-    (lambda: CenterPolicy("custom"), "needs point"),
-    (lambda: CenterPolicy.custom((0.5, 0.5, 9.0)), "center point"),
-    (lambda: CenterPolicy.custom((0.5,)), "center point"),
-    (lambda: CenterPolicy.custom(("a", "b")), "center point"),
-    (lambda: CenterPolicy.custom(("0.5", "1")), "center point"),
-    (lambda: CenterPolicy.custom((0.5, np.inf)), "center point"),
-    (lambda: CenterPolicy.custom((True, False)), "center point"),
-    (lambda: CenterPolicy.custom((0.5, False)), "center point"),
-    (lambda: CenterPolicy.custom(np.array([True, True])), "center point"),
-    (lambda: CenterPolicy.custom((0.5 + 2j, 0.25)), "center point"),
-    (lambda: CenterPolicy.custom(np.array([0.5, 0.25 + 0j])), "center point"),
-    (lambda: CenterPolicy("centroid"), "center strategy"),
-    (lambda: CenterPolicy(["origin"]), "center strategy"),
-], ids=["vertex-bool", "vertex-numpy-bool", "vertex-fraction", "vertex-negative-fraction",
-        "vertex-nan", "vertex-text", "vertex-without-index", "origin-with-point",
-        "vertex-average-with-index", "vertex-with-point", "custom-with-index",
-        "custom-without-point", "custom-three-coordinates", "custom-one-coordinate",
-        "custom-text", "custom-numeric-text", "custom-inf", "custom-bool",
-        "custom-bool-beside-a-number", "custom-bool-array", "custom-complex",
-        "custom-complex-array", "unknown-strategy", "strategy-list"])
-def test_center_policy_checks_itself_when_built(make, field):
-    with pytest.raises(InvalidArgumentError, match=field):
-        make()
 
 
 def test_center_policy_stores_an_int_index_and_a_float_point():
@@ -150,63 +108,6 @@ def test_every_rule_family_decomposes_its_region_once(build, unit_square, monkey
     }
     builds[build]()
     assert len(calls) == 1 and calls[0][0] is unit_square
-
-
-class Arc(Curve):
-    """Unit-circle arc from angle th0 to th1: a curve class decompose does not batch."""
-
-    def __init__(self, th0, th1):
-        self.th0, self.th1 = th0, th1
-
-    def position(self, t):
-        th = self.th0 + (self.th1 - self.th0) * np.asarray(t, dtype=float)
-        return np.stack([np.cos(th), np.sin(th)], axis=-1)
-
-    def velocity(self, t):
-        th = self.th0 + (self.th1 - self.th0) * np.asarray(t, dtype=float)
-        return (self.th1 - self.th0) * np.stack([-np.sin(th), np.cos(th)], axis=-1)
-
-
-class BulgedSegment(Segment):
-    """A Segment subclass with its own position: it must not be batched as a segment."""
-
-    def position(self, t):
-        bump = 0.1 * np.sin(np.pi * np.asarray(t, dtype=float))
-        return super().position(t) + np.multiply.outer(bump, (self.d[1], -self.d[0]))
-
-    def velocity(self, t):
-        bump = 0.1 * np.pi * np.cos(np.pi * np.asarray(t, dtype=float))
-        return super().velocity(t) + np.multiply.outer(bump, (self.d[1], -self.d[0]))
-
-
-KINDS = ("segment", "bezier1", "bezier2", "bezier3", "rational", "parametric", "arc", "bulged")
-
-
-def curve_chain(kinds, bulge=0.2):
-    """A closed chain through points on the unit circle, one curve of each kind per edge."""
-    th = 2.0 * np.pi * np.arange(len(kinds) + 1) / len(kinds)
-    v = np.column_stack([np.cos(th), np.sin(th)])
-    v[-1] = v[0]
-    curves = []
-    for kind, a, b, th0, th1 in zip(kinds, v, v[1:], th, th[1:]):
-        out = bulge * np.array([b[1] - a[1], a[0] - b[0]])
-        if kind == "segment":
-            curves.append(Segment(a, b))
-        elif kind.startswith("bezier"):
-            deg = int(kind[-1])
-            s = np.arange(1, deg)[:, None] / deg
-            curves.append(Bezier([a, *(a + s * (b - a) + out), b]))
-        elif kind == "rational":
-            curves.append(RationalBezier([a, 0.5 * (a + b) + out, b], [1.0, 0.6 + bulge, 1.0]))
-        elif kind == "parametric":
-            x, y = ("%r + t*%r + %r*sin(pi*t)" % (float(a[j]), float(b[j] - a[j]), float(out[j]))
-                    for j in (0, 1))
-            curves.append(ParametricCurve(x, y))
-        elif kind == "arc":
-            curves.append(Arc(th0, th1))
-        else:
-            curves.append(BulgedSegment(a, b))
-    return Region(curves)
 
 
 def assert_decompose_matches_each_curve(region, x0, t):
@@ -279,14 +180,6 @@ def test_boundary_samples_of_interleaved_segments_are_their_own_bits(others, bul
             assert same_bits(N[i], np.stack([V[:, 1], -V[:, 0]], axis=-1))
 
 
-def test_node_rows_must_match_the_chain(unit_square):
-    for t in (np.full((3, 2), 0.5), np.full((5, 2), 0.5), np.full((4, 2, 1), 0.5)):
-        with pytest.raises(InvalidArgumentError, match="one row per curve"):
-            decompose(unit_square, np.zeros(2), t)
-    with pytest.raises(InvalidArgumentError, match="must lie in"):
-        decompose(unit_square, np.zeros(2), np.array([[0.5]] * 3 + [[1.5]]))
-
-
 def test_non_finite_sample_at_a_node_is_rejected():
     # NaN only for |t - 0.5| < 0.001, which none of Region's 64 samples hits
     region = Region([ParametricCurve("t + 0*sqrt(abs(t-0.5)-0.001)", "0"), Segment((1, 0), (1, 1)),
@@ -307,28 +200,6 @@ def test_non_finite_sample_after_batched_segments_names_its_chain_index():
         decompose(region, np.array([0.5, 0.5]), np.array([0.25, 0.5]))
     with pytest.raises(InvalidArgumentError, match="curve 2 "):
         integrate(region, CenterPolicy.VERTEX_AVERAGE, lambda x, y: np.ones_like(x), 3, 5)
-
-
-def test_decompose_rejects_nodes_outside_the_unit_interval(unit_square):
-    for region in (unit_square, lookup("egg").make(), curve_chain(KINDS)):
-        for t in ([-0.1, 0.5], [0.5, 1.1]):
-            with pytest.raises(InvalidArgumentError, match="must lie in"):
-                decompose(region, np.zeros(2), np.array(t))
-
-
-def test_nan_node_is_a_bad_parameter_not_a_bad_curve(unit_square):
-    # a NaN node fails the [0, 1] check instead of reaching the curves'
-    # finiteness check, which would blame the geometry
-    library_curves = [c for c in curve_chain(KINDS).curves if type(c).__module__ == "sbcubature.curves"]
-    assert len(library_curves) == 6
-    for curve in library_curves:
-        for method in (curve.position, curve.velocity):
-            with pytest.raises(InvalidArgumentError, match="curve parameter must lie in"):
-                method(np.nan)
-    for region in (unit_square, lookup("egg").make(), curve_chain(KINDS)):
-        for t in ([0.5, np.nan], [[np.nan, 0.5]] * len(region.curves)):
-            with pytest.raises(InvalidArgumentError, match="curve parameter must lie in"):
-                decompose(region, np.zeros(2), np.array(t))
 
 
 class UnvectorizedLine(Segment):
@@ -399,11 +270,6 @@ def test_infinite_velocity_at_an_endpoint_is_accepted():
     assert (perp >= -1e-12 * region.scale() ** 2).all()  # star-convex about (0.25, 0.25)
 
 
-def test_open_chain_rejected():
-    with pytest.raises(InvalidArgumentError):
-        Region([Segment((0, 0), (1, 0)), Segment((1, 0.1), (0, 0))])
-
-
 def test_region_endpoints_are_each_curves_start_and_end():
     # Region reads them from its 64 bounding-box samples, t = 0 and t = 1 included
     t = np.linspace(0.0, 1.0, 64)
@@ -447,26 +313,6 @@ def test_bbox_and_scale_are_computed_once():
         lo[0] = 0.0
 
 
-def test_zero_length_segment_rejected():
-    with pytest.raises(InvalidArgumentError):
-        Region(
-            [Segment((0, 0), (1, 0)), Segment((1, 0), (1, 0)), Segment((1, 0), (0, 0))]
-        )
-
-
-@pytest.mark.parametrize("vertices, message", [
-    ([("0", "0"), ("1", "0"), ("1", "1"), ("0", "1")], "must be real numbers"),
-    ([(False, 0), (1, 0), (1, 1), (0, 1)], "must be real numbers"),
-    ([(0, 0), (1, 1j), (1, 1), (0, 1)], "must be real numbers"),
-    ([(0, 0), (1, 0, 0), (1, 1)], "must be real numbers"),
-    ([0, 1, 2], r"must be 2-D points, got shape \(3,\)"),
-    (np.zeros((4, 3)), r"must be 2-D points, got shape \(4, 3\)"),
-], ids=["text", "bool", "complex", "ragged", "flat", "three-coordinates"])
-def test_polygon_vertices_are_pairs_of_real_numbers(vertices, message):
-    with pytest.raises(InvalidArgumentError, match="polygon vertices " + message):
-        polygon(vertices)
-
-
 def test_area_independent_of_center():
     reg = polygon([(0, 0), (3, 0), (4, 2), (1, 3)])
     ref = area(reg, (2.0, 1.2))
@@ -480,61 +326,20 @@ def test_reversed_orientation_negates_area(unit_square):
     assert area(unit_square, (0.5, 0.5)) == pytest.approx(1.0)
 
 
-def test_non_finite_geometry_and_center_are_rejected(unit_square):
-    with pytest.raises(InvalidArgumentError, match="curve 1 "):
-        # NaN for t < 1
-        Region([Segment((0, 0), (1, 0)), ParametricCurve("1 - t", "t + sqrt(t - 1)"),
-                Segment((0, 1), (0, 0))])
-    with pytest.raises(InvalidArgumentError, match="polygon vertices must be finite, got nan"):
-        polygon([(np.nan, 0), (1, 0), (1, 1)])
-    with pytest.raises(InvalidArgumentError):
-        resolve_center(unit_square, CenterPolicy.custom((0.5, np.inf)))
-
-
-def test_a_vertex_that_is_not_a_real_number_is_named():
-    # NaN, from numpy reading None, used to surface as a non-finite curve
-    for vertices, entry in (([(0, 0), (1, 0), (None, 1)], "None"),
-                            ([(0, 0), (1, 0), (Decimal(1), 1)], "Decimal('1')")):
-        with pytest.raises(InvalidArgumentError) as e:
-            polygon(vertices)
-        assert str(e.value) == "polygon vertices must be real numbers, got " + entry
+def test_a_fraction_vertex_is_read_as_a_number():
     third = Fraction(1, 3)
     assert polygon([(0, 0), (1, 0), (third, 1)]).vertices.tolist() == [[0, 0], [1, 0], [1 / 3, 1]]
 
 
-@pytest.mark.parametrize("x0, entry", [
-    (("1", "1"), "'1'"),
-    ((1 + 1j, 1), "(1+1j)"),
-    (np.array([0.5, 0.5 + 0j]), "(0.5+0j)"),
-    ((0.5, None), "None"),
-    ((True, 0.5), "True"),
-], ids=["text", "complex", "complex-array", "none", "bool"])
-def test_a_center_that_is_not_real_numbers_is_named(unit_square, x0, entry):
+def test_a_long_center_is_shortened_in_its_message(unit_square):
     t = np.linspace(0.1, 0.9, 5)
     with pytest.raises(InvalidArgumentError) as e:
-        decompose(unit_square, x0, t)
-    assert str(e.value) == "center must be real numbers, got " + entry
-
-
-@pytest.mark.parametrize("x0", [(np.nan, 0.5), (np.inf, 0.5), 0.5, [[0.5, 0.5]], (0.5, 0.5, 0.5)],
-                         ids=["nan", "inf", "scalar", "nested", "three-coordinates"])
-def test_a_center_that_is_not_one_finite_point_is_named(unit_square, x0):
-    # NaN dropped every curve (an empty rule) and inf two of four, a scalar and
-    # an (1, 2) center were broadcast, and three coordinates raised numpy's own error
-    t = np.linspace(0.1, 0.9, 5)
-    with pytest.raises(InvalidArgumentError) as e:
-        decompose(unit_square, x0, t)
-    assert str(e.value) == "center must be two finite numbers, got %r" % (x0,)
-    with pytest.raises(InvalidArgumentError) as e:  # a long array is shortened
         decompose(unit_square, np.zeros(500), t)
     assert str(e.value).startswith("center must be two finite numbers, got array([0.")
     assert len(str(e.value)) < 200
 
 
-def test_nodes_that_are_not_real_numbers_are_named(unit_square):
-    for t in (["0.5"], [0.25, True], np.array([0.5 + 0j])):
-        with pytest.raises(InvalidArgumentError, match="curve parameter must be real numbers"):
-            decompose(unit_square, (0.5, 0.5), t)
+def test_a_list_of_nodes_and_a_fraction_center_are_read_as_numbers(unit_square):
     # a list of numbers and a Fraction center are read as numbers
     want = decompose(unit_square, np.array([0.25, 0.5]), np.array([0.25, 0.5]))
     got = decompose(unit_square, (Fraction(1, 4), 0.5), [0.25, Fraction(1, 2)])
@@ -550,19 +355,6 @@ class Hook:
 
     def velocity(self, t):
         return Segment((0, 0), (1, 0)).velocity(t)
-
-
-@pytest.mark.parametrize("items, index, shown", [
-    ([Segment((0, 0), (1, 0)), "x"], 1, "'x'"),
-    ([((0, 0), (1, 0))], 0, "((0, 0), (1, 0))"),
-    ([Segment((0, 0), (1, 0)), Segment((1, 0), (0, 1)), None], 2, "None"),
-    ([type("HalfCurve", (), {"position": Hook.position, "velocity": 1.0})()], 0, "<"),
-], ids=["text", "pair-of-points", "none", "velocity-not-callable"])
-def test_a_boundary_item_that_is_not_a_curve_is_named(items, index, shown):
-    with pytest.raises(InvalidArgumentError) as e:
-        Region(items)
-    assert str(e.value).startswith("boundary item %d is not a curve with position and velocity "
-                                   "methods: %s" % (index, shown))
 
 
 def test_a_curve_need_not_derive_from_curve():

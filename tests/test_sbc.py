@@ -1,5 +1,4 @@
 import warnings
-from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -79,15 +78,6 @@ def test_min_orders():
     assert min_orders_curved(0, 1) == (1, 1)
     assert min_orders_polygon(np.int64(3)) == (3, 2)
     assert min_orders_curved(np.int32(5), np.int64(3)) == (4, 11)
-    # a degree is an integer: 2.5 is not rounded up, and True is not 1
-    for bad in (-1, 2.5, 3.0, True, np.nan, "3", None):
-        with pytest.raises(InvalidArgumentError, match="polynomial degree"):
-            min_orders_polygon(bad)
-        with pytest.raises(InvalidArgumentError, match="integrand degree"):
-            min_orders_curved(bad, 3)
-    for bad in (0, 2.5, True, np.nan, "3"):
-        with pytest.raises(InvalidArgumentError, match="curve degree"):
-            min_orders_curved(2, bad)
 
 
 @pytest.mark.parametrize("pname", POLYGON_NAMES)
@@ -246,12 +236,6 @@ def test_every_curve_skipped_gives_an_empty_rule():
     assert hni_integrate(reg, HomogeneousField(one, 0), 4) == 0.0
 
 
-def test_nonfinite_integrand_reports_point(unit_square):
-    with pytest.raises(EvaluationError) as e, np.errstate(divide="ignore", invalid="ignore"):
-        integrate(unit_square, CenterPolicy.VERTEX_AVERAGE, lambda x, y: 1.0 / (x - x), 2, 2)
-    assert e.value.point is not None
-
-
 def test_evaluation_error_names_its_point_as_python_floats():
     rule = generate_rule(lookup("egg").make(), CenterPolicy.VERTEX_AVERAGE, 4, 4)
     with pytest.raises(EvaluationError) as e, np.errstate(invalid="ignore"):
@@ -264,46 +248,12 @@ def test_evaluation_error_names_its_point_as_python_floats():
     assert tuple(float(v) for v in message[message.index("(") + 1:-1].split(", ")) == point
 
 
-def test_field_values_of_the_wrong_shape_are_rejected():
-    rule = generate_rule(lookup("convex_hexagon").make(), CenterPolicy.VERTEX_AVERAGE, 4, 4)
-    n = len(rule)
-    # an (N, 1) column would broadcast against the (N,) weights into a wrong number
-    for f, shape in ((lambda x, y: (1.0 + x)[:, None], (n, 1)),
-                     (lambda x, y: np.array([1.0]), (1,)),
-                     (lambda x, y: np.ones((2, n)), (2, n))):
-        with pytest.raises(InvalidArgumentError) as e:
-            rule(f)
-        assert str(e.value) == "field values have shape %s, expected (%d,) or ()" % (shape, n)
-
-
-def test_field_values_that_are_not_real_numbers_are_rejected():
+def test_an_indicator_field_is_0_and_1_and_a_float64_field_is_not_copied():
     rule = generate_rule(lookup("convex_quad").make(), CenterPolicy.VERTEX_AVERAGE, 3, 3)
-    # numpy would keep the real part of a complex value, and read "3" as 3
-    for f in (lambda x, y: x + 1j * y, lambda x, y: "3", lambda x, y: np.full(len(x), "3"),
-              lambda x, y: np.array([1.0] * (len(x) - 1) + [1j], dtype=object),
-              lambda x, y: np.array([1.0] * (len(x) - 1) + ["3"], dtype=object)):
-        with pytest.raises(InvalidArgumentError, match="field values must be real numbers"):
-            rule(f)
     # an indicator field is 0 and 1, and a float64 field is not copied
     assert rule(lambda x, y: x > 2.0) == rule(lambda x, y: (x > 2.0).astype(float))
     vals = np.ones(len(rule))
     assert real_values(vals, len(rule)) is vals
-
-
-@pytest.mark.parametrize("f, entry", [
-    (lambda x, y: None, "None"),
-    (lambda x, y: [None] * len(x), "None"),
-    (lambda x, y: [object()] * len(x), "<object objec"),
-    (lambda x, y: [Decimal("0.5")] * len(x), "Decimal('0.5')"),
-    (lambda x, y: Decimal("0.5"), "Decimal('0.5')"),
-    (lambda x, y: [1.0] * (len(x) - 1) + ["3"], "'3'"),
-], ids=["none", "list-of-none", "objects", "decimals", "decimal", "text-in-a-list"])
-def test_field_values_that_are_not_real_numbers_name_the_first(f, entry):
-    # numpy would read None as NaN and Decimal as a float, and float() an object raises TypeError
-    rule = generate_rule(lookup("convex_quad").make(), CenterPolicy.VERTEX_AVERAGE, 3, 3)
-    with pytest.raises(InvalidArgumentError) as e:
-        rule(f)
-    assert str(e.value).startswith("field values must be real numbers, got " + entry)
 
 
 def test_a_list_of_field_values_is_read_as_its_array():

@@ -1,4 +1,3 @@
-import re
 import warnings
 
 import numpy as np
@@ -34,11 +33,6 @@ def test_select_alpha():
     assert select_alpha(0.5) == 2
     assert select_alpha(1.8) == 5
     assert select_alpha(4.0 / 3.0) == 3
-    with pytest.raises(InvalidArgumentError):
-        select_alpha(np.sqrt(2.0))
-    for beta in (2.0, True, "1"):
-        with pytest.raises(InvalidArgumentError):
-            select_alpha(beta)
     # a narrow numpy float is read as its float64 value, without a warning
     assert select_alpha(np.float32(0.5)) == select_alpha(np.float16(0.5)) == 2
 
@@ -47,9 +41,6 @@ def test_radial_exponent():
     assert radial_exponent(1.0, 1.0) == pytest.approx(0.0)
     assert radial_exponent(0.5, 1.0) == pytest.approx(0.5)
     assert radial_exponent(1.8, 1.0) == pytest.approx(-0.8)
-    for beta in (3.0, True, "1"):
-        with pytest.raises(InvalidArgumentError):
-            radial_exponent(beta, 1.0)
     for beta in (np.float32(0.5), np.float16(0.5)):
         assert radial_exponent(beta, 1.0) == 0.5
 
@@ -97,23 +88,6 @@ def test_t_transform_bounds_examples():
     )
     lo, hi, _, _ = t_transform_bounds(1.0, -1.0, 1.0, "r2")
     assert (lo, hi) == (pytest.approx(-np.pi / 4), pytest.approx(np.pi / 4))
-    with pytest.raises(InvalidArgumentError):
-        t_transform_bounds(0.0, -1.0, 1.0, "r1")
-    with pytest.raises(InvalidArgumentError):
-        t_transform_bounds(1.0, -1.0, 1.0, "r9")
-
-
-@pytest.mark.parametrize("which", ["r1", "r2", "r3"])
-def test_t_transform_bounds_reject_non_finite_geometry(which):
-    for args, message in (((np.nan, -1.0, 1.0), "ell must be finite, got nan"),
-                          ((1.0, -np.inf, 1.0), "tau1 must be finite, got -inf"),
-                          ((np.array([1.0, 2.0]), -1.0, np.array([1.0, np.nan])),
-                           "tau2 must be finite, got nan")):
-        with pytest.raises(InvalidArgumentError) as e:
-            t_transform_bounds(*args, which)
-        assert str(e.value) == message
-    with pytest.raises(InvalidArgumentError, match="ell must be real numbers"):
-        t_transform_bounds("1", -1.0, 1.0, which)
 
 
 @pytest.mark.parametrize("which", ["r1", "r2", "r3"])
@@ -391,32 +365,13 @@ def test_t_transform_resolves_a_kept_edge_next_to_xc(which, xc):
     assert abs(rule(g) - old(g)) <= 1e-13 * np.abs(old.weights * vals).sum()
 
 
-def test_t_transform_requires_segments():
-    reg = lookup("bezier").make()
-    spec = SingularSpec(xc=(0.4, 0.5), radial=GAUSS_JACOBI, t_transform="r1")
-    with pytest.raises(InvalidArgumentError):
-        integrate_singular(reg, SplitIntegrand(ones, 1.0), spec, 4, 4)
-
-
-def test_an_int_beyond_the_float_range_is_no_beta_and_no_alpha(unit_square):
-    spec = SingularSpec(xc=(-1.0, -1.0), radial=GAUSS_JACOBI)
-    for beta in (10**400, -(10**400)):
-        with pytest.raises(InvalidArgumentError,
-                           match=r"beta must be a finite number in \(0.0, 2.0\), got -?1000"):
-            generate_singular_rule(unit_square, spec, beta, 4, 4)
-    with pytest.raises(InvalidArgumentError,
-                       match=r"generalized-SB alpha must be a finite number in \(0.0, inf\), got 1000"):
-        GeneralizedSB(10**400)
-    # a Fraction is a real number, a Decimal is not one
-    from decimal import Decimal
+def test_a_fraction_beta_is_a_real_number(unit_square):
     from fractions import Fraction
 
+    spec = SingularSpec(xc=(-1.0, -1.0), radial=GAUSS_JACOBI)
     want = generate_singular_rule(unit_square, spec, 0.5, 4, 5)
     got = generate_singular_rule(unit_square, spec, Fraction(1, 2), 4, 5)
     assert got.weights.tobytes() == want.weights.tobytes()
-    with pytest.raises(InvalidArgumentError,
-                       match=r"beta must be a real number, got Decimal\('0.5'\)"):
-        generate_singular_rule(unit_square, spec, Decimal("0.5"), 4, 5)
 
 
 @pytest.mark.filterwarnings("ignore:edge through the singularity")
@@ -431,22 +386,7 @@ def test_r1_cannot_resolve_an_edge_whose_line_passes_too_near_xc():
             generate_singular_rule(sliver, spec, 0.5, 4, 8)
 
 
-def test_beta_range_validation(unit_square):
-    # one range, 0 < beta < 2, for every radial strategy and t-transform: the
-    # radial factor xi^(1 - beta) is not integrable beyond it, and the plain
-    # radial rule would fold it into weights whose sums grow with n; a boolean
-    # or text is no beta, though True would pass as 1
-    for beta, message in ((2.0, r"a finite number in \(0.0, 2.0\), got 2.0"),
-                          (2.5, r"a finite number in \(0.0, 2.0\), got 2.5"),
-                          (3.0, r"a finite number in \(0.0, 2.0\), got 3.0"),
-                          (True, "a real number, got True"), ("1", "a real number, got '1'")):
-        for radial in (None, GeneralizedSB(1.0), GAUSS_JACOBI):
-            for tt in (None, "r1", "r2", "r3"):
-                spec = SingularSpec(xc=(-1.0, -1.0), radial=radial, t_transform=tt)
-                with pytest.raises(InvalidArgumentError, match="beta must be " + message):
-                    generate_singular_rule(unit_square, spec, beta, 16, 32)
-                with pytest.raises(InvalidArgumentError, match="beta must be " + message):
-                    integrate_singular(unit_square, SplitIntegrand(ones, beta), spec, 16, 32)
+def test_a_narrow_numpy_beta_gives_the_rule_of_its_float64_value(unit_square):
     # a narrow numpy float gives the rule of its float64 value, without a warning
     for radial in (None, GeneralizedSB(1.0), GAUSS_JACOBI):
         for tt in (None, "r1", "r2", "r3"):
@@ -468,38 +408,10 @@ def test_nearly_singular_exterior_center_converges(unit_square, d):
     assert v == pytest.approx(ref, rel=1e-9)
 
 
-@pytest.mark.parametrize("xc", [(np.nan, 0.0), (0.0, np.inf)])
-def test_non_finite_singularity_is_rejected(unit_square, xc):
-    with pytest.raises(InvalidArgumentError):
-        generate_singular_rule(unit_square, SingularSpec(xc=xc), 0.5, 3, 3)
-
-
-@pytest.mark.parametrize("xc", [0.3, (0.3,), (0, 0, 5), ("a", "b"), ("0.3", "0.3"), None,
-                                np.zeros((2, 2)), (True, True), (0.5, False), np.array([True, False]),
-                                (0.1 + 1j, 0), np.zeros(2, dtype=complex)],
-                         ids=["scalar", "one", "three", "text", "numeric-text", "none", "matrix",
-                              "bool", "bool-beside-a-number", "bool-array", "complex",
-                              "complex-array"])
-def test_singular_spec_checks_xc_when_built(xc):
-    with pytest.raises(InvalidArgumentError, match="singularity xc"):
-        SingularSpec(xc=xc)
-
-
 def test_singular_spec_stores_xc_as_two_floats():
     spec = SingularSpec(xc=np.array([0, 1]), radial=GAUSS_JACOBI)
     assert spec.xc == (0.0, 1.0) and all(type(v) is float for v in spec.xc)
     assert hash(spec) == hash(SingularSpec((0.0, 1.0), GAUSS_JACOBI))
-
-
-@pytest.mark.parametrize("alpha", [-1.0, 0, 0.0, np.nan, np.inf, True, np.bool_(True), "2", None],
-                         ids=["negative", "zero", "zero-float", "nan", "inf", "bool", "numpy-bool",
-                              "text", "none"])
-def test_generalized_sb_checks_alpha_when_built(alpha):
-    real = isinstance(alpha, float) or type(alpha) is int
-    message = "a finite number in (0.0, inf)" if real else "a real number"
-    with pytest.raises(InvalidArgumentError) as e:
-        GeneralizedSB(alpha)
-    assert str(e.value) == "generalized-SB alpha must be %s, got %r" % (message, alpha)
 
 
 @pytest.mark.parametrize("alpha", [2, np.int64(2), np.float32(2.0), np.float16(2.0)],
@@ -508,21 +420,6 @@ def test_generalized_sb_keeps_alpha_as_a_float(alpha):
     # a narrow numpy float is read as its float64 value, without a warning
     radial = GeneralizedSB(alpha)
     assert type(radial.alpha) is float and radial == GeneralizedSB(2.0)
-
-
-@pytest.mark.parametrize("strategies, message", [
-    ({"radial": "gauss"}, "unknown radial strategy 'gauss'"),
-    ({"radial": 2.0}, "unknown radial strategy 2.0"),
-    ({"radial": np.array(["gauss-jacobi"])}, "unknown radial strategy array"),
-    ({"t_transform": "r9"}, "unknown t-transform 'r9'"),
-    ({"t_transform": "R1"}, "unknown t-transform 'R1'"),
-    ({"t_transform": 1}, "unknown t-transform 1"),
-    ({"t_transform": ["r1"]}, "unknown t-transform"),
-], ids=["radial-name", "radial-number", "radial-array", "t-transform-name", "t-transform-case",
-        "t-transform-number", "t-transform-list"])
-def test_singular_spec_checks_its_strategies_when_built(strategies, message):
-    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
-        SingularSpec((0.1, 0.1), **strategies)
 
 
 def test_singular_spec_takes_every_strategy():
