@@ -168,17 +168,19 @@ def cmd_convergence(args):
     region, policy = load_domain(args.domain)
     policy = _center_policy(args.center, policy)
     f = load_function(args.function)
-    surplus = max(64, 2 * args.n_max)
+    n_min = whole_number(args.n_min, 1, "n_min")
+    n_max = whole_number(args.n_max, n_min, "n_max")
+    surplus = max(64, 2 * n_max)
 
     def run(n_xi, n_t):
         return sbc.integrate(region, policy, f, n_xi, n_t)
 
     if args.reference == "auto":
-        ref = run(args.n_max + 8, args.n_max + 8)
+        ref = run(n_max + 8, n_max + 8)
     else:
         ref = real_number(_number(float, args.reference, "reference"), "reference")
     print("n,abs_err,rel_err")
-    for n in range(args.n_min, args.n_max + 1):
+    for n in range(n_min, n_max + 1):
         if args.sweep == "xi":
             val = run(n, surplus)
         elif args.sweep == "t":

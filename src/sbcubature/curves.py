@@ -143,6 +143,11 @@ class ParametricCurve(Curve):
                     "parametric coordinate %r may only use t, found %s" % (src, sorted(extra))
                 )
 
+    def __reduce__(self):
+        # the parsed expressions are closures, which do not pickle: a copy parses
+        # the texts again, from parse's cache
+        return type(self), (self.x_src, self.y_src)
+
     def position(self, t):
         return self._raw(_check_t(t))
 

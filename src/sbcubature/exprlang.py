@@ -29,8 +29,10 @@ import ast
 import functools
 import operator
 import re
+import reprlib
 import threading
 import warnings
+from collections.abc import Mapping
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -218,8 +220,15 @@ def evaluate(expr, bindings):
 
     Domain errors and division by zero produce non-finite values rather
     than exceptions; integration-time code is responsible for rejecting
-    them.
+    them.  An expr that is not an ``Expression`` from ``parse``, or bindings
+    that are not a mapping of names to values, is an InvalidArgumentError.
     """
+    if not isinstance(expr, Expression):
+        raise InvalidArgumentError("expr must be an Expression from parse, got %s"
+                                   % reprlib.repr(expr))
+    if not isinstance(bindings, Mapping):
+        raise InvalidArgumentError("bindings must be a mapping of variable names to values, got %s"
+                                   % reprlib.repr(bindings))
     missing = expr.variables.difference(bindings)
     if missing:
         raise InvalidArgumentError("missing bindings for %s" % sorted(missing))

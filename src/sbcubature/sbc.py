@@ -28,9 +28,9 @@ several times slower on the m n k points of a rule than one pass per
 plane, and a field given strided columns is slower on every ufunc too.
 Each element takes the same IEEE operations either way, so the points are
 bit for bit those of the broadcast.  A rule's weighted sum of a field's
-values is one BLAS ddot for every layout with a positive stride, taken
-by ``np.vdot``, which reports no floating-point warning, so no errstate
-has to be entered per application (see ``CubatureRule.__call__``).
+values is one ``np.vdot`` for every layout, which reports no floating-point
+warning, so no errstate has to be entered per application (see
+``CubatureRule.__call__``).
 
 The families differ only in their radial rule and their t-nodes:
 
@@ -45,6 +45,7 @@ Weights are signed, so nonconvex regions and exterior centers still sum to
 the correct value.
 """
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from math import ceil, isfinite
@@ -70,31 +71,22 @@ class CubatureRule:
     def __call__(self, f):
         """Apply the rule to a scalar field f(x, y): the weighted sum of its values.
 
-        The values are read by ``real_values``, and the sum comes first:
-        0 * inf and inf - inf are NaN, so a finite sum proves every value
-        finite, and ``finite_values``, the search that raises EvaluationError
-        at the first non-finite point, runs only when the sum is not finite.
-        That first sum reports no floating-point warning.  Values whose
-        stride is a positive multiple of 8 bytes (contiguous or strided
-        columns) are summed by ``np.vdot``, the BLAS ddot that ``np.dot``
-        calls on them, which warns of nothing; others, such as the
-        stride-0 array of a constant field, by ``np.dot`` in its own loop,
-        under an errstate.  If every value is finite the sum overflowed, and
-        it is taken again by ``np.dot``, so the caller gets that inf with
-        numpy's own warning, if any.
+        The values are read by ``real_values``, which makes them contiguous,
+        and summed by one ``np.vdot``, which reports no floating-point
+        warning.  0 * inf and inf - inf are NaN, so a finite sum proves every
+        value finite, and ``finite_values``, the search that raises
+        EvaluationError at the first non-finite point, runs only when the sum
+        is not finite.  If every value is finite the sum overflowed: it is
+        returned with one RuntimeWarning, the same on every numpy.
         """
         x, y = self._columns
         vals = real_values(f(x, y), len(x))
-        step = vals.strides[0]
-        if step > 0 and step % 8 == 0:
-            total = float(np.vdot(self.weights, vals))
-        else:
-            with np.errstate(invalid="ignore", over="ignore"):
-                total = float(np.dot(self.weights, vals))
-        if isfinite(total):
-            return total
-        finite_values(vals, x, y)
-        return float(np.dot(self.weights, vals))
+        total = float(np.vdot(self.weights, vals))
+        if not isfinite(total):
+            finite_values(vals, x, y)
+            warnings.warn("overflow in the weighted sum of finite field values", RuntimeWarning,
+                          stacklevel=2)
+        return total
 
     @cached_property
     def _columns(self):
@@ -103,22 +95,23 @@ class CubatureRule:
 
 
 def real_values(vals, n):
-    """The values of a field at n points as a float array of shape (n,).
+    """The values of a field at n points as a contiguous float array of shape (n,).
 
     The values are read by ``errors.real_array``, booleans (an indicator
     field) as 0 and 1.  A field returns one value per point, or a single
     value (shape ()) for a constant field; any other shape is an
     InvalidArgumentError, since it would broadcast against the weights into
-    a wrong number.  A float64 array of shape (n,) is returned as it is,
-    not copied.
+    a wrong number.  A contiguous float64 array of shape (n,) is returned as
+    it is, not copied; any other layout, such as a column, a reversed or a
+    stride-0 array, is copied, so equal values sum alike whatever their layout.
     """
     vals = real_array(vals, "field values", bools=True)
-    if vals.shape != (n,):
-        if vals.shape:
-            raise InvalidArgumentError("field values have shape %s, expected (%d,) or ()"
-                                       % (vals.shape, n))
-        vals = np.full(n, vals)
-    return vals
+    if vals.shape == (n,):
+        return np.ascontiguousarray(vals)
+    if vals.shape:
+        raise InvalidArgumentError("field values have shape %s, expected (%d,) or ()"
+                                   % (vals.shape, n))
+    return np.full(n, vals)
 
 
 def finite_values(vals, x, y):

@@ -603,12 +603,15 @@ ROWS = {
             ("parens", "(" * 1200 + "x" + ")" * 1200), ("sum", "+".join(["x"] * 1200)),
             ("minus", "-" * 1200 + "x"), ("power", "^".join(["x"] * 1200)),
             ("calls", "sin(" * 1200 + "x" + ")" * 1200))]),
-    "exprlang.evaluate.expr": ("duck-typed", [lambda v: exprlang.evaluate(v, {"x": 1.0})],
-                               [("text", "x", AttributeError, attr("str", "variables"))]),
+    "exprlang.evaluate.expr": ("in-line check", [lambda v: exprlang.evaluate(v, {"x": 1.0})], [
+        ("text", "x", Bad, "expr must be an Expression from parse, got 'x'"),
+        ("none", None, Bad, "expr must be an Expression from parse, got None")]),
     "exprlang.evaluate.bindings": ("in-line check",
                                    [lambda v: exprlang.evaluate(exprlang.parse("x + y"), v)], [
         ("missing", {"x": 1.0}, Bad, "missing bindings for ['y']"),
-        ("none", None, TypeError, re.compile("NoneType"))]),
+        ("none", None, Bad, "bindings must be a mapping of variable names to values, got None"),
+        ("pairs", [("x", 1.0), ("y", 2.0)], Bad,
+         "bindings must be a mapping of variable names to values, got [('x', 1.0), ('y', 2.0)]")]),
     "exprlang.compile_field.src": ("exprlang.parse", [exprlang.compile_field], [
         ("t", "x + t", Bad, "field expression may only use x and y, found ['t']"),
         ("number", 5, Bad, "expression must be a string, got 5"),
@@ -822,9 +825,13 @@ CLI_ROWS = {
                                 re.compile(r"^error: \"unknown name 'nope'; "))],
     "cli convergence function": [("without-prefix", "convergence builtin:T1 x 1 2", NO_PREFIX)],
     "cli convergence n_min": [("text", "convergence builtin:T1 expr:1 x 2",
-                               usage("convergence", INT % "n_min"))],
+                               usage("convergence", INT % "n_min")),
+                              ("zero", "convergence builtin:T1 expr:1 0 2",
+                               "n_min must be an integer >= 1, got 0")],
     "cli convergence n_max": [("text", "convergence builtin:T1 expr:1 1 x",
-                               usage("convergence", INT % "n_max"))],
+                               usage("convergence", INT % "n_max")),
+                              ("below-n-min", "convergence builtin:T1 expr:1 5 2",
+                               "n_max must be an integer >= 5, got 2")],
     "cli convergence reference": [
         ("abc", CONVERGE + "--reference abc", "reference must be a number, got 'abc'")] + [
         (k, CONVERGE + "--reference=" + v, FINITE % ("reference", -math.inf, shown))

@@ -495,7 +495,7 @@ def test_a_region_pickles_and_copies_without_its_samples(unit_square):
     from sbcubature.sbc import generate_rule
     from sbcubature.tmvi import egg_domain
 
-    for region in (lookup("bezier").make(), unit_square, egg_domain()):
+    for region in (lookup("bezier").make(), unit_square, egg_domain(), lookup("deltoid").make()):
         want = generate_rule(region, CenterPolicy.VERTEX_AVERAGE, 4, 6)
         for twin in (pickle.loads(pickle.dumps(region)), copy.deepcopy(region)):
             assert type(twin) is type(region) and twin._samples == {}

@@ -14,6 +14,9 @@ The corpus is defined here, by this checkout, and run against a tree's
   and one node row per curve;
 * TMVI and Lp-distance values, crack-tip and fS values, and expressions
   evaluated at real and at complex bindings;
+* the sum of one field whose values come in each memory layout (contiguous,
+  a column, reversed, a packed record, stride-0 broadcasts and a shape-()
+  constant) on a regular and a Gauss-Jacobi rule;
 * the exception type and message (or "accepted") of every case of
   ``tests/test_contract.py``, and the exit code and stderr of its CLI cases;
 * the stdout of every CLI example of README.md.
@@ -165,6 +168,26 @@ def corpus():
         curve = sb.ParametricCurve(*src)
         yield "curve.%s.position" % (src,), curve.position(t)
         yield "curve.%s.velocity" % (src,), curve.velocity(t)
+
+    def packed(x, y):  # a float64 field of a packed record: stride 9 bytes
+        rec = np.zeros(len(x), dtype=[("flag", "u1"), ("value", "f8")])
+        rec["value"] = x * y + 0.25
+        return rec["value"]
+
+    layouts = {"contiguous": lambda x, y: x * y + 0.25,
+               "column": lambda x, y: np.column_stack([x, y, x * y + 0.25])[:, 2],
+               "reversed": lambda x, y: (x * y + 0.25)[::-1], "packed": packed,
+               "stride-0": exprlang.compile_field("1"),
+               "stride-0-const": exprlang.compile_field("0.1 * 3"),
+               "constant": lambda x, y: 0.3}
+    average = sb.CenterPolicy.VERTEX_AVERAGE
+    for name, r in (("T3.3.5", sb.generate_rule(geometries["T3"], average, 3, 5)),
+                    ("bezier.7.11", sb.generate_rule(geometries["bezier"], average, 7, 11)),
+                    ("convex_quad.jacobi.r1.24.32", sb.generate_singular_rule(
+                        geometries["convex_quad"], sb.SingularSpec((0.5, 0.5), sb.GAUSS_JACOBI, "r1"),
+                        0.5, 24, 32))):
+        for layout, f in layouts.items():
+            yield "layout.%s.%s" % (name, layout), np.array(r(f))
 
     # the contract table and the CLI
     sys.path.insert(0, str(ROOT / "tests"))
